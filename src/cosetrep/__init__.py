@@ -36,8 +36,6 @@ from .lie import (
     defining_rep_so1m,
     h_pairs,
     jacobi_residual,
-    project_f,
-    project_h,
     so1m_algebra,
 )
 from .series import (
@@ -45,9 +43,6 @@ from .series import (
     InfinitesimalAction,
     coset_element,
     even_bracket_weights,
-    f_prime_series,
-    h_action_series,
-    i_prime_series,
     odd_bracket_weights,
     realize,
     so1m_closed_field,
@@ -59,7 +54,6 @@ from .induced import (
     HRepresentation,
     boost_matrix,
     check_proper_orthochronous,
-    combine_section,
     exp_coset,
     factor_boost_rotation,
     flow_section,
@@ -72,7 +66,6 @@ from .induced import (
     rotation_log_coords,
     section_from_json_dict,
     section_to_json_dict,
-    split_section,
     spinor_hrep,
     vector_hrep,
 )
@@ -107,16 +100,11 @@ __all__ = [
     "defining_rep_so1m",
     "h_pairs",
     "jacobi_residual",
-    "project_f",
-    "project_h",
     "so1m_algebra",
     "DEFAULT_ORDER",
     "InfinitesimalAction",
     "coset_element",
     "even_bracket_weights",
-    "f_prime_series",
-    "h_action_series",
-    "i_prime_series",
     "odd_bracket_weights",
     "realize",
     "so1m_closed_field",
@@ -126,7 +114,6 @@ __all__ = [
     "HRepresentation",
     "boost_matrix",
     "check_proper_orthochronous",
-    "combine_section",
     "exp_coset",
     "factor_boost_rotation",
     "flow_section",
@@ -139,7 +126,6 @@ __all__ = [
     "rotation_log_coords",
     "section_from_json_dict",
     "section_to_json_dict",
-    "split_section",
     "spinor_hrep",
     "vector_hrep",
     "PropertyResult",

@@ -200,9 +200,6 @@ class Multivector:
     def __rmul__(self, other):
         return self.scale(float(other))
 
-    def allclose(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
-
     # ------------------------------------------------------------- io
     def to_json_dict(self) -> dict:
         """Serialize as {"blades": [{"indices": [...], "coeff": c}, ...]}."""

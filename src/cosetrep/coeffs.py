@@ -33,9 +33,6 @@ class CoeffTable:
             raise IndexError(f"l_{n} not tabulated (have 1..{len(self.values)})")
         return self.values[n - 1]
 
-    def as_floats(self) -> list[float]:
-        return [float(v) for v in self.values]
-
 
 def l_coeffs(N: int) -> CoeffTable:
     """Solve the recursion for l_1 .. l_N exactly.

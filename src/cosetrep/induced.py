@@ -40,7 +40,7 @@ from .lie import (
     h_pairs,
     so1m_algebra,
 )
-from .series import DEFAULT_ORDER, realize
+from .series import DEFAULT_ORDER, _series, realize
 
 __all__ = [
     "HRepresentation",
@@ -58,8 +58,6 @@ __all__ = [
     "infinitesimal_action",
     "group_from_spec",
     "CompositeSection",
-    "split_section",
-    "combine_section",
     "section_to_json_dict",
     "section_from_json_dict",
     "gauge_transform_section",
@@ -427,16 +425,6 @@ class CompositeSection:
         return CosetPoint(self.sigma[i])
 
 
-def split_section(section: CompositeSection) -> tuple[np.ndarray, np.ndarray]:
-    """The (sigma, v) arrays of a section, as writable copies."""
-    return section.sigma.copy(), section.v.copy()
-
-
-def combine_section(sigma, v) -> CompositeSection:
-    """Build a section from point and vector arrays."""
-    return CompositeSection(np.asarray(sigma, dtype=float), np.asarray(v, dtype=float))
-
-
 def section_to_json_dict(section: CompositeSection, xi: np.ndarray | None = None) -> dict:
     """JSON form {"m", "d", "nodes": [{"sigma", "v"(, "xi")}]}.
 
@@ -495,10 +483,6 @@ def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
     return CompositeSection(sigma, v), xi
 
 
-def _node_xi_element(alg: ReductiveAlgebra, coords: np.ndarray):
-    return alg.element(h=coords[: alg.dim_h], f=coords[alg.dim_h :])
-
-
 def gauge_transform_section(
     alg: ReductiveAlgebra,
     section: CompositeSection,
@@ -510,7 +494,8 @@ def gauge_transform_section(
     """One explicit Euler step of size eps of the node-wise generator field.
 
     Each node moves independently: sigma_i += eps dF(xi_i, sigma_i) and
-    v_i += eps (dI^a G_a) v_i.  No information crosses between nodes.
+    v_i += eps (dI^a G_a) v_i.  No information crosses between nodes; the
+    whole section goes through the bracket series in one batched call.
     """
     xi = np.asarray(xi, dtype=float)
     n_xi = alg.dim_h + alg.dim_f
@@ -522,14 +507,13 @@ def gauge_transform_section(
         raise DimensionError(
             f"section has m={section.m} but the algebra has dim_f={alg.dim_f}"
         )
-    sigma, v = split_section(section)
-    for i in range(section.n_nodes):
-        ds, dv = infinitesimal_action(
-            alg, _node_xi_element(alg, xi[i]), section.point(i), section.v[i], hrep, order
+    if section.d != hrep.d:
+        raise DimensionError(
+            f"section vectors have d={section.d} but the representation has d={hrep.d}"
         )
-        sigma[i] += eps * ds
-        v[i] += eps * dv
-    return combine_section(sigma, v)
+    dF, dI = _series(alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], order)
+    dv = (np.tensordot(dI, hrep.generators, 1) @ section.v[:, :, None])[:, :, 0]
+    return CompositeSection(section.sigma + eps * dF, section.v + eps * dv)
 
 
 def flow_section(

@@ -28,8 +28,6 @@ __all__ = [
     "AlgebraElement",
     "CosetPoint",
     "bracket",
-    "project_h",
-    "project_f",
     "h_pairs",
     "so1m_algebra",
     "defining_rep_so1m",
@@ -49,7 +47,6 @@ class ReductiveAlgebra:
     c_hh: np.ndarray
     c_ff: np.ndarray
     c_fh: np.ndarray
-    h_labels: tuple = ()
 
     def __post_init__(self) -> None:
         for name in ("c_hh", "c_ff", "c_fh"):
@@ -188,16 +185,6 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a, h, f)
 
 
-def project_h(x: AlgebraElement) -> AlgebraElement:
-    """The h component, as an element with zero f part."""
-    return AlgebraElement(x.algebra, x.h, np.zeros(x.algebra.dim_f))
-
-
-def project_f(x: AlgebraElement) -> AlgebraElement:
-    """The f component, as an element with zero h part."""
-    return AlgebraElement(x.algebra, np.zeros(x.algebra.dim_h), x.f)
-
-
 # ---------------------------------------------------------------------------
 # coset coordinates
 # ---------------------------------------------------------------------------
@@ -284,7 +271,7 @@ def so1m_algebra(m: int) -> ReductiveAlgebra:
     for al in range(nf):
         for b in range(nh):
             c_fh[al, b] = _expand(commutator(fb[al], hb[b]), fb)
-    return ReductiveAlgebra(c_hh, c_ff, c_fh, h_labels=h_pairs(m))
+    return ReductiveAlgebra(c_hh, c_ff, c_fh)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,8 @@
-"""Infinitesimal coset transformation laws as iterated-bracket series.
+"""Infinitesimal coset transformation laws as one batched bracket series.
 
-A group generator xi acts on the coset coordinates sigma (the point
-exp(sigma^al F_al) H) through a vector field dF and an h-valued compensator
-dI.  Writing F = sigma^al F_al, ad_F(x) = [F, x] and T_n(x) for the n-fold
+A group generator xi = xi_h + xi_f acts on the coset coordinates sigma (the
+point exp(sigma^al F_al) H) through a vector field dF and an h-valued
+compensator dI.  Writing F = sigma^al F_al and T_n(x) for the n-fold
 right-iterated bracket [...[[x, F], F], ..., F], the laws are
 
   actor X in f:   dF = X + sum_k 4^k l_{2k} T_2k(X)          (z coth z profile)
@@ -13,9 +13,20 @@ right-iterated bracket [...[[x, F], F], ..., F], the laws are
 
 with the rational table l_n of :mod:`cosetrep.coeffs`.  The weights are the
 Taylor coefficients of z coth z = 1 + sum 4^k l_{2k} z^{2k} and
-tanh(z/2) = sum 2 (4^k - 1) l_{2k} z^{2k-1}; on a split with [f,f] in h these
-resum the factorization of a group flow through a coset slice, which is what
-the matrix factorization of :mod:`cosetrep.induced` computes independently.
+tanh(z/2) = sum 2 (4^k - 1) l_{2k} z^{2k-1}, the Bernoulli / dexp^-1
+generating functions; on a split with [f,f] in h these resum the
+factorization of a group flow through a coset slice, which is what the
+matrix factorization of :mod:`cosetrep.induced` computes independently.
+
+One private core evaluates the laws for N nodes at once.  The map
+x -> [x, F] sends f to h and h to f, so it is stored as its two off-diagonal
+blocks, read straight from the structure constant tables; the tower T_n
+alternates between them as batched matrix-vector products, and the l table
+is built once per call.  The series converges while the spectral radius of
+ad_F stays below pi; an f actor at or past that radius raises DomainError.
+:func:`realize` is the single-point entry; the gauge flow of
+:mod:`cosetrep.induced` calls the core once per Euler step for a whole
+section.
 
 For so(1,m) the resummed field has the closed form of
 :func:`so1m_closed_field`.  :func:`so1m_closed_field_variant` evaluates an
@@ -26,6 +37,7 @@ deviation without asserting on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,15 +45,7 @@ import numpy as np
 
 from .coeffs import CoeffTable, l_coeffs
 from .errors import DimensionError, DomainError
-from .lie import (
-    AlgebraElement,
-    CosetPoint,
-    ReductiveAlgebra,
-    bracket,
-    h_pairs,
-    project_f,
-    project_h,
-)
+from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, h_pairs
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -49,9 +53,6 @@ __all__ = [
     "coset_element",
     "even_bracket_weights",
     "odd_bracket_weights",
-    "i_prime_series",
-    "f_prime_series",
-    "h_action_series",
     "realize",
     "so1m_closed_field",
     "so1m_closed_field_variant",
@@ -80,10 +81,14 @@ class InfinitesimalAction:
             object.__setattr__(self, name, arr)
 
 
-def coset_element(alg: ReductiveAlgebra, point: CosetPoint) -> AlgebraElement:
-    """The base element F = sigma^al F_al of the algebra."""
+def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
     if point.m != alg.dim_f:
         raise DimensionError(f"point has {point.m} coordinates, algebra dim_f {alg.dim_f}")
+
+
+def coset_element(alg: ReductiveAlgebra, point: CosetPoint) -> AlgebraElement:
+    """The base element F = sigma^al F_al of the algebra."""
+    _check_point(alg, point)
     return alg.element(f=point.sigma)
 
 
@@ -119,92 +124,53 @@ def odd_bracket_weights(order: int, table: CoeffTable | None = None) -> list[tup
     ]
 
 
-def _bracket_tower(x: AlgebraElement, base: AlgebraElement, depth: int) -> list[AlgebraElement]:
-    """T_1 .. T_depth with T_1 = [x, base], T_{n+1} = [T_n, base]."""
-    out = []
-    t = x
-    for _ in range(depth):
-        t = bracket(t, base)
-        out.append(t)
-    return out
-
-
-def i_prime_series(
+def _series(
     alg: ReductiveAlgebra,
-    actor: AlgebraElement,
-    point: CosetPoint,
-    order: int = DEFAULT_ORDER,
-) -> AlgebraElement:
-    """Compensator of an f actor, truncated at bracket count `order`.
+    sigma: np.ndarray,
+    xh: np.ndarray,
+    xf: np.ndarray,
+    order: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
-    Returns sum over 2k-1 <= order of 2 (4^k - 1) l_{2k} T_{2k-1}(actor),
-    an h element by the closure [f, f] in h.
+    sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
+    have the shapes of xf and xh.  Rows never mix, so each node's result is
+    the one a single-node call gives.
     """
-    if not actor.is_f():
-        raise DomainError("actor must lie in the f subspace")
-    base = coset_element(alg, point)
-    weights = odd_bracket_weights(order)
-    tower = _bracket_tower(actor, base, weights[-1][0]) if weights else []
-    out = alg.zero()
-    for n, w in weights:
-        out = out + w * tower[n - 1]
-    if not out.is_h(tol=0.0):
-        raise DomainError("odd bracket iterates left the h subspace")
-    return out
-
-
-def f_prime_series(
-    alg: ReductiveAlgebra,
-    actor: AlgebraElement,
-    point: CosetPoint,
-    order: int = DEFAULT_ORDER,
-) -> AlgebraElement:
-    """Coordinate variation of an f actor, truncated at bracket count `order`.
-
-    Returns actor + sum over 2k <= order of 4^k l_{2k} T_2k(actor), an f
-    element; at sigma = 0 this is the actor itself.
-    """
-    if not actor.is_f():
-        raise DomainError("actor must lie in the f subspace")
-    base = coset_element(alg, point)
-    weights = even_bracket_weights(order)
-    tower = _bracket_tower(actor, base, weights[-1][0]) if weights else []
-    out = actor
-    for n, w in weights:
-        out = out + w * tower[n - 1]
-    if not out.is_f(tol=0.0):
-        raise DomainError("even bracket iterates left the f subspace")
-    return out
-
-
-def h_action_series(
-    alg: ReductiveAlgebra,
-    actor: AlgebraElement,
-    point: CosetPoint,
-    order: int = DEFAULT_ORDER,
-) -> InfinitesimalAction:
-    """Action of a stabilizer generator: dF = 2 sum l_{2k-1} T_{2k-1}, dI = actor.
-
-    Every l_{2k-1} with k >= 2 vanishes, so the partial sum equals [actor, F]
-    at any order: the stabilizer acts linearly on sigma.  dI returns the
-    actor's own h coordinates unchanged.
-    """
-    if not actor.is_h():
-        raise DomainError("actor must lie in the h subspace")
     _check_order(order)
-    base = coset_element(alg, point)
-    table = l_coeffs(order)
-    depth = order if order % 2 else order - 1
-    tower = _bracket_tower(actor, base, depth)
-    out = alg.zero()
-    for k in range(1, (order + 1) // 2 + 1):
-        n = 2 * k - 1
-        w = 2.0 * float(table.l(n))
-        if w != 0.0:
-            out = out + w * tower[n - 1]
-    if not out.is_f(tol=0.0):
-        raise DomainError("stabilizer bracket iterates left the f subspace")
-    return InfinitesimalAction(dF=out.f, dI=actor.h)
+    # x -> [x, F] as its two blocks: to_h[n] maps f to h, to_f[n] maps h to f
+    to_h = np.einsum("abd,nb->nda", alg.c_ff, sigma)
+    to_f = -np.einsum("abd,na->ndb", alg.c_fh, sigma)
+    moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
+    if moving.any():
+        # ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2.  The
+        # max-row-sum norm bounds it from above, so eigenvalues are needed
+        # only at nodes where that bound reaches pi^2.
+        sq = np.einsum("ndb,nba->nda", to_f[moving], to_h[moving])
+        near = sq[np.abs(sq).sum(axis=2).max(axis=1) >= math.pi**2]
+        rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
+        if rho >= math.pi:
+            raise DomainError(
+                f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
+            )
+    table = l_coeffs(order + 1)
+    weights = dict(even_bracket_weights(order, table) + odd_bracket_weights(order, table))
+    # the sums start from +0.0, so an exact zero never comes out as -0.0
+    dF = np.zeros(xf.shape)
+    dI = np.zeros(xh.shape)
+    dF += xf
+    t = xf
+    for n in range(1, order + 1):
+        if n % 2:
+            t = np.einsum("nda,na->nd", to_h, t)
+            dI += weights[n] * t
+        else:
+            t = np.einsum("nda,na->nd", to_f, t)
+            dF += weights[n] * t
+    # every l_{2k-1} past l_1 vanishes, so the h actor's field is [X, F]
+    dF += np.einsum("nda,na->nd", to_f, xh)
+    dI += xh
+    return dF, dI
 
 
 def realize(
@@ -213,18 +179,17 @@ def realize(
     point: CosetPoint,
     order: int = DEFAULT_ORDER,
 ) -> InfinitesimalAction:
-    """Infinitesimal action of a general generator xi = xi_h + xi_f."""
-    dF = np.zeros(alg.dim_f)
-    dI = np.zeros(alg.dim_h)
-    if xi.f.size and abs(xi.f).max() > 0.0:
-        xf = project_f(xi)
-        dF += f_prime_series(alg, xf, point, order).f
-        dI += i_prime_series(alg, xf, point, order).h
-    if xi.h.size and abs(xi.h).max() > 0.0:
-        act = h_action_series(alg, project_h(xi), point, order)
-        dF += act.dF
-        dI += act.dI
-    return InfinitesimalAction(dF=dF, dI=dI)
+    """Infinitesimal action of a general generator xi = xi_h + xi_f at a point.
+
+    Raises DomainError for order < 1 or when xi has an f part and the point
+    lies at or past the series radius rho(ad_F) = pi, and DimensionError when
+    xi or the point belongs to another algebra.
+    """
+    if xi.algebra is not alg:
+        raise DimensionError("generator belongs to a different algebra")
+    _check_point(alg, point)
+    dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], order)
+    return InfinitesimalAction(dF=dF[0], dI=dI[0])
 
 
 # ---------------------------------------------------------------------------

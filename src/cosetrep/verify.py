@@ -21,7 +21,6 @@ from .errors import BranchError, OrthochronousError
 from .induced import (
     CompositeSection,
     boost_matrix,
-    combine_section,
     exp_coset,
     factor_boost_rotation,
     flow_section,
@@ -49,9 +48,6 @@ from .lie import (
 )
 from .series import (
     coset_element,
-    f_prime_series,
-    h_action_series,
-    i_prime_series,
     realize,
     so1m_closed_field,
     so1m_closed_field_variant,
@@ -464,10 +460,8 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         for s in norms:
             point = CosetPoint(s * direction)
             u, w = so1m_closed_field(point)
-            actor = alg.f_basis(1)
-            df = f_prime_series(alg, actor, point, order=order).f
-            di = i_prime_series(alg, actor, point, order=order).h
-            err = max(float(abs(df - u[:, 1]).max()), float(abs(di - w[:, 1]).max()))
+            act = realize(alg, alg.f_basis(1), point, order=order)
+            err = max(float(abs(act.dF - u[:, 1]).max()), float(abs(act.dI - w[:, 1]).max()))
             errs.append(err)
         logs = np.log(errs)
         xs = np.log(norms)
@@ -501,7 +495,7 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
             point = CosetPoint(sig)
             coords = rng.uniform(-1.0, 1.0, alg.dim_h)
             actor = alg.element(h=coords)
-            act = h_action_series(alg, actor, point, order=9)
+            act = realize(alg, actor, point, order=9)
             linear = np.zeros(m)
             for a, (i, k) in enumerate(pairs):
                 linear[k - 1] += coords[a] * sig[i - 1]
@@ -538,10 +532,10 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
             point = CosetPoint(sig)
             u, w = so1m_closed_field(point)
             for j in range(m):
-                actor = alg.f_basis(j)
-                df = f_prime_series(alg, actor, point, order=61).f
-                di = i_prime_series(alg, actor, point, order=61).h
-                worst = max(worst, float(abs(df - u[:, j]).max()), float(abs(di - w[:, j]).max()))
+                act = realize(alg, alg.f_basis(j), point, order=61)
+                worst = max(
+                    worst, float(abs(act.dF - u[:, j]).max()), float(abs(act.dI - w[:, j]).max())
+                )
     out.append(
         _row(
             "series_closed_field_match",
@@ -810,7 +804,7 @@ def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]
     )
 
     perm = rng.permutation(n_nodes)
-    permuted = combine_section(section.sigma[perm], section.v[perm])
+    permuted = CompositeSection(section.sigma[perm], section.v[perm])
     a = gauge_transform_section(alg, permuted, xi[perm], 0.05, hrep)
     b = gauge_transform_section(alg, section, xi, 0.05, hrep)
     perm_ok = np.array_equal(a.sigma, b.sigma[perm]) and np.array_equal(a.v, b.v[perm])

@@ -25,7 +25,7 @@ from cosetrep.induced import (
     vector_hrep,
 )
 from cosetrep.lie import CosetPoint, defining_rep_so1m, h_pairs, so1m_algebra, _total_structure
-from cosetrep.series import f_prime_series, h_action_series, i_prime_series, so1m_closed_field
+from cosetrep.series import realize, so1m_closed_field
 from cosetrep.verify import fd_action_derivative
 from scipy.linalg import expm
 
@@ -197,9 +197,8 @@ def test_series_truncation_error_slopes():
         for s in norms:
             point = CosetPoint(s * direction)
             u, w = so1m_closed_field(point)
-            df = f_prime_series(alg, actor, point, order=order).f
-            di = i_prime_series(alg, actor, point, order=order).h
-            errs.append(max(float(abs(df - u[:, 1]).max()), float(abs(di - w[:, 1]).max())))
+            act = realize(alg, actor, point, order=order)
+            errs.append(max(float(abs(act.dF - u[:, 1]).max()), float(abs(act.dI - w[:, 1]).max())))
         slope = float(np.polyfit(np.log(norms), np.log(errs), 1)[0])
         bar = order + 0.5
         _report(f"truncation slope at order {order}", slope, bar, slope >= bar)
@@ -223,7 +222,7 @@ def test_stabilizer_series_is_linear_at_order_nine():
             sig *= scale / max(np.linalg.norm(sig), 1e-12)
             point = CosetPoint(sig)
             coords = rng.uniform(-1.0, 1.0, alg.dim_h)
-            act = h_action_series(alg, alg.element(h=coords), point, order=9)
+            act = realize(alg, alg.element(h=coords), point, order=9)
             linear = np.zeros(m)
             for a, (i, k) in enumerate(pairs):
                 linear[k - 1] += coords[a] * sig[i - 1]

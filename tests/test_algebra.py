@@ -16,8 +16,6 @@ from cosetrep.lie import (
     defining_rep_so1m,
     h_pairs,
     jacobi_residual,
-    project_f,
-    project_h,
     so1m_algebra,
 )
 
@@ -142,8 +140,8 @@ def test_element_arithmetic_and_projections():
     np.testing.assert_array_equal(s.f, [1.0, 3.0, -1.0])
     np.testing.assert_array_equal((2.0 * x).f, [0.0, 6.0, 0.0])
     np.testing.assert_array_equal((-x).h, [-1.0, 2.0, -0.5])
-    assert project_h(x).is_h() and project_h(x).f.max() == 0.0
-    assert project_f(x).is_f()
+    assert alg.element(h=x.h).is_h() and alg.element(h=x.h).f.max() == 0.0
+    assert alg.element(f=x.f).is_f()
     assert x.max_abs() == 3.0
 
 

@@ -56,13 +56,6 @@ def test_bernoulli_oracle_known_values():
     assert bern[8] == Fraction(-1, 30)
 
 
-def test_as_floats_parallel_to_fractions():
-    table = l_coeffs(10)
-    floats = table.as_floats()
-    assert len(floats) == 10
-    assert floats[1] == pytest.approx(1.0 / 12.0)
-
-
 def test_table_length_and_bounds():
     table = l_coeffs(5)
     assert len(table) == 5

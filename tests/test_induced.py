@@ -16,7 +16,6 @@ from cosetrep.induced import (
     CompositeSection,
     boost_matrix,
     check_proper_orthochronous,
-    combine_section,
     exp_coset,
     factor_boost_rotation,
     flow_section,
@@ -29,7 +28,6 @@ from cosetrep.induced import (
     rotation_log_coords,
     section_from_json_dict,
     section_to_json_dict,
-    split_section,
     spinor_hrep,
     vector_hrep,
 )
@@ -254,10 +252,13 @@ def test_group_from_spec():
 def test_section_construction_and_split():
     section = CompositeSection(np.zeros((4, 3)), np.ones((4, 5)))
     assert section.n_nodes == 4 and section.m == 3 and section.d == 5
-    sigma, v = split_section(section)
+    sigma = np.zeros((4, 3))
+    copied = CompositeSection(sigma, np.ones((4, 5)))
     sigma[0, 0] = 9.0
-    assert section.sigma[0, 0] == 0.0
-    back = combine_section(*split_section(section))
+    assert copied.sigma[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        copied.sigma[0, 0] = 9.0
+    back = CompositeSection(section.sigma, section.v)
     np.testing.assert_array_equal(back.sigma, section.sigma)
     with pytest.raises(DimensionError):
         CompositeSection(np.zeros((4, 3)), np.ones((5, 2)))
@@ -344,3 +345,44 @@ def test_gauge_validation():
         gauge_transform_section(alg, section, np.zeros((2, 5)), 0.1, hrep)
     with pytest.raises(DomainError):
         flow_section(alg, section, np.zeros((2, 3)), 1.0, 0, hrep)
+    with pytest.raises(DimensionError):
+        gauge_transform_section(
+            alg, CompositeSection(np.zeros((2, 2)), np.zeros((2, 3))), np.zeros((2, 3)), 0.1, hrep
+        )
+
+
+@pytest.mark.parametrize("kind, m, n", [("vector", 3, 40), ("spinor", 5, 12)])
+def test_gauge_step_equals_the_per_node_update(kind, m, n):
+    """The batched step reproduces, bit for bit, the Euler update built node
+    by node from infinitesimal_action."""
+    rng = np.random.default_rng(m)
+    alg = so1m_algebra(m)
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(m)
+    section = CompositeSection(rng.uniform(-0.4, 0.4, (n, m)), rng.uniform(-1.0, 1.0, (n, hrep.d)))
+    xi = rng.uniform(-0.5, 0.5, (n, alg.dim))
+    xi[0, alg.dim_h :] = 0.0
+    xi[1, : alg.dim_h] = 0.0
+    eps = 0.05
+    stepped = gauge_transform_section(alg, section, xi, eps, hrep)
+    for i in range(n):
+        x = alg.element(h=xi[i, : alg.dim_h], f=xi[i, alg.dim_h :])
+        ds, dv = infinitesimal_action(alg, x, section.point(i), section.v[i], hrep)
+        assert stepped.sigma[i].tobytes() == (section.sigma[i] + eps * ds).tobytes()
+        assert stepped.v[i].tobytes() == (section.v[i] + eps * dv).tobytes()
+
+
+def test_gauge_flow_past_the_series_radius_raises():
+    """A boost generator at |sigma| = 2 lies past rho(ad_F) = pi and raises;
+    a pure rotation there still flows along its exact linear field."""
+    m = 3
+    alg = so1m_algebra(m)
+    hrep = vector_hrep(m)
+    section = CompositeSection(np.array([[0.1, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.ones((2, 3)))
+    boost = np.zeros((2, alg.dim))
+    boost[1, alg.dim_h + 1] = 1.0
+    with pytest.raises(DomainError, match="radius"):
+        flow_section(alg, section, boost, 1.0, 2, hrep)
+    rotation = np.zeros((2, alg.dim))
+    rotation[1, 0] = 0.5
+    stepped = gauge_transform_section(alg, section, rotation, 0.1, hrep)
+    np.testing.assert_array_equal(stepped.sigma[1], [2.0, 0.1, 0.0])

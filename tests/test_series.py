@@ -4,14 +4,11 @@ and its own resummed closed form."""
 import numpy as np
 import pytest
 
-from cosetrep.errors import DomainError
+from cosetrep.errors import DimensionError, DomainError
 from cosetrep.lie import CosetPoint, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
     coset_element,
     even_bracket_weights,
-    f_prime_series,
-    h_action_series,
-    i_prime_series,
     odd_bracket_weights,
     realize,
     so1m_closed_field,
@@ -35,26 +32,38 @@ def test_weights_are_the_taylor_coefficients():
 def test_order_must_be_positive():
     alg = so1m_algebra(2)
     with pytest.raises(DomainError):
-        f_prime_series(alg, alg.f_basis(0), CosetPoint(np.zeros(2)), order=0)
+        realize(alg, alg.f_basis(0), CosetPoint(np.zeros(2)), order=0)
 
 
-def test_actor_grade_is_enforced():
+def test_generator_and_point_must_match_the_algebra():
     alg = so1m_algebra(2)
-    point = CosetPoint(np.array([0.1, 0.2]))
-    with pytest.raises(DomainError):
-        f_prime_series(alg, alg.h_basis(0), point)
-    with pytest.raises(DomainError):
-        i_prime_series(alg, alg.h_basis(0), point)
-    with pytest.raises(DomainError):
-        h_action_series(alg, alg.f_basis(0), point)
+    with pytest.raises(DimensionError):
+        realize(alg, so1m_algebra(3).f_basis(0), CosetPoint(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        realize(alg, alg.f_basis(0), CosetPoint(np.zeros(3)))
+
+
+def test_boost_past_the_series_radius_raises():
+    """rho(ad_F) = 2|sigma| for so(1,m): at |sigma| = 2 an f actor raises,
+    while the stabilizer still gets its exact linear field."""
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.array([2.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match="radius"):
+        realize(alg, alg.f_basis(1), point)
+    with pytest.raises(DomainError, match="radius"):
+        realize(alg, alg.element(h=[1.0, 0.0, 0.0], f=[0.0, 1e-3, 0.0]), point)
+    act = realize(alg, alg.h_basis(0), point)
+    np.testing.assert_array_equal(act.dF, [0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(act.dI, [1.0, 0.0, 0.0])
 
 
 def test_origin_is_trivial():
     alg = so1m_algebra(3)
     origin = CosetPoint(np.zeros(3))
     x = alg.f_basis(1)
-    assert np.array_equal(f_prime_series(alg, x, origin).f, x.f)
-    assert i_prime_series(alg, x, origin).max_abs() == 0.0
+    act = realize(alg, x, origin)
+    assert np.array_equal(act.dF, x.f)
+    assert abs(act.dI).max() == 0.0
 
 
 def test_collinear_actor_moves_freely():
@@ -63,8 +72,9 @@ def test_collinear_actor_moves_freely():
     sig = np.array([0.2, -0.4, 0.1])
     point = CosetPoint(sig)
     x = alg.element(f=3.0 * sig)
-    assert np.array_equal(f_prime_series(alg, x, point).f, x.f)
-    assert i_prime_series(alg, x, point).max_abs() == 0.0
+    act = realize(alg, x, point)
+    assert np.array_equal(act.dF, x.f)
+    assert abs(act.dI).max() == 0.0
 
 
 def test_first_order_compensator_hand_value():
@@ -74,10 +84,10 @@ def test_first_order_compensator_hand_value():
     s = 0.3
     point = CosetPoint(np.array([0.0, s]))
     x = alg.f_basis(0)
-    got = i_prime_series(alg, x, point, order=1)
+    got = realize(alg, x, point, order=1).dI
     half = 0.5 * bracket(x, coset_element(alg, point))
-    assert (got - half).max_abs() == 0.0
-    np.testing.assert_allclose(got.h, [-2.0 * s], atol=0.0)
+    assert (alg.element(h=got) - half).max_abs() == 0.0
+    np.testing.assert_allclose(got, [-2.0 * s], atol=0.0)
 
 
 def test_matches_factorization_derivative():
@@ -109,7 +119,7 @@ def test_stabilizer_action_is_exactly_linear():
             point = CosetPoint(sig)
             coords = rng.uniform(-1.0, 1.0, alg.dim_h)
             actor = alg.element(h=coords)
-            act = h_action_series(alg, actor, point, order=9)
+            act = realize(alg, actor, point, order=9)
             lin = bracket(actor, coset_element(alg, point))
             assert np.array_equal(act.dF, lin.f)
             assert np.array_equal(act.dI, actor.h)
@@ -123,7 +133,7 @@ def test_stabilizer_field_formula():
     sig = np.array([0.31, -0.12, 0.21])
     point = CosetPoint(sig)
     for a, (i, k) in enumerate(h_pairs(m)):
-        act = h_action_series(alg, alg.h_basis(a), point)
+        act = realize(alg, alg.h_basis(a), point)
         want = np.zeros(m)
         want[k - 1] += sig[i - 1]
         want[i - 1] -= sig[k - 1]
@@ -178,13 +188,9 @@ def test_closed_field_matches_series():
             point = CosetPoint(sig)
             u, w = so1m_closed_field(point)
             for j in range(m):
-                actor = alg.f_basis(j)
-                np.testing.assert_allclose(
-                    f_prime_series(alg, actor, point, order=41).f, u[:, j], atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    i_prime_series(alg, actor, point, order=41).h, w[:, j], atol=1e-12
-                )
+                act = realize(alg, alg.f_basis(j), point, order=41)
+                np.testing.assert_allclose(act.dF, u[:, j], atol=1e-12)
+                np.testing.assert_allclose(act.dI, w[:, j], atol=1e-12)
 
 
 def test_closed_field_regular_at_origin():
@@ -197,13 +203,9 @@ def test_closed_field_regular_at_origin():
         point = CosetPoint(np.full(m, 1e-8))
         u, w = so1m_closed_field(point)
         for j in range(m):
-            actor = alg.f_basis(j)
-            np.testing.assert_allclose(
-                f_prime_series(alg, actor, point, order=5).f, u[:, j], atol=1e-15
-            )
-            np.testing.assert_allclose(
-                i_prime_series(alg, actor, point, order=5).h, w[:, j], atol=1e-15
-            )
+            act = realize(alg, alg.f_basis(j), point, order=5)
+            np.testing.assert_allclose(act.dF, u[:, j], atol=1e-15)
+            np.testing.assert_allclose(act.dI, w[:, j], atol=1e-15)
 
 
 def test_variant_profile_shapes_and_origin():
