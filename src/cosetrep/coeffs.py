@@ -7,6 +7,8 @@ The numbers l_1, l_2, ... are defined by the triangular recursion
 solved top-down in exact rational arithmetic.  They satisfy l_n * n! = B_n,
 the Bernoulli numbers in the convention with B_1 = +1/2, which is what the
 independent Akiyama-Tanigawa routine below computes as a cross-check.
+The table is a pure function of its length, so each length is built once per
+process and the frozen instance is shared.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = ["CoeffTable", "l_coeffs", "bernoulli_numbers", "recursion_residuals"]
 
@@ -34,6 +37,7 @@ class CoeffTable:
         return self.values[n - 1]
 
 
+@lru_cache(maxsize=None)
 def l_coeffs(N: int) -> CoeffTable:
     """Solve the recursion for l_1 .. l_N exactly.
 

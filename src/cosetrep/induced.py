@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -40,7 +41,7 @@ from .lie import (
     h_pairs,
     so1m_algebra,
 )
-from .series import DEFAULT_ORDER, _series, realize
+from .series import DEFAULT_ORDER, _series, _weights, realize
 
 __all__ = [
     "HRepresentation",
@@ -90,12 +91,13 @@ class HRepresentation:
             raise DimensionError(
                 f"expected generator stack of shape ({nh}, d, d), got {gens.shape}"
             )
+        # one generator against the whole stack at a time: batching both
+        # indices would hold dim_h^2 products of size d x d at once
         worst = 0.0
         for a in range(nh):
-            for b in range(nh):
-                lhs = gens[a] @ gens[b] - gens[b] @ gens[a]
-                rhs = np.tensordot(self.algebra.c_hh[a, b], gens, axes=1)
-                worst = max(worst, float(abs(lhs - rhs).max()))
+            lhs = gens[a] @ gens - gens @ gens[a]
+            rhs = np.tensordot(self.algebra.c_hh[a], gens, axes=1)
+            worst = max(worst, float(abs(lhs - rhs).max()))
         if worst > _TOL:
             raise ClosureError(
                 f"generators do not satisfy the stabilizer brackets (residual {worst:.3e})"
@@ -120,6 +122,7 @@ class HRepresentation:
         return expm(self.matrix(h_coords))
 
 
+@lru_cache(maxsize=None)
 def vector_hrep(m: int) -> HRepresentation:
     """SO(m) acting on R^m: generators (E_ki - E_ik) per plane (i,k)."""
     alg = so1m_algebra(m)
@@ -131,6 +134,7 @@ def vector_hrep(m: int) -> HRepresentation:
     return HRepresentation(alg, gens, name="vector")
 
 
+@lru_cache(maxsize=None)
 def spinor_hrep(m: int) -> HRepresentation:
     """SO(m) on the spinor space of Cl(m): generators (1/4)[gamma_k, gamma_i]."""
     alg = so1m_algebra(m)
@@ -511,7 +515,9 @@ def gauge_transform_section(
         raise DimensionError(
             f"section vectors have d={section.d} but the representation has d={hrep.d}"
         )
-    dF, dI = _series(alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], order)
+    dF, dI = _series(
+        alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], _weights(order)
+    )
     dv = (np.tensordot(dI, hrep.generators, 1) @ section.v[:, :, None])[:, :, 0]
     return CompositeSection(section.sigma + eps * dF, section.v + eps * dv)
 

@@ -32,7 +32,6 @@ __all__ = [
     "so1m_algebra",
     "defining_rep_so1m",
     "DefiningRep",
-    "rep_element",
     "algebra_to_json_dict",
     "algebra_from_json_dict",
 ]
@@ -284,7 +283,7 @@ class DefiningRep:
     eta: np.ndarray
 
     def matrix(self, x: AlgebraElement) -> np.ndarray:
-        return rep_element(self.h_gens, self.f_gens, x)
+        return np.tensordot(x.h, self.h_gens, axes=1) + np.tensordot(x.f, self.f_gens, axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -308,17 +307,6 @@ def defining_rep_so1m(m: int) -> DefiningRep:
     for arr in (h_gens, f_gens, eta):
         arr.setflags(write=False)
     return DefiningRep(m, h_gens, f_gens, eta)
-
-
-def rep_element(h_gens: np.ndarray, f_gens: np.ndarray, x: AlgebraElement) -> np.ndarray:
-    """Matrix of an algebra element given generator stacks (h first)."""
-    n = h_gens.shape[-1] if h_gens.size else f_gens.shape[-1]
-    out = np.zeros((n, n))
-    if h_gens.size:
-        out += np.tensordot(x.h, h_gens, axes=1)
-    if f_gens.size:
-        out += np.tensordot(x.f, f_gens, axes=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,21 +18,20 @@ generating functions; on a split with [f,f] in h these resum the
 factorization of a group flow through a coset slice, which is what the
 matrix factorization of :mod:`cosetrep.induced` computes independently.
 
-One private core evaluates the laws for N nodes at once.  The map
-x -> [x, F] sends f to h and h to f, so it is stored as its two off-diagonal
-blocks, read straight from the structure constant tables; the tower T_n
-alternates between them as batched matrix-vector products, and the l table
-is built once per call.  The series converges while the spectral radius of
-ad_F stays below pi; an f actor at or past that radius raises DomainError.
-:func:`realize` is the single-point entry; the gauge flow of
-:mod:`cosetrep.induced` calls the core once per Euler step for a whole
-section.
+The weights are data: a map {n: w_n} read from the exact table, which is
+built once per process.  One private core takes such a map and evaluates the
+series for N nodes at once, adding w_n T_n into dI for odd n and into dF for
+even n.  The map x -> [x, F] sends f to h and h to f, so it is stored as its
+two off-diagonal blocks, read straight from the structure constant tables;
+the tower T_n alternates between them as batched matrix-vector products.
+The series converges while the spectral radius of ad_F stays below pi; an f
+actor at or past that radius raises DomainError.  :func:`realize` is the
+single-point entry; the gauge flow of :mod:`cosetrep.induced` calls the core
+once per Euler step for a whole section, and the verify suite feeds it the
+report-only plain-l profile.
 
 For so(1,m) the resummed field has the closed form of
-:func:`so1m_closed_field`.  :func:`so1m_closed_field_variant` evaluates an
-alternative closed-form coefficient profile; it deviates from the
-factorization route away from the origin, and the verify suite reports the
-deviation without asserting on it.
+:func:`so1m_closed_field`.
 """
 
 from __future__ import annotations
@@ -43,19 +42,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import CoeffTable, l_coeffs
+from .coeffs import l_coeffs
 from .errors import DimensionError, DomainError
 from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, h_pairs
 
 __all__ = [
     "DEFAULT_ORDER",
     "InfinitesimalAction",
-    "coset_element",
     "even_bracket_weights",
     "odd_bracket_weights",
     "realize",
     "so1m_closed_field",
-    "so1m_closed_field_variant",
 ]
 
 DEFAULT_ORDER = 11
@@ -86,42 +83,40 @@ def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
         raise DimensionError(f"point has {point.m} coordinates, algebra dim_f {alg.dim_f}")
 
 
-def coset_element(alg: ReductiveAlgebra, point: CosetPoint) -> AlgebraElement:
-    """The base element F = sigma^al F_al of the algebra."""
-    _check_point(alg, point)
-    return alg.element(f=point.sigma)
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise DomainError(f"truncation order must be >= 1, got {order}")
 
 
-def even_bracket_weights(order: int, table: CoeffTable | None = None) -> list[tuple[int, float]]:
+def even_bracket_weights(order: int) -> list[tuple[int, float]]:
     """Pairs (2k, w) with w = 4^k l_{2k} for all 2k <= order.
 
     These are the coefficients of z coth z - 1 = sum_k 4^k l_{2k} z^{2k}.
     """
     _check_order(order)
-    table = table if table is not None and len(table) >= order else l_coeffs(max(order, 2))
+    table = l_coeffs(order + 1)
     return [
         (2 * k, float(Fraction(4**k) * table.l(2 * k)))
         for k in range(1, order // 2 + 1)
     ]
 
 
-def odd_bracket_weights(order: int, table: CoeffTable | None = None) -> list[tuple[int, float]]:
+def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
     """Pairs (2k-1, w) with w = 2 (4^k - 1) l_{2k} for all 2k-1 <= order.
 
     These are the coefficients of tanh(z/2) = sum_k 2 (4^k - 1) l_{2k} z^{2k-1}.
     """
     _check_order(order)
-    need = order + 1
-    table = table if table is not None and len(table) >= need else l_coeffs(need)
+    table = l_coeffs(order + 1)
     return [
         (2 * k - 1, float(Fraction(2 * (4**k - 1)) * table.l(2 * k)))
         for k in range(1, (order + 1) // 2 + 1)
     ]
+
+
+def _weights(order: int) -> dict[int, float]:
+    """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order."""
+    return dict(even_bracket_weights(order) + odd_bracket_weights(order))
 
 
 def _series(
@@ -129,15 +124,15 @@ def _series(
     sigma: np.ndarray,
     xh: np.ndarray,
     xf: np.ndarray,
-    order: int,
+    weights: dict[int, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
-    have the shapes of xf and xh.  Rows never mix, so each node's result is
-    the one a single-node call gives.
+    have the shapes of xf and xh.  weights maps every n from 1 to the order
+    max(weights) to the weight of T_n.  Rows never mix, so each node's result
+    is the one a single-node call gives.
     """
-    _check_order(order)
     # x -> [x, F] as its two blocks: to_h[n] maps f to h, to_f[n] maps h to f
     to_h = np.einsum("abd,nb->nda", alg.c_ff, sigma)
     to_f = -np.einsum("abd,na->ndb", alg.c_fh, sigma)
@@ -153,14 +148,12 @@ def _series(
             raise DomainError(
                 f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
             )
-    table = l_coeffs(order + 1)
-    weights = dict(even_bracket_weights(order, table) + odd_bracket_weights(order, table))
     # the sums start from +0.0, so an exact zero never comes out as -0.0
     dF = np.zeros(xf.shape)
     dI = np.zeros(xh.shape)
     dF += xf
     t = xf
-    for n in range(1, order + 1):
+    for n in range(1, max(weights) + 1):
         if n % 2:
             t = np.einsum("nda,na->nd", to_h, t)
             dI += weights[n] * t
@@ -188,7 +181,7 @@ def realize(
     if xi.algebra is not alg:
         raise DimensionError("generator belongs to a different algebra")
     _check_point(alg, point)
-    dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], order)
+    dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], _weights(order))
     return InfinitesimalAction(dF=dF[0], dI=dI[0])
 
 
@@ -247,27 +240,3 @@ def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
     W = _compensator_rows(point, 2.0 * _tanh_over(s))
     return U, W
 
-
-def so1m_closed_field_variant(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Alternative closed-form coefficient profile for the boost action.
-
-    Same shape contract as :func:`so1m_closed_field` but with the profile
-
-        dF^k = (sigma^k sigma^j / s^2)(1 - 2s cosh(2s)/sinh(s))
-               + (2s cosh(2s)/sinh(2s)) d_kj
-        dI   = (2 / (s tanh(s))) sigma^i H_(i,j)-pattern
-
-    which deviates from the factorization route away from sigma = 0.  The
-    verify suite prints the measured deviation; nothing asserts on it.  At
-    sigma = 0 exactly, the regularized values U = identity, W = 0 are
-    returned.
-    """
-    m = point.m
-    s = point.norm
-    if s == 0.0:
-        return np.eye(m), np.zeros((len(h_pairs(m)), m))
-    diag = 2.0 * s * np.cosh(2.0 * s) / np.sinh(2.0 * s)
-    off = 1.0 - 2.0 * s * np.cosh(2.0 * s) / np.sinh(s)
-    U = diag * np.eye(m) + np.outer(point.sigma, point.sigma) / (s * s) * off
-    W = _compensator_rows(point, 2.0 / (s * np.tanh(s)))
-    return U, W

@@ -74,3 +74,4 @@ def test_table_is_persistent():
     table = l_coeffs(8)
     assert isinstance(table, CoeffTable)
     assert table.values == l_coeffs(8).values
+    assert l_coeffs(8) is l_coeffs(8)

@@ -167,6 +167,7 @@ def test_hrep_construction_checks_brackets():
         HRepresentation(alg, np.zeros((3, 2, 2)) + np.eye(2))
     good = vector_hrep(3)
     assert good.d == 3
+    assert vector_hrep(3) is vector_hrep(3)
     assert spinor_hrep(3).d == 4
     with pytest.raises(DimensionError):
         good.matrix(np.zeros(2))

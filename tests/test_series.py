@@ -4,17 +4,20 @@ and its own resummed closed form."""
 import numpy as np
 import pytest
 
+from cosetrep.coeffs import l_coeffs
 from cosetrep.errors import DimensionError, DomainError
 from cosetrep.lie import CosetPoint, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
-    coset_element,
     even_bracket_weights,
     odd_bracket_weights,
     realize,
     so1m_closed_field,
-    so1m_closed_field_variant,
 )
-from cosetrep.verify import fd_action_derivative
+from cosetrep.verify import (
+    _printed_profile_action,
+    _so1m_closed_field_variant,
+    fd_action_derivative,
+)
 
 
 def test_weights_are_the_taylor_coefficients():
@@ -85,7 +88,7 @@ def test_first_order_compensator_hand_value():
     point = CosetPoint(np.array([0.0, s]))
     x = alg.f_basis(0)
     got = realize(alg, x, point, order=1).dI
-    half = 0.5 * bracket(x, coset_element(alg, point))
+    half = 0.5 * bracket(x, alg.element(f=point.sigma))
     assert (alg.element(h=got) - half).max_abs() == 0.0
     np.testing.assert_allclose(got, [-2.0 * s], atol=0.0)
 
@@ -120,7 +123,7 @@ def test_stabilizer_action_is_exactly_linear():
             coords = rng.uniform(-1.0, 1.0, alg.dim_h)
             actor = alg.element(h=coords)
             act = realize(alg, actor, point, order=9)
-            lin = bracket(actor, coset_element(alg, point))
+            lin = bracket(actor, alg.element(f=point.sigma))
             assert np.array_equal(act.dF, lin.f)
             assert np.array_equal(act.dI, actor.h)
 
@@ -214,14 +217,52 @@ def test_variant_profile_shapes_and_origin():
     different profile; the verify suite records the deviation."""
     for m in (2, 3):
         point = CosetPoint(np.zeros(m))
-        u, w = so1m_closed_field_variant(point)
+        u, w = _so1m_closed_field_variant(point)
         np.testing.assert_array_equal(u, np.eye(m))
         np.testing.assert_array_equal(w, np.zeros((m * (m - 1) // 2, m)))
         generic = CosetPoint(0.4 * np.ones(m) / np.sqrt(m))
-        u_v, w_v = so1m_closed_field_variant(generic)
+        u_v, w_v = _so1m_closed_field_variant(generic)
         u_c, w_c = so1m_closed_field(generic)
         assert u_v.shape == u_c.shape and w_v.shape == w_c.shape
         assert max(abs(u_v - u_c).max(), abs(w_v - w_c).max()) > 1e-3
+
+
+def _bracket_tower_profile(alg, actor, point, order):
+    """The plain-l profile built element by element from bracket calls."""
+    table = l_coeffs(order + 1)
+    base = alg.element(f=point.sigma)
+    tower = []
+    t = actor
+    for _ in range(order):
+        t = bracket(t, base)
+        tower.append(t)
+    d_i = alg.zero()
+    for n in range(1, order + 1, 2):
+        d_i = d_i + float(table.l(n)) * tower[n - 1]
+    d_f = actor
+    for n in range(2, order + 1, 2):
+        d_f = d_f + float(table.l(n)) * tower[n - 1]
+    d_f = d_f + (-float(table.l(1))) * bracket(base, d_i)
+    return d_f.f, d_i.h
+
+
+def test_printed_profile_matches_the_bracket_tower():
+    """The reported plain-l profile goes through the batched core; it equals
+    the element-by-element bracket tower bit for bit at the points the verify
+    report uses, and to rounding at larger m."""
+    sig = np.array([0.31, -0.12, 0.21, -0.05, 0.17])
+    for m, atol in ((2, 0.0), (3, 0.0), (4, 1e-14), (5, 1e-14)):
+        alg = so1m_algebra(m)
+        point = CosetPoint(sig[:m])
+        actor = alg.f_basis(min(1, m - 1))
+        df, di = _printed_profile_action(alg, actor, point, order=17)
+        df_ref, di_ref = _bracket_tower_profile(alg, actor, point, order=17)
+        if atol == 0.0:
+            np.testing.assert_array_equal(df, df_ref)
+            np.testing.assert_array_equal(di, di_ref)
+        else:
+            np.testing.assert_allclose(df, df_ref, rtol=0.0, atol=atol)
+            np.testing.assert_allclose(di, di_ref, rtol=0.0, atol=atol)
 
 
 def test_action_arrays_read_only():
