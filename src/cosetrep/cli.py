@@ -36,7 +36,7 @@ from .induced import (
     spinor_hrep,
     vector_hrep,
 )
-from .lie import CosetPoint, algebra_from_json_dict, h_pairs, so1m_algebra
+from .lie import CosetPoint, algebra_from_json_dict, generator_coords, so1m_algebra
 from .series import DEFAULT_ORDER, realize
 from .verify import SUITES, fd_action_derivative, suite_algebra
 
@@ -83,24 +83,11 @@ def _json_text(payload) -> str:
 # ---------------------------------------------------------------------------
 
 def _element_from_doc(alg, doc) -> "object":
-    """Generator coordinates from {"boost": [...], "rotations": [[i,k,theta]...]}."""
-    f = np.zeros(alg.dim_f)
-    h = np.zeros(alg.dim_h)
-    boost = doc.get("boost")
-    if boost is not None:
-        b = np.asarray(boost, dtype=float)
-        if b.shape != (alg.dim_f,):
-            raise _UsageError(f"boost must have {alg.dim_f} entries, got shape {b.shape}")
-        f = b
-    pairs = {pr: a for a, pr in enumerate(h_pairs(alg.dim_f))}
-    for entry in doc.get("rotations", []):
-        try:
-            i, k, theta = int(entry[0]), int(entry[1]), float(entry[2])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise _UsageError(f"rotation entries must be [i, k, theta], got {entry!r}") from exc
-        if (i, k) not in pairs:
-            raise _UsageError(f"no rotation plane ({i}, {k}) for m={alg.dim_f}")
-        h[pairs[(i, k)]] += theta
+    """Generator from {"boost": [...], "rotations": [[i,k,theta]...]}."""
+    try:
+        h, f = generator_coords(alg.dim_f, doc.get("boost"), doc.get("rotations", ()))
+    except (DomainError, DimensionError) as exc:
+        raise _UsageError(str(exc)) from exc
     return alg.element(h=h, f=f)
 
 
@@ -242,7 +229,7 @@ def _cmd_gauge(args) -> int:
         raise _UsageError(
             f"section vectors have d={section.d} but the {args.rep} representation needs d={hrep.d}"
         )
-    flowed = flow_section(alg, section, xi, args.t, args.order, hrep)
+    flowed = flow_section(alg, section, xi, args.t, args.steps, hrep)
     _emit(_json_text(section_to_json_dict(flowed, xi)), args.out)
     return 0
 
@@ -317,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauge", help="flow a section along its generator field")
     p.add_argument("--in", dest="infile", required=True, help="section JSON, every node carrying xi")
     p.add_argument("--t", type=float, default=1.0, help="total flow time")
-    p.add_argument("--order", type=_positive_int, default=16, help="number of Euler steps")
+    p.add_argument("--steps", type=_positive_int, default=16, help="number of Euler steps")
     p.add_argument("--rep", choices=("vector", "spinor"), default="vector")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gauge)

@@ -200,34 +200,6 @@ class Multivector:
     def __rmul__(self, other):
         return self.scale(float(other))
 
-    # ------------------------------------------------------------- io
-    def to_json_dict(self) -> dict:
-        """Serialize as {"blades": [{"indices": [...], "coeff": c}, ...]}."""
-        return {
-            "blades": [
-                {"indices": list(t), "coeff": v} for t, v in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, space: CliffordSpace, data: Mapping) -> "Multivector":
-        try:
-            entries = data["blades"]
-        except (KeyError, TypeError):
-            raise DimensionError("multivector JSON needs a 'blades' list") from None
-        seen: set[Blade] = set()
-        c: dict[Blade, float] = {}
-        for e in entries:
-            idx = e["indices"]
-            if list(idx) != sorted(idx):
-                raise DimensionError(f"unsorted blade index list: {idx}")
-            t = space.check_blade(idx)
-            if t in seen:
-                raise DimensionError(f"duplicate blade entry: {list(t)}")
-            seen.add(t)
-            c[t] = float(e["coeff"])
-        return cls(space, c)
-
 
 def blade_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product of two multivectors of the same space."""

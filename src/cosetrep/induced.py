@@ -38,6 +38,7 @@ from .lie import (
     CosetPoint,
     ReductiveAlgebra,
     defining_rep_so1m,
+    generator_coords,
     h_pairs,
     so1m_algebra,
 )
@@ -124,14 +125,10 @@ class HRepresentation:
 
 @lru_cache(maxsize=None)
 def vector_hrep(m: int) -> HRepresentation:
-    """SO(m) acting on R^m: generators (E_ki - E_ik) per plane (i,k)."""
-    alg = so1m_algebra(m)
-    pairs = h_pairs(m)
-    gens = np.zeros((len(pairs), m, m))
-    for a, (i, k) in enumerate(pairs):
-        gens[a, k - 1, i - 1] = 1.0
-        gens[a, i - 1, k - 1] = -1.0
-    return HRepresentation(alg, gens, name="vector")
+    """SO(m) acting on R^m: the spatial blocks E_ki - E_ik of the defining rep."""
+    return HRepresentation(
+        so1m_algebra(m), defining_rep_so1m(m).h_gens[:, 1:, 1:], name="vector"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -175,15 +172,23 @@ def boost_matrix(m: int, zeta: float, axis) -> np.ndarray:
     return g
 
 
-def rotation_embed(m: int, rho) -> np.ndarray:
-    """diag(1, rho) with rho in SO(m), validated to 1e-10."""
+def _check_rotation(rho) -> np.ndarray:
+    """rho as a float array, validated as an element of SO(m) to 1e-10."""
     r = np.asarray(rho, dtype=float)
-    if r.shape != (m, m):
-        raise DimensionError(f"rho must have shape ({m}, {m}), got {r.shape}")
-    if abs(r.T @ r - np.eye(m)).max() > _TOL:
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise DimensionError(f"rho must be square, got shape {r.shape}")
+    if abs(r.T @ r - np.eye(r.shape[0])).max() > _TOL:
         raise DomainError("rho is not orthogonal")
     if np.linalg.det(r) < 0.0:
         raise DomainError("rho reverses orientation")
+    return r
+
+
+def rotation_embed(m: int, rho) -> np.ndarray:
+    """diag(1, rho) with rho in SO(m), validated to 1e-10."""
+    r = _check_rotation(rho)
+    if r.shape != (m, m):
+        raise DimensionError(f"rho must have shape ({m}, {m}), got {r.shape}")
     g = np.eye(m + 1)
     g[1:, 1:] = r
     return g
@@ -201,19 +206,23 @@ def exp_coset(point: CosetPoint) -> np.ndarray:
     return boost_matrix(point.m, 2.0 * s, point.sigma / s)
 
 
-def check_proper_orthochronous(g: np.ndarray, tol: float = _TOL) -> int:
+def check_proper_orthochronous(g: np.ndarray) -> int:
     """Validate g as a proper orthochronous transformation; return m.
 
     Raises DimensionError for a bad shape, DomainError when g does not
     preserve the form diag(+1, -1, ..., -1), and OrthochronousError when it
-    reverses time or orientation.
+    reverses time or orientation.  The form is compared entrywise against
+    1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding bound of the
+    product g^T eta g, so the tolerance grows with the entries of a large
+    boost while an error in a small entry is still caught.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
         raise DimensionError(f"expected a square matrix of size >= 2, got shape {g.shape}")
     m = g.shape[0] - 1
     eta = np.diag([1.0] + [-1.0] * m)
-    if abs(g.T @ eta @ g - eta).max() > tol:
+    a = np.abs(g)
+    if not np.all(abs(g.T @ eta @ g - eta) <= _TOL * np.maximum(1.0, a.T @ a)):
         raise DomainError("matrix does not preserve the indefinite form")
     if g[0, 0] < 0.0:
         raise OrthochronousError("transformation reverses time orientation")
@@ -235,31 +244,30 @@ class FactoredPair:
         object.__setattr__(self, "rho", r)
 
 
-def factor_boost_rotation(g: np.ndarray, tol: float = _TOL) -> FactoredPair:
+def _split(g: np.ndarray) -> FactoredPair:
+    """exp(sigma' . F) diag(1, rho) = g, read off g's first column and row.
+
+    With u = g e_0 = (cosh zeta, sinh zeta n), sigma' = zeta n / 2 and
+    rho = g[1:, 1:] - u_s (x) g[0, 1:] / (1 + u_0); no product with the
+    inverse boost is formed, so rho's rounding stays near eps cosh(zeta).
+    """
+    u = g[:, 0]
+    p = float(np.linalg.norm(u[1:]))
+    sigma = np.zeros(g.shape[0] - 1) if p == 0.0 else 0.5 * math.asinh(p) * (u[1:] / p)
+    rho = g[1:, 1:] - np.outer(u[1:], g[0, 1:] / (1.0 + u[0]))
+    return FactoredPair(CosetPoint(sigma), rho)
+
+
+def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
     """Split a proper orthochronous g as exp(sigma' . F) diag(1, rho).
 
     sigma' points along the spatial part of g e_0 with |sigma'| = zeta / 2
     where cosh(zeta) = (g e_0)^0; the factor 1/2 matches the doubled boost
-    normalization of the generators.  The residual rotation must leave e_0
-    fixed to within tol or ClosureError is raised.
+    normalization of the generators.
     """
     g = np.asarray(g, dtype=float)
-    m = check_proper_orthochronous(g, tol=tol)
-    u = g[:, 0]
-    spatial = u[1:]
-    p = float(np.linalg.norm(spatial))
-    if p == 0.0:
-        sigma = np.zeros(m)
-        rest = g
-    else:
-        zeta = math.asinh(p)
-        axis = spatial / p
-        sigma = 0.5 * zeta * axis
-        rest = boost_matrix(m, -zeta, axis) @ g
-    off = max(abs(rest[0, 0] - 1.0), float(abs(rest[0, 1:]).max()), float(abs(rest[1:, 0]).max()))
-    if off > max(tol, 1e-9):
-        raise ClosureError(f"residual factor does not stabilize e_0 (off by {off:.3e})")
-    return FactoredPair(CosetPoint(sigma), rest[1:, 1:])
+    check_proper_orthochronous(g)
+    return _split(g)
 
 
 def reconstruct(pair: FactoredPair) -> np.ndarray:
@@ -268,21 +276,15 @@ def reconstruct(pair: FactoredPair) -> np.ndarray:
     return exp_coset(pair.f_prime) @ rotation_embed(m, pair.rho)
 
 
-def rotation_log_coords(rho: np.ndarray, tol: float = _TOL) -> np.ndarray:
+def rotation_log_coords(rho: np.ndarray) -> np.ndarray:
     """Plane-angle coordinates theta_a with exp(theta^a (E_ki - E_ik)) = rho.
 
     Uses the real Schur form to read one angle per invariant plane.  Angles
     live on the principal branch; a plane rotated by exactly pi has no
     preferred sign, so BranchError is raised there.
     """
-    r = np.asarray(rho, dtype=float)
+    r = _check_rotation(rho)
     m = r.shape[0]
-    if r.shape != (m, m):
-        raise DimensionError(f"rho must be square, got shape {r.shape}")
-    if abs(r.T @ r - np.eye(m)).max() > tol:
-        raise DomainError("rho is not orthogonal")
-    if np.linalg.det(r) < 0.0:
-        raise DomainError("rho reverses orientation")
     if m == 1:
         return np.zeros(0)
     t, q = schur(r, output="real")
@@ -299,11 +301,8 @@ def rotation_log_coords(rho: np.ndarray, tol: float = _TOL) -> np.ndarray:
                 raise BranchError("rotation by pi has no principal-branch logarithm")
             i += 1
     w = q @ log_block @ q.T
-    pairs = h_pairs(m)
-    coords = np.zeros(len(pairs))
-    for a, (ii, kk) in enumerate(pairs):
-        coords[a] = w[kk - 1, ii - 1]
-    return coords
+    i, k = np.array(h_pairs(m)).T
+    return w[k - 1, i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +321,14 @@ def induced_action(
     applies the rotation to v through hrep's exponential of the plane-angle
     coordinates.  Returns (new point, new vector).
     """
+    g = np.asarray(g, dtype=float)
     m = check_proper_orthochronous(g)
     if m != point.m:
         raise DimensionError(f"matrix acts on m={m} but the point has m={point.m}")
     v = np.asarray(v, dtype=float)
     if v.shape != (hrep.d,):
         raise DimensionError(f"vector must have shape ({hrep.d},), got {v.shape}")
-    pair = factor_boost_rotation(g @ exp_coset(point))
+    pair = _split(g @ exp_coset(point))
     coords = rotation_log_coords(pair.rho)
     return pair.f_prime, hrep.exp(coords) @ v
 
@@ -358,29 +358,11 @@ def group_from_spec(m: int, boost=None, rotations=()) -> np.ndarray:
 
     `boost` is a length-m coordinate vector (may be None for no boost);
     `rotations` is a sequence of (i, k, theta) plane angles with
-    1 <= i < k <= m.
+    1 <= i < k <= m.  The inputs are parsed by :func:`generator_coords`.
     """
-    if m < 2:
-        raise DimensionError(f"need m >= 2, got {m}")
-    rep = defining_rep_so1m(m)
-    if boost is None:
-        left = np.eye(m + 1)
-    else:
-        left = exp_coset(CosetPoint(np.asarray(boost, dtype=float)))
-    pairs = {pr: a for a, pr in enumerate(h_pairs(m))}
-    x = np.zeros((m + 1, m + 1))
-    for entry in rotations:
-        try:
-            i, k, theta = entry
-            i, k, theta = int(i), int(k), float(theta)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}") from exc
-        if (i, k) not in pairs:
-            raise DomainError(f"no rotation plane ({i}, {k}) for m={m}")
-        if not math.isfinite(theta):
-            raise DomainError("rotation angle must be finite")
-        x += theta * rep.h_gens[pairs[(i, k)]]
-    return left @ expm(x)
+    h, f = generator_coords(m, boost, rotations)
+    rotation = expm(np.tensordot(h, defining_rep_so1m(m).h_gens, axes=1))
+    return exp_coset(CosetPoint(f)) @ rotation
 
 
 # ---------------------------------------------------------------------------

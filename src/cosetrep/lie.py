@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import CliffordSpace, Multivector, commutator
-from .errors import ClosureError, DimensionError
+from .errors import ClosureError, DimensionError, DomainError
 
 __all__ = [
     "ReductiveAlgebra",
@@ -29,6 +29,7 @@ __all__ = [
     "CosetPoint",
     "bracket",
     "h_pairs",
+    "generator_coords",
     "so1m_algebra",
     "defining_rep_so1m",
     "DefiningRep",
@@ -161,12 +162,6 @@ class AlgebraElement:
                  abs(self.f).max() if self.f.size else 0.0]
         return max(parts)
 
-    def is_h(self, tol: float = 0.0) -> bool:
-        return not self.f.size or abs(self.f).max() <= tol
-
-    def is_f(self, tol: float = 0.0) -> bool:
-        return not self.h.size or abs(self.h).max() <= tol
-
 
 def _same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:
     if x.algebra is not y.algebra:
@@ -220,6 +215,45 @@ class CosetPoint:
 def h_pairs(m: int) -> tuple[tuple[int, int], ...]:
     """Rotation-plane labels (i,k), i < k, in lexicographic order (1-based)."""
     return tuple((i, k) for i in range(1, m + 1) for k in range(i + 1, m + 1))
+
+
+def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.ndarray]:
+    """(h, f) coordinates of so(1,m) from a boost vector and plane angles.
+
+    `boost` is a length-m coordinate vector (None for no boost); `rotations`
+    is a sequence of (i, k, theta) with 1 <= i < k <= m, and angles on a
+    repeated plane add up.  Every entry must be finite.
+    """
+    if m < 2:
+        raise DimensionError(f"need m >= 2, got {m}")
+    f = np.zeros(m)
+    if boost is not None:
+        try:
+            f = np.asarray(boost, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"boost must be a numeric vector: {exc}") from exc
+        if f.shape != (m,):
+            raise DimensionError(f"boost must have {m} entries, got shape {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise DomainError("boost entries must be finite")
+    try:
+        entries = list(rotations)
+    except TypeError as exc:
+        raise DomainError(f"rotations must be a sequence of (i, k, theta), got {rotations!r}") from exc
+    index = {pr: a for a, pr in enumerate(h_pairs(m))}
+    h = np.zeros(len(index))
+    for entry in entries:
+        try:
+            i, k, theta = entry
+            i, k, theta = int(i), int(k), float(theta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}") from exc
+        if (i, k) not in index:
+            raise DomainError(f"no rotation plane ({i}, {k}) for m={m}")
+        if not np.isfinite(theta):
+            raise DomainError("rotation angle must be finite")
+        h[index[(i, k)]] += theta
+    return h, f
 
 
 def _so1m_basis(m: int) -> tuple[list[Multivector], list[Multivector]]:

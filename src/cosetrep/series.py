@@ -39,12 +39,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .coeffs import l_coeffs
 from .errors import DimensionError, DomainError
-from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, h_pairs
+from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, defining_rep_so1m
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -114,9 +117,13 @@ def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
     ]
 
 
-def _weights(order: int) -> dict[int, float]:
-    """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order."""
-    return dict(even_bracket_weights(order) + odd_bracket_weights(order))
+@lru_cache(maxsize=None)
+def _weights(order: int) -> Mapping[int, float]:
+    """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order.
+
+    Built once per order and shared, so the map is read-only.
+    """
+    return MappingProxyType(dict(even_bracket_weights(order) + odd_bracket_weights(order)))
 
 
 def _series(
@@ -124,7 +131,7 @@ def _series(
     sigma: np.ndarray,
     xh: np.ndarray,
     xf: np.ndarray,
-    weights: dict[int, float],
+    weights: Mapping[int, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
@@ -206,14 +213,9 @@ def _tanh_over(s: float) -> float:
 
 
 def _compensator_rows(point: CosetPoint, coeff: float) -> np.ndarray:
-    """W[a, j] = coeff * (sigma^i d_jk - sigma^k d_ji) over pairs a = (i,k)."""
-    m = point.m
-    pairs = h_pairs(m)
-    W = np.zeros((len(pairs), m))
-    for a, (i, k) in enumerate(pairs):
-        W[a, k - 1] += coeff * point.sigma[i - 1]
-        W[a, i - 1] -= coeff * point.sigma[k - 1]
-    return W
+    """W[a, j] = coeff * (sigma^i d_jk - sigma^k d_ji) over pairs a = (i,k),
+    i.e. coeff times the rotation generators E_ki - E_ik applied to sigma."""
+    return coeff * (defining_rep_so1m(point.m).h_gens[:, 1:, 1:] @ point.sigma)
 
 
 def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -140,8 +140,10 @@ def test_element_arithmetic_and_projections():
     np.testing.assert_array_equal(s.f, [1.0, 3.0, -1.0])
     np.testing.assert_array_equal((2.0 * x).f, [0.0, 6.0, 0.0])
     np.testing.assert_array_equal((-x).h, [-1.0, 2.0, -0.5])
-    assert alg.element(h=x.h).is_h() and alg.element(h=x.h).f.max() == 0.0
-    assert alg.element(f=x.f).is_f()
+    np.testing.assert_array_equal(alg.element(h=x.h).h, x.h)
+    np.testing.assert_array_equal(alg.element(h=x.h).f, np.zeros(3))
+    np.testing.assert_array_equal(alg.element(f=x.f).f, x.f)
+    np.testing.assert_array_equal(alg.element(f=x.f).h, np.zeros(3))
     assert x.max_abs() == 3.0
 
 

@@ -78,6 +78,23 @@ def test_realize_input_validation(tmp_path):
         tmp_path, "mm.json", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1, 0, 0]}}
     )
     assert main(["realize", "--in", mismatch, "--m", "2"]) == 2
+    not_a_list = _write(
+        tmp_path, "rot.json", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"rotations": 5}}
+    )
+    assert main(["realize", "--in", not_a_list]) == 2
+
+
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        ({"boost": [1.0, 0.0, 0.0], "rotations": [[1, 2, float("nan")]]}, "rotation angle must be finite"),
+        ({"boost": [0.0, float("inf"), 0.0]}, "boost entries must be finite"),
+    ],
+)
+def test_realize_rejects_non_finite_generator(tmp_path, capsys, xi, message):
+    path = _write(tmp_path, "gen.json", {"m": 3, "sigma": [0.1, 0.0, 0.2], "xi": xi})
+    assert main(["realize", "--in", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_factor_report(tmp_path, capsys):
@@ -121,7 +138,7 @@ def test_gauge_flow(tmp_path, capsys):
             ],
         },
     )
-    assert main(["gauge", "--in", path, "--order", "24"]) == 0
+    assert main(["gauge", "--in", path, "--steps", "24"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["m"] == 2 and doc["d"] == 2
     assert len(doc["nodes"]) == 2

@@ -188,27 +188,6 @@ def test_grades_and_vector_part():
     assert a.grade(2).coeff((2, 3)) == -1.0
 
 
-def test_json_round_trip():
-    sp = CliffordSpace(3)
-    a = Multivector(sp, {(): 0.5, (1, 3): -2.25, (1, 2, 3): 7.0})
-    back = Multivector.from_json_dict(sp, a.to_json_dict())
-    assert (a - back).max_abs() == 0.0
-
-
-def test_json_rejects_malformed():
-    sp = CliffordSpace(2)
-    with pytest.raises(DimensionError):
-        Multivector.from_json_dict(sp, {})
-    with pytest.raises(DimensionError):
-        Multivector.from_json_dict(sp, {"blades": [{"indices": [2, 1], "coeff": 1.0}]})
-    with pytest.raises(DimensionError):
-        Multivector.from_json_dict(
-            sp, {"blades": [{"indices": [1], "coeff": 1.0}, {"indices": [1], "coeff": 2.0}]}
-        )
-    with pytest.raises(DimensionError):
-        Multivector.from_json_dict(sp, {"blades": [{"indices": [3], "coeff": 1.0}]})
-
-
 def test_blade_validation():
     sp = CliffordSpace(2)
     with pytest.raises(DimensionError):

@@ -95,6 +95,66 @@ def test_check_proper_orthochronous():
         check_proper_orthochronous(np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
+def _exact_boost_rotation(rng, m, zeta):
+    """(g, n, rho0): g = boost(zeta, n) diag(1, rho0) built in 40-digit
+    arithmetic from an exactly orthogonal Cayley rotation rho0, then rounded."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    n = mp.matrix(rng.normal(size=m).tolist())
+    n /= mp.norm(n)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    a = mp.matrix((a - a.T).tolist())
+    eye = mp.eye(m)
+    rho0 = mp.inverse(eye - a) * (eye + a)
+    ch, sh = mp.cosh(zeta), mp.sinh(zeta)
+    g = mp.zeros(m + 1, m + 1)
+    g[0, 0] = ch
+    for j in range(m):
+        g[0, j + 1] = g[j + 1, 0] = sh * n[j]
+        for k in range(m):
+            g[j + 1, k + 1] = (j == k) + (ch - 1) * n[j] * n[k]
+    rot = mp.eye(m + 1)
+    for j in range(m):
+        for k in range(m):
+            rot[j + 1, k + 1] = rho0[j, k]
+
+    def rounded(x):
+        return np.array(x.tolist(), dtype=float)
+
+    return rounded(g * rot), rounded(n)[:, 0], rounded(rho0)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+@pytest.mark.parametrize("zeta", [8.0, 10.0, 12.0])
+def test_factor_at_large_rapidity_matches_exact_matrices(m, zeta):
+    """The split reads rho to about eps cosh(zeta) against matrices built in
+    high precision, and the form check accepts them."""
+    g, n, rho0 = _exact_boost_rotation(np.random.default_rng([m, int(zeta)]), m, zeta)
+    pair = factor_boost_rotation(g)
+    assert abs(pair.rho - rho0).max() <= 1e-15 * np.cosh(zeta)
+    assert abs(pair.f_prime.sigma - 0.5 * zeta * n).max() <= 1e-14
+    point, v = induced_action(g, CosetPoint(np.full(m, 0.05)), np.ones(m), vector_hrep(m))
+    assert point.m == m and v.shape == (m,)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+@pytest.mark.parametrize("zeta", [0.5, 10.0])
+def test_form_check_rejects_one_corrupted_entry(m, zeta):
+    """Scaling the tolerance by |g|^T |g| still catches a 1e-7 relative error
+    in any single entry, including the O(1) entries of a large boost."""
+    g, _, _ = _exact_boost_rotation(np.random.default_rng([m, 7]), m, zeta)
+    check_proper_orthochronous(g)
+    delta = 1e-7 * abs(g).max()
+    for idx in np.ndindex(g.shape):
+        for sign in (1.0, -1.0):
+            bad = g.copy()
+            bad[idx] += sign * delta
+            with pytest.raises(DomainError):
+                check_proper_orthochronous(bad)
+
+
 def test_factor_identity_and_pure_boost():
     pair = factor_boost_rotation(np.eye(4))
     assert pair.f_prime.norm == 0.0
@@ -246,6 +306,8 @@ def test_group_from_spec():
         group_from_spec(3, rotations=[(3, 1, 0.4)])
     with pytest.raises(DomainError):
         group_from_spec(3, rotations=[(1, 2, np.nan)])
+    with pytest.raises(DomainError, match="boost entries must be finite"):
+        group_from_spec(3, boost=[np.inf, 0.0, 0.0])
     with pytest.raises(DimensionError):
         group_from_spec(1)
 
