@@ -60,11 +60,14 @@ def _positive_int(text: str) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _UsageError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,6 +85,22 @@ def _json_text(payload) -> str:
 # input documents
 # ---------------------------------------------------------------------------
 
+def _numeric(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; a missing or non-numeric field is a usage error."""
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"document needs a numeric {key}: {exc}") from exc
+
+
+def _integer(doc: dict, key: str, default: int | None) -> int | None:
+    """doc[key], or default when the key is absent; a present value must be an integer."""
+    value = doc.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise _UsageError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _element_from_doc(alg, doc) -> "object":
     """Generator from {"boost": [...], "rotations": [[i,k,theta]...]}."""
     try:
@@ -94,16 +113,15 @@ def _element_from_doc(alg, doc) -> "object":
 def _matrix_from_doc(doc, m_flag: int | None) -> np.ndarray:
     """Finite transformation from {"matrix": ...} or {"m", "boost", "rotations"}."""
     if "matrix" in doc:
-        g = np.asarray(doc["matrix"], dtype=float)
+        g = _numeric(doc, "matrix")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise _UsageError(f"matrix must be square, got shape {g.shape}")
         if m_flag is not None and g.shape[0] != m_flag + 1:
             raise _UsageError(f"matrix is {g.shape[0]}x{g.shape[0]} but --m {m_flag} was given")
         return g
-    m = doc.get("m", m_flag)
+    m = _integer(doc, "m", m_flag)
     if m is None:
         raise _UsageError("document needs either a matrix or an m with boost/rotations")
-    m = int(m)
     if m_flag is not None and m != m_flag:
         raise _UsageError(f"document has m={m} but --m {m_flag} was given")
     try:
@@ -140,11 +158,8 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_realize(args) -> int:
     doc = _load_json(args.infile)
-    try:
-        sigma = np.asarray(doc["sigma"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"document needs a numeric sigma: {exc}") from exc
-    m = int(doc.get("m", sigma.shape[0] if sigma.ndim == 1 else 0))
+    sigma = _numeric(doc, "sigma")
+    m = _integer(doc, "m", sigma.shape[0] if sigma.ndim == 1 else 0)
     if args.m is not None and args.m != m:
         raise _UsageError(f"document has m={m} but --m {args.m} was given")
     if sigma.shape != (m,):
@@ -175,7 +190,7 @@ def _cmd_realize(args) -> int:
         "max_abs_diff": diff,
     }
     if "v" in doc:
-        v = np.asarray(doc["v"], dtype=float)
+        v = _numeric(doc, "v")
         hrep = (vector_hrep if args.rep == "vector" else spinor_hrep)(m)
         if v.shape != (hrep.d,):
             raise _UsageError(
@@ -244,14 +259,13 @@ def _cmd_verify(args) -> int:
             alg = algebra_from_json_dict(doc)
         except (ValueError, KeyError, TypeError) as exc:
             raise _UsageError(f"bad algebra document: {exc}") from exc
-        results = suite_algebra(args.tol, args.seed, alg=alg)
+        results = suite_algebra(args.seed, alg=alg)
     else:
-        results = suite_fn(args.tol, args.seed)
+        results = suite_fn(args.seed)
     failures = [r for r in results if not r.informational and not r.passed]
     payload = {
         "suite": args.suite,
         "seed": args.seed,
-        "tol": args.tol,
         "passed": not failures,
         "n_failed": len(failures),
         "results": [r.as_dict() for r in results],
@@ -311,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--tol", type=float, default=None, help="override the comparison thresholds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile", default=None, help="algebra JSON for the algebra suite")
     p.add_argument("--format", choices=("json", "csv"), default="json")

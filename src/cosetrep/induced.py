@@ -20,6 +20,7 @@ the flow is vertical, acting on every node independently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +84,6 @@ class HRepresentation:
 
     algebra: ReductiveAlgebra
     generators: np.ndarray
-    name: str = ""
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -126,9 +126,7 @@ class HRepresentation:
 @lru_cache(maxsize=None)
 def vector_hrep(m: int) -> HRepresentation:
     """SO(m) acting on R^m: the spatial blocks E_ki - E_ik of the defining rep."""
-    return HRepresentation(
-        so1m_algebra(m), defining_rep_so1m(m).h_gens[:, 1:, 1:], name="vector"
-    )
+    return HRepresentation(so1m_algebra(m), defining_rep_so1m(m).h_gens[:, 1:, 1:])
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +140,7 @@ def spinor_hrep(m: int) -> HRepresentation:
     for a, (i, k) in enumerate(pairs):
         gk, gi = gammas[k - 1], gammas[i - 1]
         gens[a] = 0.25 * (gk @ gi - gi @ gk)
-    return HRepresentation(alg, gens, name="spinor")
+    return HRepresentation(alg, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +182,18 @@ def _check_rotation(rho) -> np.ndarray:
     return r
 
 
+def _embed(r: np.ndarray) -> np.ndarray:
+    g = np.eye(r.shape[0] + 1)
+    g[1:, 1:] = r
+    return g
+
+
 def rotation_embed(m: int, rho) -> np.ndarray:
     """diag(1, rho) with rho in SO(m), validated to 1e-10."""
     r = _check_rotation(rho)
     if r.shape != (m, m):
         raise DimensionError(f"rho must have shape ({m}, {m}), got {r.shape}")
-    g = np.eye(m + 1)
-    g[1:, 1:] = r
-    return g
+    return _embed(r)
 
 
 def exp_coset(point: CosetPoint) -> np.ndarray:
@@ -271,9 +273,13 @@ def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
 
 
 def reconstruct(pair: FactoredPair) -> np.ndarray:
-    """exp(sigma' . F) diag(1, rho), the matrix the pair factors."""
-    m = pair.f_prime.m
-    return exp_coset(pair.f_prime) @ rotation_embed(m, pair.rho)
+    """exp(sigma' . F) diag(1, rho), the matrix the pair factors.
+
+    rho is not checked again: a split's rho is orthogonal only to about
+    eps cosh(zeta), which the absolute 1e-10 of rotation_embed rejects from
+    rapidity about 14.
+    """
+    return exp_coset(pair.f_prime) @ _embed(pair.rho)
 
 
 def rotation_log_coords(rho: np.ndarray) -> np.ndarray:
@@ -283,7 +289,11 @@ def rotation_log_coords(rho: np.ndarray) -> np.ndarray:
     live on the principal branch; a plane rotated by exactly pi has no
     preferred sign, so BranchError is raised there.
     """
-    r = _check_rotation(rho)
+    return _log_coords(_check_rotation(rho))
+
+
+def _log_coords(r: np.ndarray) -> np.ndarray:
+    """rotation_log_coords without the orthogonality check on rho."""
     m = r.shape[0]
     if m == 1:
         return np.zeros(0)
@@ -329,8 +339,8 @@ def induced_action(
     if v.shape != (hrep.d,):
         raise DimensionError(f"vector must have shape ({hrep.d},), got {v.shape}")
     pair = _split(g @ exp_coset(point))
-    coords = rotation_log_coords(pair.rho)
-    return pair.f_prime, hrep.exp(coords) @ v
+    # the split's rho is orthogonal to about eps cosh(zeta): not re-checked
+    return pair.f_prime, hrep.exp(_log_coords(pair.rho)) @ v
 
 
 def infinitesimal_action(
@@ -433,11 +443,11 @@ def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
     node with dim_h + dim_f entries for so(1,m), stabilizer part first.
     """
     try:
-        m = int(data["m"])
-        d = int(data["d"])
-        nodes = data["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, d, nodes = data["m"], data["d"], data["nodes"]
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"section document needs keys m, d, nodes: {exc}") from exc
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (m, d)):
+        raise DomainError(f"section m and d must be integers, got {m!r} and {d!r}")
     if m < 1 or d < 1 or not isinstance(nodes, list) or not nodes:
         raise DomainError("section document must have m >= 1, d >= 1 and a nonempty node list")
     n_xi = m * (m - 1) // 2 + m
@@ -448,16 +458,16 @@ def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
         try:
             s = np.asarray(node["sigma"], dtype=float)
             w = np.asarray(node["v"], dtype=float)
+            x = np.asarray(node["xi"], dtype=float) if "xi" in node else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"node {idx} needs numeric sigma and v: {exc}") from exc
+            raise DomainError(f"node {idx} needs numeric sigma, v and xi: {exc}") from exc
         if s.shape != (m,):
             raise DomainError(f"node {idx}: sigma must have {m} entries, got shape {s.shape}")
         if w.shape != (d,):
             raise DomainError(f"node {idx}: v must have {d} entries, got shape {w.shape}")
         sigma[idx] = s
         v[idx] = w
-        if "xi" in node:
-            x = np.asarray(node["xi"], dtype=float)
+        if x is not None:
             if x.shape != (n_xi,):
                 raise DomainError(
                     f"node {idx}: xi must have {n_xi} entries (stabilizer first), got shape {x.shape}"

@@ -118,7 +118,7 @@ def _total_structure(alg: ReductiveAlgebra) -> np.ndarray:
 def jacobi_residual(alg: ReductiveAlgebra) -> float:
     """Max abs of [[x,y],z] + [[y,z],x] + [[z,x],y] over all basis triples."""
     C = _total_structure(alg)
-    t = np.einsum("ijm,mkn->ijkn", C, C)
+    t = np.tensordot(C, C, axes=1)
     jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
     return float(np.abs(jac).max()) if jac.size else 0.0
 
@@ -266,17 +266,20 @@ def _so1m_basis(m: int) -> tuple[list[Multivector], list[Multivector]]:
     return h_basis, f_basis
 
 
-def _expand(mv: Multivector, basis: list[Multivector]) -> np.ndarray:
-    """Coordinates of mv in a basis of single-blade multivectors."""
-    out = np.zeros(len(basis))
-    rest = mv
-    for j, b in enumerate(basis):
-        t, v = next(iter(b.items()))
-        c = rest.coeff(t) / v
-        out[j] = c
-        rest = rest - c * b
-    if rest.max_abs() > 1e-12:
-        raise ClosureError(f"element does not close on the expected span: {rest!r}")
+def _blade_index(basis: list[Multivector]) -> dict:
+    """blade -> (index, coefficient) for a basis of single-blade multivectors."""
+    return {t: (j, v) for j, b in enumerate(basis) for t, v in b.items()}
+
+
+def _expand(mv: Multivector, index: dict) -> np.ndarray:
+    """Coordinates of mv in the basis that `index` (from _blade_index) describes."""
+    out = np.zeros(len(index))
+    for t, c in mv.items():
+        if t in index:
+            j, v = index[t]
+            out[j] = c / v
+        elif abs(c) > 1e-12:
+            raise ClosureError(f"element does not close on the expected span: {mv!r}")
     return out
 
 
@@ -291,20 +294,12 @@ def so1m_algebra(m: int) -> ReductiveAlgebra:
     if m < 2:
         raise DimensionError(f"need m >= 2 for a nontrivial rotation part, got {m}")
     hb, fb = _so1m_basis(m)
-    nh, nf = len(hb), len(fb)
-    c_hh = np.zeros((nh, nh, nh))
-    c_ff = np.zeros((nf, nf, nh))
-    c_fh = np.zeros((nf, nh, nf))
-    for a in range(nh):
-        for b in range(nh):
-            c_hh[a, b] = _expand(commutator(hb[a], hb[b]), hb)
-    for al in range(nf):
-        for be in range(nf):
-            c_ff[al, be] = _expand(commutator(fb[al], fb[be]), hb)
-    for al in range(nf):
-        for b in range(nh):
-            c_fh[al, b] = _expand(commutator(fb[al], hb[b]), fb)
-    return ReductiveAlgebra(c_hh, c_ff, c_fh)
+    h_index, f_index = _blade_index(hb), _blade_index(fb)
+
+    def table(left, right, index) -> np.ndarray:
+        return np.array([[_expand(commutator(x, y), index) for y in right] for x in left])
+
+    return ReductiveAlgebra(table(hb, hb, h_index), table(fb, fb, h_index), table(fb, hb, f_index))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,9 @@
 Each suite returns a list of :class:`PropertyResult` rows.  A row is either a
 hard check (passed must be True for the suite to count as green) or an
 informational record (measured and reported, never asserted).  All sampling
-is driven by an explicit seed, so a suite run is a pure function of
-(tol, seed) and reports are reproducible byte for byte.
+is driven by an explicit seed, so a suite run is a pure function of the
+seed and reports are reproducible byte for byte.  Each hard check's bar is
+the constant written at its row.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def _row(name, measured, threshold, detail="") -> PropertyResult:
     )
 
 
+def _check(name, ok, detail="") -> PropertyResult:
+    """A pass/fail row: measured 0 when ok and 1 when not, against a bar of 0."""
+    return _row(name, float(not ok), 0.0, detail)
+
+
 def _info(name, measured, detail="") -> PropertyResult:
     return PropertyResult(
         name=name, passed=True, measured=float(measured), informational=True, detail=detail
@@ -151,22 +157,14 @@ def fd_action_derivative(
 # coefficient suite
 # ---------------------------------------------------------------------------
 
-def suite_coeffs(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
+def suite_coeffs(seed: int = 0) -> list[PropertyResult]:
     from fractions import Fraction
 
     out = []
     table = l_coeffs(24)
     expected = {1: Fraction(1, 2), 2: Fraction(1, 12), 3: Fraction(0), 4: Fraction(-1, 720)}
     exact = all(table.l(n) == v for n, v in expected.items())
-    out.append(
-        PropertyResult(
-            "coeff_table_first_values",
-            passed=exact,
-            measured=0.0 if exact else 1.0,
-            threshold=0.0,
-            detail="l_1..l_4 equal 1/2, 1/12, 0, -1/720 exactly",
-        )
-    )
+    out.append(_check("coeff_table_first_values", exact, "l_1..l_4 equal 1/2, 1/12, 0, -1/720 exactly"))
 
     residuals = recursion_residuals(table)
     worst = max((abs(r) for r in residuals), default=Fraction(0))
@@ -181,20 +179,11 @@ def suite_coeffs(tol: float | None = None, seed: int = 0) -> list[PropertyResult
     )
 
     bern = bernoulli_numbers(20)
-    match = all(
-        table.l(n) * math.factorial(n) == bern[n] for n in range(1, 21)
-    )
+    match = all(table.l(n) * math.factorial(n) == bern[n] for n in range(1, 21))
     out.append(
-        PropertyResult(
-            "coeff_bernoulli_match",
-            passed=match,
-            measured=0.0 if match else 1.0,
-            threshold=0.0,
-            detail="l_n n! equals the Bernoulli numbers (B_1 = +1/2) for n <= 20",
-        )
+        _check("coeff_bernoulli_match", match, "l_n n! equals the Bernoulli numbers (B_1 = +1/2) for n <= 20")
     )
 
-    thr = tol if tol is not None else 1e-12
     worst_gen = 0.0
     for z in (0.3, 0.6):
         even = 1.0 + sum(w * z**n for n, w in even_bracket_weights(21))
@@ -204,7 +193,7 @@ def suite_coeffs(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         _row(
             "coeff_generating_functions",
             worst_gen,
-            thr,
+            1e-12,
             "partial sums reproduce z coth z and tanh(z/2) at z = 0.3, 0.6",
         )
     )
@@ -221,14 +210,10 @@ def _random_multivector(rng, space: CliffordSpace, n_terms: int = 4) -> Multivec
     data = {}
     for p in picks:
         data[blades[p]] = data.get(blades[p], 0.0) + float(rng.uniform(-2.0, 2.0))
-    out = Multivector.scalar(space, 0.0)
-    for blade, c in data.items():
-        out = out + c * Multivector.blade(space, blade)
-    return out
+    return Multivector(space, data)
 
 
-def suite_clifford(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
-    thr = tol if tol is not None else 1e-12
+def suite_clifford(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
 
@@ -249,7 +234,7 @@ def suite_clifford(tol: float | None = None, seed: int = 0) -> list[PropertyResu
         _row(
             "clifford_generator_relations",
             worst,
-            thr,
+            1e-12,
             "gamma_i gamma_k + gamma_k gamma_i = 2 d_ik in blades and matrices, m <= 5",
         )
     )
@@ -268,7 +253,7 @@ def suite_clifford(tol: float | None = None, seed: int = 0) -> list[PropertyResu
         _row(
             "clifford_product_matrix_oracle",
             worst,
-            thr,
+            1e-12,
             f"{5 * pairs_per_m} random products match the matrix representation, m <= 5",
         )
     )
@@ -279,15 +264,7 @@ def suite_clifford(tol: float | None = None, seed: int = 0) -> list[PropertyResu
         images = np.stack([multivector_matrix(Multivector.blade(sp, b)).ravel() for b in sp.blades()])
         rank = int(np.linalg.matrix_rank(images, tol=1e-9))
         faithful = faithful and rank == sp.dim
-    out.append(
-        PropertyResult(
-            "clifford_rep_faithful",
-            passed=faithful,
-            measured=0.0 if faithful else 1.0,
-            threshold=0.0,
-            detail="all 2^m blade images linearly independent, m <= 5",
-        )
-    )
+    out.append(_check("clifford_rep_faithful", faithful, "all 2^m blade images linearly independent, m <= 5"))
 
     worst = 0.0
     for m in (2, 3, 4):
@@ -302,7 +279,7 @@ def suite_clifford(tol: float | None = None, seed: int = 0) -> list[PropertyResu
         _row(
             "clifford_exp_vector",
             worst,
-            tol if tol is not None else 1e-10,
+            1e-10,
             "closed-form exponential of a vector matches expm",
         )
     )
@@ -319,21 +296,15 @@ def _defining_constants(m: int) -> tuple[np.ndarray, float]:
     stack = np.concatenate([rep.h_gens, rep.f_gens], axis=0)
     n = stack.shape[0]
     flat = stack.reshape(n, -1)
-    c = np.zeros((n, n, n))
-    resid = 0.0
-    for a in range(n):
-        for b in range(n):
-            comm = (stack[a] @ stack[b] - stack[b] @ stack[a]).ravel()
-            coef, res, _, _ = np.linalg.lstsq(flat.T, comm, rcond=None)
-            c[a, b] = coef
-            resid = max(resid, float(abs(flat.T @ coef - comm).max()))
-    return c, resid
+    # every commutator [X_a, X_b] is one right-hand-side column of the solve
+    prod = stack[:, None] @ stack[None, :]
+    comms = (prod - np.swapaxes(prod, 0, 1)).reshape(n * n, -1)
+    coef = np.linalg.lstsq(flat.T, comms.T, rcond=None)[0]
+    resid = float(abs(flat.T @ coef - comms.T).max())
+    return coef.T.reshape(n, n, n), resid
 
 
-def suite_algebra(
-    tol: float | None = None, seed: int = 0, alg: ReductiveAlgebra | None = None
-) -> list[PropertyResult]:
-    thr = tol if tol is not None else 1e-12
+def suite_algebra(seed: int = 0, alg: ReductiveAlgebra | None = None) -> list[PropertyResult]:
     out = []
 
     if alg is not None:
@@ -341,7 +312,7 @@ def suite_algebra(
             _row(
                 "algebra_jacobi_residual",
                 jacobi_residual(alg),
-                thr,
+                1e-12,
                 f"user algebra with dim_h={alg.dim_h}, dim_f={alg.dim_f}",
             )
         )
@@ -353,16 +324,8 @@ def suite_algebra(
         a = so1m_algebra(m)
         worst_jac = max(worst_jac, jacobi_residual(a))
         dims_ok = dims_ok and a.dim_h == m * (m - 1) // 2 and a.dim_f == m
-    out.append(_row("algebra_jacobi_residual", worst_jac, thr, "so(1,m), m = 2, 3, 4"))
-    out.append(
-        PropertyResult(
-            "algebra_dimensions",
-            passed=dims_ok,
-            measured=0.0 if dims_ok else 1.0,
-            threshold=0.0,
-            detail="dim_h = m(m-1)/2 and dim_f = m",
-        )
-    )
+    out.append(_row("algebra_jacobi_residual", worst_jac, 1e-12, "so(1,m), m = 2, 3, 4"))
+    out.append(_check("algebra_dimensions", dims_ok, "dim_h = m(m-1)/2 and dim_f = m"))
 
     worst = 0.0
     for m in (2, 3, 4):
@@ -374,7 +337,7 @@ def suite_algebra(
         _row(
             "algebra_cross_rep_constants",
             worst,
-            thr,
+            1e-12,
             "Clifford-derived constants match the defining matrices, m = 2, 3, 4",
         )
     )
@@ -386,7 +349,7 @@ def suite_algebra(
         _row(
             "algebra_boost_bracket_sign",
             (got - want).max_abs(),
-            thr,
+            1e-12,
             "[F_1, F_2] = -4 H_(1,2)",
         )
     )
@@ -440,13 +403,12 @@ def _so1m_closed_field_variant(point: CosetPoint) -> tuple[np.ndarray, np.ndarra
     return U, W
 
 
-def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
+def suite_series(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
 
     # series vs the factorization derivative, mixed actors; the tail of the
     # series decays like (2 |sigma| / pi)^order, so the radius stays at 0.35
-    thr = tol if tol is not None else 1e-8
     worst = 0.0
     for m in (2, 3):
         alg = so1m_algebra(m)
@@ -463,7 +425,7 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         _row(
             "series_matches_factorization",
             worst,
-            thr,
+            1e-8,
             "bracket series at order 19 vs finite differences of the matrix factorization",
         )
     )
@@ -503,7 +465,6 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
     )
 
     # the stabilizer acts linearly, and its compensator is the actor itself
-    thr_lin = tol if tol is not None else 1e-10
     worst = 0.0
     exact_di = True
     for m in (2, 3, 4):
@@ -526,23 +487,20 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         _row(
             "series_stabilizer_linear_field",
             worst,
-            thr_lin,
+            1e-10,
             "order-9 stabilizer series equals the rotation vector field, m = 2, 3, 4",
         )
     )
     out.append(
-        PropertyResult(
+        _check(
             "series_stabilizer_compensator_exact",
-            passed=exact_di,
-            measured=0.0 if exact_di else 1.0,
-            threshold=0.0,
-            detail="dI returns the actor's own coordinates bit for bit",
+            exact_di,
+            "dI returns the actor's own coordinates bit for bit",
         )
     )
 
     # closed form vs high-order series; at |sigma| = 0.9 the tail is
     # (1.8 / pi)^order, so order 61 puts it below the float floor
-    thr_closed = tol if tol is not None else 1e-10
     worst = 0.0
     for m in (2, 3):
         alg = so1m_algebra(m)
@@ -560,7 +518,7 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         _row(
             "series_closed_field_match",
             worst,
-            thr_closed,
+            1e-10,
             "resummed field equals the order-61 series for |sigma| <= 0.9",
         )
     )
@@ -579,7 +537,7 @@ def suite_series(tol: float | None = None, seed: int = 0) -> list[PropertyResult
         _row(
             "series_collinear_additivity",
             worst,
-            tol if tol is not None else 1e-12,
+            1e-12,
             "collinear coset coordinates add exactly with a trivial compensator",
         )
     )
@@ -645,12 +603,11 @@ def _haar_rotation(rng, m: int) -> np.ndarray:
     return q
 
 
-def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
+def suite_induced(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
     m = 3
 
-    thr = tol if tol is not None else 1e-10
     worst = 0.0
     for _ in range(1000):
         zeta = rng.uniform(0.0, 2.0)
@@ -663,12 +620,11 @@ def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResul
         _row(
             "factor_reconstructs_input",
             worst,
-            thr,
+            1e-10,
             "1000 random proper orthochronous matrices, rapidity <= 2, m = 3",
         )
     )
 
-    thr_comp = tol if tol is not None else 1e-8
     worst = 0.0
     for hrep in (vector_hrep(m), spinor_hrep(m)):
         for _ in range(50):
@@ -692,7 +648,7 @@ def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResul
         _row(
             "induced_action_composes",
             worst,
-            thr_comp,
+            1e-8,
             "act(g1 g2) = act(g1) after act(g2) in the vector and spinor representations",
         )
     )
@@ -713,12 +669,11 @@ def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResul
         except OrthochronousError:
             rejected += 1
     out.append(
-        PropertyResult(
+        _row(
             "orientation_reversals_rejected",
-            passed=rejected == 2,
-            measured=float(2 - rejected),
-            threshold=0.0,
-            detail="time reversal and parity both raise OrthochronousError",
+            2 - rejected,
+            0.0,
+            "time reversal and parity both raise OrthochronousError",
         )
     )
 
@@ -728,16 +683,13 @@ def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResul
     except BranchError:
         branch = True
     out.append(
-        PropertyResult(
+        _check(
             "rotation_branch_guard",
-            passed=branch,
-            measured=0.0 if branch else 1.0,
-            threshold=0.0,
-            detail="a rotation by pi raises BranchError instead of picking a sign",
+            branch,
+            "a rotation by pi raises BranchError instead of picking a sign",
         )
     )
 
-    thr_inf = tol if tol is not None else 1e-8
     worst = 0.0
     alg = so1m_algebra(m)
     for hrep_i in (vector_hrep(m), spinor_hrep(m)):
@@ -762,7 +714,7 @@ def suite_induced(tol: float | None = None, seed: int = 0) -> list[PropertyResul
         _row(
             "infinitesimal_matches_finite",
             worst,
-            thr_inf,
+            1e-8,
             "series derivative equals the finite-difference derivative of the induced action",
         )
     )
@@ -784,7 +736,7 @@ def _random_section(rng, m: int, d: int, n: int) -> CompositeSection:
     return CompositeSection(sigma, v)
 
 
-def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
+def suite_gauge(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
     m = 3
@@ -807,12 +759,10 @@ def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]
     )
     changed = not np.array_equal(base.sigma[2], moved.sigma[2])
     out.append(
-        PropertyResult(
+        _check(
             "gauge_step_is_node_local",
-            passed=local and changed,
-            measured=0.0 if (local and changed) else 1.0,
-            threshold=0.0,
-            detail="changing one node's generator leaves every other node bit-identical",
+            local and changed,
+            "changing one node's generator leaves every other node bit-identical",
         )
     )
 
@@ -822,13 +772,7 @@ def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]
     b = gauge_transform_section(alg, section, xi, 0.05, hrep)
     perm_ok = np.array_equal(a.sigma, b.sigma[perm]) and np.array_equal(a.v, b.v[perm])
     out.append(
-        PropertyResult(
-            "gauge_step_permutation_equivariant",
-            passed=perm_ok,
-            measured=0.0 if perm_ok else 1.0,
-            threshold=0.0,
-            detail="relabeling nodes commutes with the transform",
-        )
+        _check("gauge_step_permutation_equivariant", perm_ok, "relabeling nodes commutes with the transform")
     )
 
     # Euler flow converges at first order to the finite action
@@ -869,15 +813,7 @@ def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]
         and xi_back is not None
         and np.array_equal(xi_back, xi)
     )
-    out.append(
-        PropertyResult(
-            "section_json_round_trip",
-            passed=round_ok,
-            measured=0.0 if round_ok else 1.0,
-            threshold=0.0,
-            detail="document form preserves every entry bit for bit",
-        )
-    )
+    out.append(_check("section_json_round_trip", round_ok, "document form preserves every entry bit for bit"))
     return out
 
 
@@ -885,14 +821,14 @@ def suite_gauge(tol: float | None = None, seed: int = 0) -> list[PropertyResult]
 # aggregation
 # ---------------------------------------------------------------------------
 
-def suite_all(tol: float | None = None, seed: int = 0) -> list[PropertyResult]:
+def suite_all(seed: int = 0) -> list[PropertyResult]:
     out = []
-    out += suite_coeffs(tol, seed)
-    out += suite_clifford(tol, seed)
-    out += suite_algebra(tol, seed)
-    out += suite_series(tol, seed)
-    out += suite_induced(tol, seed)
-    out += suite_gauge(tol, seed)
+    out += suite_coeffs(seed)
+    out += suite_clifford(seed)
+    out += suite_algebra(seed)
+    out += suite_series(seed)
+    out += suite_induced(seed)
+    out += suite_gauge(seed)
     return out
 
 

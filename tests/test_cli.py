@@ -111,6 +111,20 @@ def test_factor_report(tmp_path, capsys):
     np.testing.assert_allclose(rho.T @ rho, np.eye(3), atol=1e-12)
 
 
+def test_factor_at_rapidity_fourteen(tmp_path, capsys):
+    """rho from the split is orthogonal only to about eps cosh(zeta); the
+    reconstruction does not reject it at rapidity 2 |boost| = 14.1."""
+    path = _write(
+        tmp_path,
+        "g.json",
+        {"m": 3, "boost": [5, -4, 3], "rotations": [[1, 2, 0.3], [2, 3, -0.2]]},
+    )
+    assert main(["factor", "--in", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(doc["f_prime"], [5, -4, 3], atol=1e-12)
+    assert doc["reconstruction_error"] <= 1e-15 * np.cosh(2 * np.sqrt(50)) ** 2
+
+
 def test_factor_rejects_time_reversal(tmp_path):
     path = _write(
         tmp_path,
@@ -182,10 +196,22 @@ def test_verify_csv(capsys):
     assert any(line.startswith("coeff_bernoulli_match,true,") for line in lines)
 
 
-def test_verify_impossible_tol_fails(capsys):
-    assert main(["verify", "clifford", "--tol", "1e-30"]) == 1
+def test_verify_failed_row_exits_one(monkeypatch, capsys):
+    from cosetrep import verify
+
+    failing = verify._row("forced_failure", 1.0, 0.0, "a row over its bar")
+    monkeypatch.setitem(verify.SUITES, "coeffs", lambda seed=0: [failing])
+    assert main(["verify", "coeffs"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["n_failed"] >= 1
+    assert doc["passed"] is False and doc["n_failed"] == 1
+    assert "tol" not in doc
+    assert main(["verify", "coeffs", "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "forced_failure,false,1.0,0.0,false"
+
+
+def test_verify_has_no_threshold_override():
+    assert main(["verify", "all", "--tol", "1e-3"]) == 2
 
 
 def test_verify_reports_are_deterministic(tmp_path):
@@ -218,6 +244,27 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
     assert main(["verify", "coeffs", "--in", path]) == 2
     broken = _write(tmp_path, "broken.json", {"dim_h": 1})
     assert main(["verify", "algebra", "--in", broken]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("realize", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1, 0, 0]}, "v": ["a", 0, 0]}),
+        ("realize", {"m": "x", "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1, 0, 0]}}),
+        ("realize", {"m": 2.5, "sigma": [0.1, 0.2], "xi": {"boost": [1, 0]}}),
+        ("factor", {"matrix": [["a", 0], [0, 1]]}),
+        ("factor", {"m": "x", "boost": [0.1, 0]}),
+        ("factor", {"m": 2.5, "boost": [0.1, 0]}),
+        ("factor", [1, 2]),
+        ("gauge", {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": ["a", 0, 0]}]}),
+        ("gauge", {"m": 2.5, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": [0, 0, 0]}]}),
+    ],
+)
+def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):
+    path = _write(tmp_path, "doc.json", payload)
+    assert main([command, "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cosetrep: ") and "Traceback" not in err
 
 
 def test_usage_without_command():

@@ -127,16 +127,25 @@ def _exact_boost_rotation(rng, m, zeta):
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
-@pytest.mark.parametrize("zeta", [8.0, 10.0, 12.0])
+@pytest.mark.parametrize("zeta", [8.0, 10.0, 12.0, 14.0, 16.0, 18.0])
 def test_factor_at_large_rapidity_matches_exact_matrices(m, zeta):
     """The split reads rho to about eps cosh(zeta) against matrices built in
-    high precision, and the form check accepts them."""
+    high precision, and the form check accepts them.  The induced action and
+    the reconstruction use that rho without rejecting it as non-orthogonal."""
     g, n, rho0 = _exact_boost_rotation(np.random.default_rng([m, int(zeta)]), m, zeta)
     pair = factor_boost_rotation(g)
     assert abs(pair.rho - rho0).max() <= 1e-15 * np.cosh(zeta)
     assert abs(pair.f_prime.sigma - 0.5 * zeta * n).max() <= 1e-14
-    point, v = induced_action(g, CosetPoint(np.full(m, 0.05)), np.ones(m), vector_hrep(m))
-    assert point.m == m and v.shape == (m,)
+    v = np.linspace(-1.0, 1.0, m)
+    _, moved = induced_action(g, CosetPoint(np.zeros(m)), v, vector_hrep(m))
+    assert abs(moved - rho0 @ v).max() <= 1e-15 * np.cosh(zeta)
+    point, w = induced_action(g, CosetPoint(np.full(m, 0.05)), np.ones(m), vector_hrep(m))
+    assert point.m == m and w.shape == (m,)
+    if m <= 5:
+        spinor = spinor_hrep(m)
+        _, w = induced_action(g, CosetPoint(np.full(m, 0.05)), np.ones(spinor.d), spinor)
+        assert w.shape == (spinor.d,)
+    assert abs(reconstruct(pair) - g).max() <= 1e-15 * np.cosh(zeta) ** 2
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -347,6 +356,8 @@ def test_section_json_round_trip_and_errors():
         section_from_json_dict({"m": 2, "d": 2, "nodes": []})
     with pytest.raises(DomainError):
         section_from_json_dict({"m": 2, "nodes": [{"sigma": [0, 0], "v": [0, 0]}]})
+    with pytest.raises(DomainError):
+        section_from_json_dict({"m": 2.5, "d": 2, "nodes": [{"sigma": [0, 0], "v": [0, 0]}]})
     with pytest.raises(DomainError):
         section_from_json_dict(
             {"m": 2, "d": 2, "nodes": [{"sigma": [0.0, 0.0, 0.0], "v": [0.0, 0.0]}]}
