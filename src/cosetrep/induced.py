@@ -7,10 +7,15 @@ spatial rotation:
     g exp(sigma . F) = exp(sigma' . F) R,   R = diag(1, rho), rho in SO(m).
 
 :func:`factor_boost_rotation` computes the pair (sigma', rho).  A vector v in
-any representation of the stabilizer is carried along by rho through the
-representation's exponential; :func:`induced_action` packages the whole move.
-Differentiating that map at the identity reproduces the bracket series of
-:mod:`cosetrep.series`, which the verify suite checks by finite differences.
+any representation of the stabilizer is carried along by the representation's
+image of rho (:meth:`HRepresentation.lift`); :func:`induced_action` packages
+the whole move.  Differentiating that map at the identity reproduces the
+bracket series of :mod:`cosetrep.series`, which the verify suite checks by
+finite differences.
+
+The finite matrices, the form check, the split and the rotation log all work
+on stacks (..., m+1, m+1) or (..., m, m), so a section moves in one call and
+a single point is the one-node case of the same code.
 
 Sections (arrays of coset points with one attached vector each) and their
 gauge flow under a node-wise generator field live at the bottom of the module;
@@ -19,13 +24,11 @@ the flow is vertical, acting on every node independently.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .clifford import CliffordSpace, matrix_rep
 from .errors import (
@@ -39,6 +42,7 @@ from .lie import (
     CosetPoint,
     ReductiveAlgebra,
     defining_rep_so1m,
+    expm,
     generator_coords,
     h_pairs,
     so1m_algebra,
@@ -68,6 +72,10 @@ __all__ = [
 ]
 
 _TOL = 1e-10
+# divides a norm that may be 0 where the numerator then vanishes too
+_TINY = np.finfo(float).tiny
+# the rotation log raises BranchError for angles past this
+_BRANCH = np.pi - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,8 @@ class HRepresentation:
 
     algebra: ReductiveAlgebra
     generators: np.ndarray
+    # the generators are the plane rotations E_ki - E_ik of R^d themselves
+    _planes: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -106,21 +116,45 @@ class HRepresentation:
         gens = gens.copy()
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
+        d = gens.shape[-1]
+        planes = nh == d * (d - 1) // 2 and np.array_equal(
+            gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
+        )
+        object.__setattr__(self, "_planes", planes)
 
     @property
     def d(self) -> int:
         return int(self.generators.shape[-1])
 
     def matrix(self, h_coords) -> np.ndarray:
-        """Sum h^a G_a."""
+        """Sum h^a G_a, for one coordinate vector or a stack (..., dim_h)."""
         h = np.asarray(h_coords, dtype=float)
-        if h.shape != (self.algebra.dim_h,):
-            raise DimensionError(f"expected {self.algebra.dim_h} coordinates, got {h.shape}")
-        return np.tensordot(h, self.generators, axes=1)
+        nh, d = self.generators.shape[:2]
+        if h.ndim < 1 or h.shape[-1] != nh:
+            raise DimensionError(f"expected {nh} coordinates, got {h.shape}")
+        # one (rows, dim_h) x (dim_h, d^2) product, also for a single vector
+        return (h.reshape(-1, nh) @ self.generators.reshape(nh, -1)).reshape(h.shape[:-1] + (d, d))
 
     def exp(self, h_coords) -> np.ndarray:
-        """exp(sum h^a G_a)."""
+        """exp(sum h^a G_a), for one coordinate vector or a stack."""
         return expm(self.matrix(h_coords))
+
+    def lift(self, rho) -> np.ndarray:
+        """The matrix of the rotation rho in SO(m), or of a stack (..., m, m).
+
+        The defining representation on R^m returns rho itself.  Any other
+        exponentiates the plane-angle coordinates of rho, which raises
+        BranchError for a plane rotated by pi.  rho is not checked for
+        orthogonality.
+        """
+        m = rho.shape[-1]
+        if m * (m - 1) // 2 != self.algebra.dim_h:
+            raise DimensionError(
+                f"a rotation of R^{m} has no image in a representation of dim_h={self.algebra.dim_h}"
+            )
+        if self._planes:
+            return rho
+        return self.exp(_log_coords(rho))
 
 
 @lru_cache(maxsize=None)
@@ -147,90 +181,137 @@ def spinor_hrep(m: int) -> HRepresentation:
 # finite matrices
 # ---------------------------------------------------------------------------
 
-def boost_matrix(m: int, zeta: float, axis) -> np.ndarray:
-    """Pure boost of rapidity zeta along a unit spatial direction.
+# The stacked helpers keep a trailing axis of length 1 on per-matrix values
+# (rapidities, norms, g[..., :1, 0]): a single matrix then yields arrays of
+# shape (1,) rather than 0-d ones, which numpy handles far faster.
 
-    Entries: top-left cosh(zeta), first row/column sinh(zeta) n_k, spatial
-    block d_jk + (cosh(zeta) - 1) n_j n_k.
-    """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (m,):
-        raise DimensionError(f"axis must have shape ({m},), got {n.shape}")
-    norm = np.linalg.norm(n)
-    if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-12):
-        if norm == 0.0:
-            raise DomainError("boost axis must be nonzero")
-        n = n / norm
-    g = np.eye(m + 1)
-    ch, sh = math.cosh(zeta), math.sinh(zeta)
-    g[0, 0] = ch
-    g[0, 1:] = sh * n
-    g[1:, 0] = sh * n
-    g[1:, 1:] += (ch - 1.0) * np.outer(n, n)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, kept as an axis of length 1."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
+def _boost(zeta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Boosts of rapidities zeta (..., 1) along unit axes n (..., m)."""
+    m = n.shape[-1]
+    ch, sh = np.cosh(zeta), np.sinh(zeta)
+    g = np.empty(n.shape[:-1] + (m + 1, m + 1))
+    g[..., 0, :1] = ch
+    g[..., 0, 1:] = g[..., 1:, 0] = sh * n
+    g[..., 1:, 1:] = np.eye(m) + (ch - 1.0)[..., None] * (n[..., :, None] * n[..., None, :])
     return g
 
 
+def boost_matrix(m: int, zeta, axis) -> np.ndarray:
+    """Pure boost of rapidity zeta along a unit spatial direction.
+
+    Entries: top-left cosh(zeta), first row/column sinh(zeta) n_k, spatial
+    block d_jk + (cosh(zeta) - 1) n_j n_k.  zeta of shape (...) and axis of
+    shape (..., m) give a stack of boosts (..., m+1, m+1).
+    """
+    n = np.asarray(axis, dtype=float)
+    if n.ndim < 1 or n.shape[-1] != m:
+        raise DimensionError(f"axis must have shape (..., {m}), got {n.shape}")
+    norm = _norm(n)
+    if np.count_nonzero(norm == 0.0):
+        raise DomainError("boost axis must be nonzero")
+    n = np.where(abs(norm - 1.0) <= 1e-12, n, n / norm)
+    z, n = np.broadcast_arrays(np.asarray(zeta, dtype=float)[..., None], n)
+    return _boost(z[..., :1], n)
+
+
 def _check_rotation(rho) -> np.ndarray:
-    """rho as a float array, validated as an element of SO(m) to 1e-10."""
+    """rho (or a stack) as a float array, validated as SO(m) to 1e-10."""
     r = np.asarray(rho, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise DimensionError(f"rho must be square, got shape {r.shape}")
-    if abs(r.T @ r - np.eye(r.shape[0])).max() > _TOL:
+    if np.abs(r.swapaxes(-1, -2) @ r - np.eye(r.shape[-1])).max(initial=0.0) > _TOL:
         raise DomainError("rho is not orthogonal")
-    if np.linalg.det(r) < 0.0:
+    if np.count_nonzero(np.linalg.det(r) < 0.0):
         raise DomainError("rho reverses orientation")
     return r
 
 
 def _embed(r: np.ndarray) -> np.ndarray:
-    g = np.eye(r.shape[0] + 1)
-    g[1:, 1:] = r
+    """diag(1, r) for r of shape (..., m, m)."""
+    m = r.shape[-1]
+    g = np.zeros(r.shape[:-2] + (m + 1, m + 1))
+    g[..., 0, 0] = 1.0
+    g[..., 1:, 1:] = r
     return g
 
 
 def rotation_embed(m: int, rho) -> np.ndarray:
-    """diag(1, rho) with rho in SO(m), validated to 1e-10."""
+    """diag(1, rho) with rho in SO(m) (or a stack of them), validated to 1e-10."""
     r = _check_rotation(rho)
-    if r.shape != (m, m):
-        raise DimensionError(f"rho must have shape ({m}, {m}), got {r.shape}")
+    if r.shape[-1] != m:
+        raise DimensionError(f"rho must have shape (..., {m}, {m}), got {r.shape}")
     return _embed(r)
+
+
+def _coset_matrix(sigma: np.ndarray) -> np.ndarray:
+    """exp(sigma . F) for coordinates of shape (..., m): boosts of rapidity 2|sigma|."""
+    s = _norm(sigma)
+    return _boost(2.0 * s, sigma / np.maximum(s, _TINY))
 
 
 def exp_coset(point: CosetPoint) -> np.ndarray:
     """exp(sigma^al F_al) in the defining representation.
 
     With rep(F_k) = 2 (E_0k + E_k0) this is a boost of rapidity 2 |sigma|
-    along sigma, evaluated in closed form.
+    along sigma, evaluated in closed form.  A CompositeSection gives the
+    stack of its nodes' representatives.
     """
-    s = point.norm
-    if s == 0.0:
-        return np.eye(point.m + 1)
-    return boost_matrix(point.m, 2.0 * s, point.sigma / s)
+    return _coset_matrix(point.sigma)
+
+
+def _check_form(g) -> np.ndarray:
+    """g (or a stack) as a float array preserving the form forward in time.
+
+    The orientation is left to :func:`_check_orientation` on the rho of a
+    split: det(g) = det(rho), but g's entries grow like cosh(zeta) while
+    rho's stay O(1), so only rho's determinant keeps its sign at large
+    rapidity.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] < 2:
+        raise DimensionError(f"expected square matrices of size >= 2, got shape {g.shape}")
+    eta = defining_rep_so1m(g.shape[-1] - 1).eta
+    gt, a = g.swapaxes(-1, -2), np.abs(g)
+    within = np.abs(gt @ eta @ g - eta) <= _TOL * np.maximum(1.0, a.swapaxes(-1, -2) @ a)
+    if np.count_nonzero(within) != within.size:
+        raise DomainError("matrix does not preserve the indefinite form")
+    if np.count_nonzero(g[..., :1, 0] < 0.0):
+        raise OrthochronousError("transformation reverses time orientation")
+    return g
+
+
+def _check_orientation(rho: np.ndarray) -> None:
+    if np.count_nonzero(np.linalg.det(rho) < 0.0):
+        raise OrthochronousError("transformation reverses spatial orientation")
+
+
+def _factor(g) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma', rho) of a matrix or stack g after the checks of
+    :func:`check_proper_orthochronous`."""
+    sigma, rho = _split(_check_form(g))
+    _check_orientation(rho)
+    return sigma, rho
 
 
 def check_proper_orthochronous(g: np.ndarray) -> int:
-    """Validate g as a proper orthochronous transformation; return m.
+    """Validate g, or every matrix of a stack (..., m+1, m+1), as a proper
+    orthochronous transformation; return m.
 
     Raises DimensionError for a bad shape, DomainError when g does not
     preserve the form diag(+1, -1, ..., -1), and OrthochronousError when it
     reverses time or orientation.  The form is compared entrywise against
     1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding bound of the
     product g^T eta g, so the tolerance grows with the entries of a large
-    boost while an error in a small entry is still caught.
+    boost while an error in a small entry is still caught.  The orientation
+    is the sign of det(rho) of the boost-rotation split.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
-        raise DimensionError(f"expected a square matrix of size >= 2, got shape {g.shape}")
-    m = g.shape[0] - 1
-    eta = np.diag([1.0] + [-1.0] * m)
-    a = np.abs(g)
-    if not np.all(abs(g.T @ eta @ g - eta) <= _TOL * np.maximum(1.0, a.T @ a)):
-        raise DomainError("matrix does not preserve the indefinite form")
-    if g[0, 0] < 0.0:
-        raise OrthochronousError("transformation reverses time orientation")
-    if np.linalg.det(g) < 0.0:
-        raise OrthochronousError("transformation reverses spatial orientation")
-    return m
+    sigma, _ = _factor(g)
+    return sigma.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +327,20 @@ class FactoredPair:
         object.__setattr__(self, "rho", r)
 
 
-def _split(g: np.ndarray) -> FactoredPair:
-    """exp(sigma' . F) diag(1, rho) = g, read off g's first column and row.
+def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma', rho) with exp(sigma' . F) diag(1, rho) = g, for g of shape
+    (..., m+1, m+1), read off g's first column and row.
 
     With u = g e_0 = (cosh zeta, sinh zeta n), sigma' = zeta n / 2 and
     rho = g[1:, 1:] - u_s (x) g[0, 1:] / (1 + u_0); no product with the
     inverse boost is formed, so rho's rounding stays near eps cosh(zeta).
     """
-    u = g[:, 0]
-    p = float(np.linalg.norm(u[1:]))
-    sigma = np.zeros(g.shape[0] - 1) if p == 0.0 else 0.5 * math.asinh(p) * (u[1:] / p)
-    rho = g[1:, 1:] - np.outer(u[1:], g[0, 1:] / (1.0 + u[0]))
-    return FactoredPair(CosetPoint(sigma), rho)
+    us = g[..., 1:, 0]
+    p = _norm(us)
+    sigma = us * (0.5 * np.arcsinh(p) / np.maximum(p, _TINY))
+    row = g[..., 0, 1:] / (1.0 + g[..., :1, 0])
+    rho = g[..., 1:, 1:] - us[..., :, None] * row[..., None, :]
+    return sigma, rho
 
 
 def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
@@ -268,8 +351,10 @@ def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
     normalization of the generators.
     """
     g = np.asarray(g, dtype=float)
-    check_proper_orthochronous(g)
-    return _split(g)
+    if g.ndim != 2:
+        raise DimensionError(f"expected one square matrix, got shape {g.shape}")
+    sigma, rho = _factor(g)
+    return FactoredPair(CosetPoint(sigma), rho)
 
 
 def reconstruct(pair: FactoredPair) -> np.ndarray:
@@ -283,64 +368,95 @@ def reconstruct(pair: FactoredPair) -> np.ndarray:
 
 
 def rotation_log_coords(rho: np.ndarray) -> np.ndarray:
-    """Plane-angle coordinates theta_a with exp(theta^a (E_ki - E_ik)) = rho.
+    """Plane-angle coordinates theta_a with exp(theta^a (E_ki - E_ik)) = rho,
+    for rho in SO(m) or a stack (..., m, m).
 
-    Uses the real Schur form to read one angle per invariant plane.  Angles
-    live on the principal branch; a plane rotated by exactly pi has no
-    preferred sign, so BranchError is raised there.
+    Angles live on the principal branch; a plane rotated by exactly pi has
+    no preferred sign, so BranchError is raised there.
     """
     return _log_coords(_check_rotation(rho))
 
 
 def _log_coords(r: np.ndarray) -> np.ndarray:
-    """rotation_log_coords without the orthogonality check on rho."""
-    m = r.shape[0]
-    if m == 1:
-        return np.zeros(0)
-    t, q = schur(r, output="real")
-    log_block = np.zeros((m, m))
-    i = 0
-    while i < m:
-        if i + 1 < m and abs(t[i + 1, i]) > 1e-12:
-            theta = math.atan2(t[i + 1, i], t[i, i])
-            log_block[i, i + 1] = -theta
-            log_block[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i, i] < 0.0:
-                raise BranchError("rotation by pi has no principal-branch logarithm")
-            i += 1
-    w = q @ log_block @ q.T
-    i, k = np.array(h_pairs(m)).T
-    return w[k - 1, i - 1]
+    """rotation_log_coords without the orthogonality check on rho.
+
+    rho = S + A with S symmetric and A antisymmetric, and the two commute.
+    On an invariant plane of angle theta, S is cos(theta) and A is
+    sin(theta) times a quarter turn, so log rho = (theta / sin theta)(S) A.
+    eigh of S gives the cosines c_k and an orthonormal eigenbasis q_k; the
+    sines are |A q_k|, read from A itself so that small angles keep their
+    relative accuracy, and theta_k = atan2(|A q_k|, c_k).
+    """
+    rt = r.swapaxes(-1, -2)
+    c, q = np.linalg.eigh(0.5 * (r + rt))
+    aq = 0.5 * ((r - rt) @ q)
+    s = np.sqrt(np.add.reduce(aq * aq, axis=-2))
+    theta = np.arctan2(s, c)
+    # a plane turned by pi within rounding: sin(theta) <= 1e-12, cos < 0
+    if np.count_nonzero(theta > _BRANCH):
+        raise BranchError("rotation by pi has no principal-branch logarithm")
+    # where s = 0 the column of aq is 0 too, so the ratio there is moot
+    w = (aq * (theta / np.maximum(s, _TINY))[..., None, :]) @ q.swapaxes(-1, -2)
+    i, k = _plane_index(r.shape[-1])
+    return w[..., k, i]
+
+
+@lru_cache(maxsize=None)
+def _plane_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, k) of the rotation planes of R^m, in generator order."""
+    pairs = np.array(h_pairs(m), dtype=int).reshape(-1, 2) - 1
+    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------
 # the induced action
 # ---------------------------------------------------------------------------
 
-def induced_action(
-    g: np.ndarray,
-    point: CosetPoint,
-    v: np.ndarray,
-    hrep: HRepresentation,
-) -> tuple[CosetPoint, np.ndarray]:
-    """Move a coset point and its attached vector by a finite transformation.
+def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = None):
+    """Move coset points and their attached vectors by finite transformations.
 
-    Factors g exp(sigma . F) into the new representative and a rotation, then
-    applies the rotation to v through hrep's exponential of the plane-angle
-    coordinates.  Returns (new point, new vector).
+    Factors g exp(sigma . F) into the new representative and a rotation rho,
+    then applies hrep's image of rho (see :meth:`HRepresentation.lift`) to
+    the vector.  Two forms:
+
+    * ``induced_action(g, point, v, hrep)`` with one matrix g, a CosetPoint
+      and its vector v of shape (d,) returns (new point, new vector);
+    * ``induced_action(g, section, hrep=hrep)`` with a CompositeSection,
+      whose nodes carry their own vectors, and either one g for every node
+      or a stack of shape (n_nodes, m+1, m+1), returns the moved section.
+
+    Both run the same stacked core; a single point is the one-node case.
     """
+    if hrep is None:
+        raise TypeError("induced_action needs a stabilizer representation hrep")
     g = np.asarray(g, dtype=float)
-    m = check_proper_orthochronous(g)
+    if isinstance(point, CompositeSection):
+        if v is not None:
+            raise TypeError("a section carries its own vectors: pass v=None")
+        if g.ndim not in (2, 3) or (g.ndim == 3 and g.shape[0] != point.n_nodes):
+            raise DimensionError(
+                f"expected one matrix or {point.n_nodes} stacked matrices, got shape {g.shape}"
+            )
+        vs = point.v
+    else:
+        if g.ndim != 2:
+            raise DimensionError(f"one point takes one matrix, got shape {g.shape}")
+        vs = np.asarray(v, dtype=float)
+        if vs.shape != (hrep.d,):
+            raise DimensionError(f"vector must have shape ({hrep.d},), got {vs.shape}")
+    m = _check_form(g).shape[-1] - 1
     if m != point.m:
         raise DimensionError(f"matrix acts on m={m} but the point has m={point.m}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (hrep.d,):
-        raise DimensionError(f"vector must have shape ({hrep.d},), got {v.shape}")
-    pair = _split(g @ exp_coset(point))
-    # the split's rho is orthogonal to about eps cosh(zeta): not re-checked
-    return pair.f_prime, hrep.exp(_log_coords(pair.rho)) @ v
+    if vs.shape[-1] != hrep.d:
+        raise DimensionError(f"vectors have d={vs.shape[-1]} but the representation has d={hrep.d}")
+    sigma, rho = _split(g @ exp_coset(point))
+    # exp(sigma . F) has det 1, so rho carries g's orientation; it is
+    # orthogonal to about eps cosh(zeta) and not checked beyond that
+    _check_orientation(rho)
+    moved = (hrep.lift(rho) @ vs[..., None])[..., 0]
+    if isinstance(point, CompositeSection):
+        return CompositeSection(sigma, moved)
+    return CosetPoint(sigma), moved
 
 
 def infinitesimal_action(
@@ -372,7 +488,7 @@ def group_from_spec(m: int, boost=None, rotations=()) -> np.ndarray:
     """
     h, f = generator_coords(m, boost, rotations)
     rotation = expm(np.tensordot(h, defining_rep_so1m(m).h_gens, axes=1))
-    return exp_coset(CosetPoint(f)) @ rotation
+    return _coset_matrix(f) @ rotation
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +626,7 @@ def gauge_transform_section(
     dF, dI = _series(
         alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], _weights(order)
     )
-    dv = (np.tensordot(dI, hrep.generators, 1) @ section.v[:, :, None])[:, :, 0]
+    dv = (hrep.matrix(dI) @ section.v[:, :, None])[:, :, 0]
     return CompositeSection(section.sigma + eps * dF, section.v + eps * dv)
 
 

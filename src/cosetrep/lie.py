@@ -15,7 +15,8 @@ structure constants for cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "so1m_algebra",
     "defining_rep_so1m",
     "DefiningRep",
+    "expm",
     "algebra_to_json_dict",
     "algebra_from_json_dict",
 ]
@@ -245,9 +247,12 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     for entry in entries:
         try:
             i, k, theta = entry
-            i, k, theta = int(i), int(k), float(theta)
+            theta = float(theta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}") from exc
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (i, k)):
+            raise DomainError(f"rotation plane indices must be integers, got {entry!r}")
+        i, k = int(i), int(k)
         if (i, k) not in index:
             raise DomainError(f"no rotation plane ({i}, {k}) for m={m}")
         if not np.isfinite(theta):
@@ -336,6 +341,93 @@ def defining_rep_so1m(m: int) -> DefiningRep:
     for arr in (h_gens, f_gens, eta):
         arr.setflags(write=False)
     return DefiningRep(m, h_gens, f_gens, eta)
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential
+# ---------------------------------------------------------------------------
+
+# Pade coefficients b_0..b_q of the diagonal approximants of degree q, each
+# with theta_q, the largest 1-norm at which it meets double precision
+# (Higham 2005, Table 2.3)
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                        2.097847961257068, 5.371920351148152])
+
+
+def _pade_rows(b: tuple[float, ...]) -> np.ndarray:
+    """Rows of weights on the even powers I, A^2, A^4, ... of A.
+
+    For q <= 9 the rows give U / A and V.  Degree 13 uses only I, A^2, A^4
+    and A^6 (Higham 2005, eq. 2.6): U / A = A^6 row 2 + row 0 and
+    V = A^6 row 3 + row 1.
+    """
+    if len(b) == 14:
+        return np.array([b[1:8:2], b[0:8:2], (0.0,) + b[9::2], (0.0,) + b[8:13:2]])
+    return np.array([b[1::2], b[0::2]])
+
+
+_PADE = tuple(_pade_rows(b) for b in _PADE_B.values())
+
+
+def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Diagonal Pade approximant of exp on a stack (n, d, d), from _pade_rows."""
+    k = rows.shape[1]
+    powers = np.empty((k,) + a.shape)
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = a @ a
+    for j in range(2, k):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    c = (rows @ powers.reshape(k, -1)).reshape((-1,) + a.shape)
+    if len(c) == 4:
+        u, v = a @ (powers[3] @ c[2] + c[0]), powers[3] @ c[3] + c[1]
+    else:
+        u, v = a @ c[0], c[1]
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a) -> np.ndarray:
+    """exp(A) of a square matrix or of a stack of them, shape (..., d, d).
+
+    Scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
+    1179-1193, Algorithm 2.3): each matrix gets the lowest Pade degree among
+    3, 5, 7, 9 and 13 whose bound covers its 1-norm; past the degree-13
+    bound it is scaled by 2^-s into range and the result squared s times.
+    Non-finite entries raise DomainError.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected square matrices of shape (..., d, d), got {a.shape}")
+    flat = a.reshape((-1,) + a.shape[-2:])
+    norm = np.add.reduce(np.abs(flat), axis=-2).max(axis=-1, initial=0.0)
+    # index of the lowest degree whose bound covers each norm; past the
+    # last bound (and for inf or nan) it is len(_PADE)
+    pick = np.searchsorted(_PADE_THETA, norm)
+    out = np.empty_like(flat)
+    degrees = sorted(set(pick.tolist()))
+    for j in degrees:
+        sel = pick == j if len(degrees) > 1 else slice(None)
+        if j < len(_PADE):
+            out[sel] = _pade(flat[sel], _PADE[j])
+            continue
+        if not np.isfinite(norm[sel]).all():
+            raise DomainError("matrix exponential of non-finite entries")
+        s = np.ceil(np.log2(norm[sel] / _PADE_THETA[-1])).astype(int)
+        r = _pade(np.ldexp(flat[sel], -s[:, None, None]), _PADE[-1])
+        for k in range(int(s.max())):
+            more = s > k
+            r[more] = r[more] @ r[more]
+        out[sel] = r
+    return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .clifford import CliffordSpace, Multivector, blade_product, matrix_rep, multivector_matrix, exp_vector
 from .coeffs import bernoulli_numbers, l_coeffs, recursion_residuals
 from .errors import BranchError, OrthochronousError
 from .induced import (
     CompositeSection,
+    _coset_matrix,
+    _embed,
+    _factor,
     boost_matrix,
     exp_coset,
     factor_boost_rotation,
     flow_section,
     gauge_transform_section,
     induced_action,
-    infinitesimal_action,
-    reconstruct,
     rotation_embed,
     rotation_log_coords,
     section_from_json_dict,
@@ -43,6 +43,7 @@ from .lie import (
     _total_structure,
     bracket,
     defining_rep_so1m,
+    expm,
     h_pairs,
     jacobi_residual,
     so1m_algebra,
@@ -50,6 +51,7 @@ from .lie import (
 from .series import (
     _compensator_rows,
     _series,
+    _weights,
     even_bracket_weights,
     odd_bracket_weights,
     realize,
@@ -117,23 +119,16 @@ def _info(name, measured, detail="") -> PropertyResult:
 # finite-difference oracle for the infinitesimal action
 # ---------------------------------------------------------------------------
 
-def _finite_parts(g: np.ndarray, point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
-    pair = factor_boost_rotation(g @ exp_coset(point))
-    return pair.f_prime.sigma, rotation_log_coords(pair.rho)
+# the four steps t = s h of the extrapolated central difference
+_STEPS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _richardson(moved, h: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Richardson-extrapolated central difference at t=0 of t -> moved(t),
-    a function returning a pair of arrays."""
-
-    def central(step: float) -> tuple[np.ndarray, np.ndarray]:
-        sp, tp = moved(step)
-        sm, tm = moved(-step)
-        return (sp - sm) / (2.0 * step), (tp - tm) / (2.0 * step)
-
-    d1s, d1t = central(h)
-    d2s, d2t = central(h / 2.0)
-    return (4.0 * d2s - d1s) / 3.0, (4.0 * d2t - d1t) / 3.0
+def _richardson(values: np.ndarray, h: float) -> np.ndarray:
+    """Richardson-extrapolated central difference at t=0 from the values
+    values[..., j, :] at t = _STEPS[j] h."""
+    d1 = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
+    d2 = (values[..., 2, :] - values[..., 3, :]) / (2.0 * (h / 2.0))
+    return (4.0 * d2 - d1) / 3.0
 
 
 def fd_action_derivative(
@@ -148,9 +143,9 @@ def fd_action_derivative(
     matrices, returning (d sigma, d theta) with d theta in plane-angle
     coordinates.  Entirely independent of the bracket series.
     """
-    rep = defining_rep_so1m(alg.dim_f)
-    x = rep.matrix(xi)
-    return _richardson(lambda t: _finite_parts(expm(t * x), point), h)
+    x = defining_rep_so1m(alg.dim_f).matrix(xi)
+    sigma, rho = _factor(expm((h * _STEPS)[:, None, None] * x) @ exp_coset(point))
+    return _richardson(sigma, h), _richardson(rotation_log_coords(rho), h)
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +583,22 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
 # induced-action suite
 # ---------------------------------------------------------------------------
 
-def _random_rotation(rng, m: int, max_angle: float) -> np.ndarray:
-    hrep = vector_hrep(m)
-    coords = rng.uniform(-max_angle, max_angle, hrep.algebra.dim_h)
-    return hrep.exp(coords)
-
-
-def _haar_rotation(rng, m: int) -> np.ndarray:
-    a = rng.normal(size=(m, m))
+def _haar_rotations(a: np.ndarray) -> np.ndarray:
+    """Haar-distributed SO(m) elements from Gaussian matrices a (n, m, m)."""
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q[:, :, 0] *= np.where(np.linalg.det(q) < 0.0, -1.0, 1.0)[:, None]
     return q
+
+
+def _small_group_draw(rng, m: int) -> tuple:
+    """(rapidity, axis, plane angles) of a boost times a rotation by <= 0.25."""
+    return rng.uniform(0.0, 1.0), _unit(rng, m), rng.uniform(-0.25, 0.25, m * (m - 1) // 2)
+
+
+def _small_group(m: int, draws: list[tuple]) -> np.ndarray:
+    zeta, axis, angles = (np.array(x) for x in zip(*draws))
+    return boost_matrix(m, zeta, axis) @ rotation_embed(m, vector_hrep(m).exp(angles))
 
 
 def suite_induced(seed: int = 0) -> list[PropertyResult]:
@@ -608,14 +606,12 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
     out = []
     m = 3
 
-    worst = 0.0
-    for _ in range(1000):
-        zeta = rng.uniform(0.0, 2.0)
-        axis = rng.normal(size=m)
-        axis /= np.linalg.norm(axis)
-        g = boost_matrix(m, zeta, axis) @ rotation_embed(m, _haar_rotation(rng, m))
-        pair = factor_boost_rotation(g)
-        worst = max(worst, float(abs(reconstruct(pair) - g).max()))
+    draws = [(rng.uniform(0.0, 2.0), rng.normal(size=m), rng.normal(size=(m, m))) for _ in range(1000)]
+    zeta, axis, gauss = (np.array(x) for x in zip(*draws))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    g = boost_matrix(m, zeta, axis) @ rotation_embed(m, _haar_rotations(gauss))
+    sigma, rho = _factor(g)
+    worst = float(abs(_coset_matrix(sigma) @ _embed(rho) - g).max())
     out.append(
         _row(
             "factor_reconstructs_input",
@@ -627,23 +623,18 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
 
     worst = 0.0
     for hrep in (vector_hrep(m), spinor_hrep(m)):
+        nodes, g1, g2 = [], [], []
         for _ in range(50):
             sig = rng.uniform(-1.0, 1.0, m)
             sig *= rng.uniform(0.0, 1.0) / max(np.linalg.norm(sig), 1e-12)
-            point = CosetPoint(sig)
-            v = rng.uniform(-1.0, 1.0, hrep.d)
-            g1 = (
-                boost_matrix(m, rng.uniform(0.0, 1.0), _unit(rng, m))
-                @ rotation_embed(m, _random_rotation(rng, m, 0.25))
-            )
-            g2 = (
-                boost_matrix(m, rng.uniform(0.0, 1.0), _unit(rng, m))
-                @ rotation_embed(m, _random_rotation(rng, m, 0.25))
-            )
-            p12, v12 = induced_action(g1 @ g2, point, v, hrep)
-            p2, v2 = induced_action(g2, point, v, hrep)
-            p1, v1 = induced_action(g1, p2, v2, hrep)
-            worst = max(worst, float(abs(p12.sigma - p1.sigma).max()), float(abs(v12 - v1).max()))
+            nodes.append((sig, rng.uniform(-1.0, 1.0, hrep.d)))
+            g1.append(_small_group_draw(rng, m))
+            g2.append(_small_group_draw(rng, m))
+        section = CompositeSection(*(np.array(x) for x in zip(*nodes)))
+        g1, g2 = _small_group(m, g1), _small_group(m, g2)
+        both = induced_action(g1 @ g2, section, hrep=hrep)
+        after = induced_action(g1, induced_action(g2, section, hrep=hrep), hrep=hrep)
+        worst = max(worst, float(abs(both.sigma - after.sigma).max()), float(abs(both.v - after.v).max()))
     out.append(
         _row(
             "induced_action_composes",
@@ -690,26 +681,30 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
         )
     )
 
+    # the series derivative against the Richardson difference of the finite
+    # action, all cases of a representation in one stacked call
     worst = 0.0
     alg = so1m_algebra(m)
+    rep = defining_rep_so1m(m)
+    h = 1e-3
     for hrep_i in (vector_hrep(m), spinor_hrep(m)):
+        cases = []
         for _ in range(10):
             sig = rng.uniform(-1.0, 1.0, m)
             sig *= rng.uniform(0.0, 0.35) / max(np.linalg.norm(sig), 1e-12)
-            point = CosetPoint(sig)
-            coords = rng.uniform(-1.0, 1.0, alg.dim)
-            xi = alg.element(h=coords[: alg.dim_h], f=coords[alg.dim_h :])
-            vv = rng.uniform(-1.0, 1.0, hrep_i.d)
-            ds, dv = infinitesimal_action(alg, xi, point, vv, hrep_i, order=19)
-            rep = defining_rep_so1m(m)
-            x = rep.matrix(xi)
-
-            def moved(t: float) -> tuple[np.ndarray, np.ndarray]:
-                p, w = induced_action(expm(t * x), point, vv, hrep_i)
-                return p.sigma, w
-
-            fd_s, fd_w = _richardson(moved)
-            worst = max(worst, float(abs(ds - fd_s).max()), float(abs(dv - fd_w).max()))
+            cases.append((sig, rng.uniform(-1.0, 1.0, alg.dim), rng.uniform(-1.0, 1.0, hrep_i.d)))
+        sig, coords, vv = (np.array(x) for x in zip(*cases))
+        xh, xf = coords[:, : alg.dim_h], coords[:, alg.dim_h :]
+        ds, di = _series(alg, sig, xh, xf, _weights(19))
+        dv = (hrep_i.matrix(di) @ vv[:, :, None])[:, :, 0]
+        x = np.tensordot(xh, rep.h_gens, axes=1) + np.tensordot(xf, rep.f_gens, axes=1)
+        g = expm((h * _STEPS)[None, :, None, None] * x[:, None])
+        steps = len(_STEPS)
+        nodes = CompositeSection(np.repeat(sig, steps, axis=0), np.repeat(vv, steps, axis=0))
+        moved = induced_action(g.reshape(-1, m + 1, m + 1), nodes, hrep=hrep_i)
+        fd_s = _richardson(moved.sigma.reshape(-1, steps, m), h)
+        fd_w = _richardson(moved.v.reshape(-1, steps, hrep_i.d), h)
+        worst = max(worst, float(abs(ds - fd_s).max()), float(abs(dv - fd_w).max()))
     out.append(
         _row(
             "infinitesimal_matches_finite",
@@ -777,19 +772,15 @@ def suite_gauge(seed: int = 0) -> list[PropertyResult]:
 
     # Euler flow converges at first order to the finite action
     rep = defining_rep_so1m(m)
-    targets = []
-    for i in range(n_nodes):
-        x = rep.matrix(alg.element(h=xi[i, : alg.dim_h], f=xi[i, alg.dim_h :]))
-        p, w = induced_action(expm(x), section.point(i), section.v[i], hrep)
-        targets.append((p.sigma, w))
+    x = np.tensordot(xi[:, : alg.dim_h], rep.h_gens, axes=1)
+    x += np.tensordot(xi[:, alg.dim_h :], rep.f_gens, axes=1)
+    target = induced_action(expm(x), section, hrep=hrep)
     errs = []
     for steps in (8, 16, 32, 64):
         flowed = flow_section(alg, section, xi, 1.0, steps, hrep)
-        err = 0.0
-        for i in range(n_nodes):
-            err = max(err, float(abs(flowed.sigma[i] - targets[i][0]).max()))
-            err = max(err, float(abs(flowed.v[i] - targets[i][1]).max()))
-        errs.append(err)
+        errs.append(
+            max(float(abs(flowed.sigma - target.sigma).max()), float(abs(flowed.v - target.v).max()))
+        )
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     halves = all(r >= 1.5 for r in ratios)
     out.append(

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from cosetrep.clifford import CliffordSpace, Multivector, commutator, multivector_matrix
-from cosetrep.errors import ClosureError, DimensionError
+from cosetrep.errors import ClosureError, DimensionError, DomainError
+from cosetrep.lie import expm as lie_expm
 from cosetrep.lie import (
     AlgebraElement,
     CosetPoint,
@@ -212,3 +213,63 @@ def test_algebra_json_rejects_malformed():
     bad["dim_f"] = 5
     with pytest.raises(ClosureError):
         algebra_from_json_dict(bad)
+
+
+def _expm_error(a, want=None):
+    """max over matrices of |expm(A) - want| / max |want|, want = scipy's expm(A)."""
+    got = lie_expm(a)
+    want = expm(a) if want is None else want
+    scale = np.abs(want).max(axis=(-2, -1))
+    return float((np.abs(got - want).max(axis=(-2, -1)) / scale).max())
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_expm_matches_scipy_on_generator_sums(m):
+    """so(1,m) defining matrices (1-norms up to about 18) and the vector and
+    spinor generator sums, as one stack each.  On the defining matrices
+    scipy itself is off by up to 6e-13, so the three worst cases are also
+    checked against a 40-digit mpmath exponential."""
+    import mpmath
+
+    from cosetrep.induced import spinor_hrep, vector_hrep
+
+    rng = np.random.default_rng(m)
+    rep = defining_rep_so1m(m)
+    alg = so1m_algebra(m)
+    h = rng.uniform(-2.0, 2.0, (40, alg.dim_h)) * rng.uniform(0.0, 1.0, (40, 1))
+    f = rng.uniform(-2.0, 2.0, (40, m)) * rng.uniform(0.0, 1.0, (40, 1))
+    defining = np.tensordot(h, rep.h_gens, axes=1) + np.tensordot(f, rep.f_gens, axes=1)
+    assert _expm_error(defining) <= 1e-12
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+    worst = np.argsort(np.abs(lie_expm(defining) - expm(defining)).max(axis=(1, 2)))[-3:]
+    for x in defining[worst]:
+        exact = np.array(ctx.expm(ctx.matrix(x.tolist())).tolist(), dtype=float)
+        assert _expm_error(x, exact) <= 1e-14
+    for hrep in (vector_hrep(m), spinor_hrep(m)):
+        assert _expm_error(hrep.matrix(h)) <= 1e-13
+
+
+def test_expm_matches_scipy_over_the_norm_range():
+    """Random matrices with 1-norm from 1e-8 to 50 cover every Pade degree
+    and up to four squarings; a stacked call agrees with single calls."""
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 4, 7, 16):
+        a = rng.normal(size=(30, d, d))
+        norms = np.geomspace(1e-8, 50.0, 30)
+        a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        assert _expm_error(a) <= 1e-12
+        assert _expm_error(a, np.array([lie_expm(x) for x in a])) <= 1e-13
+    assert lie_expm(np.zeros((2, 3, 3, 3))).shape == (2, 3, 3, 3)
+    np.testing.assert_array_equal(lie_expm(np.zeros((3, 3))), np.eye(3))
+
+
+def test_expm_rejects_bad_input():
+    with pytest.raises(DimensionError):
+        lie_expm(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        lie_expm(np.zeros(3))
+    with pytest.raises(DomainError):
+        lie_expm(np.full((2, 2), np.nan))
+    with pytest.raises(DomainError):
+        lie_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -1,6 +1,8 @@
 """Command line behavior: reports, formats, exit codes, determinism."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,14 +260,32 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
         ("factor", [1, 2]),
         ("gauge", {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": ["a", 0, 0]}]}),
         ("gauge", {"m": 2.5, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": [0, 0, 0]}]}),
+        ("realize", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"rotations": [[1.5, 2.7, 0.3]]}}),
+        ("realize", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"rotations": [[True, 2, 0.3]]}}),
+        ("factor", {"m": 3, "rotations": [[1.5, 2.7, 0.3]]}),
+        ("factor", {"m": 3, "rotations": [[True, 2, 0.3]]}),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):
     path = _write(tmp_path, "doc.json", payload)
     assert main([command, "--in", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cosetrep: ") and "Traceback" not in err
+    assert err.startswith("cosetrep: ") and len(err.splitlines()) == 1
 
 
 def test_usage_without_command():
     assert main([]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package and its CLI run on numpy alone: scipy is a test-only
+    reference."""
+    import subprocess
+    import sys
+
+    import cosetrep
+
+    src = str(Path(cosetrep.__file__).resolve().parents[1])
+    code = "import sys, cosetrep, cosetrep.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

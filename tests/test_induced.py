@@ -1,9 +1,11 @@
 """Finite factorization, the induced action on vectors and spinors, and the
 gauge flow of sections."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from cosetrep.errors import (
     BranchError,
@@ -31,7 +33,7 @@ from cosetrep.induced import (
     spinor_hrep,
     vector_hrep,
 )
-from cosetrep.lie import CosetPoint, defining_rep_so1m, so1m_algebra
+from cosetrep.lie import CosetPoint, defining_rep_so1m, h_pairs, so1m_algebra
 
 
 def _eta(m):
@@ -127,7 +129,7 @@ def _exact_boost_rotation(rng, m, zeta):
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
-@pytest.mark.parametrize("zeta", [8.0, 10.0, 12.0, 14.0, 16.0, 18.0])
+@pytest.mark.parametrize("zeta", [8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 24.0])
 def test_factor_at_large_rapidity_matches_exact_matrices(m, zeta):
     """The split reads rho to about eps cosh(zeta) against matrices built in
     high precision, and the form check accepts them.  The induced action and
@@ -218,6 +220,71 @@ def test_rotation_log_single_plane():
     np.testing.assert_allclose(coords, [theta, 0.0, 0.0], atol=1e-12)
 
 
+def _schur_log_coords(r):
+    """Reference rotation log: one angle per 2x2 block of the real Schur form."""
+    m = r.shape[0]
+    t, q = schur(r, output="real")
+    log_block = np.zeros((m, m))
+    i = 0
+    while i < m:
+        if i + 1 < m and abs(t[i + 1, i]) > 1e-12:
+            theta = math.atan2(t[i + 1, i], t[i, i])
+            log_block[i, i + 1] = -theta
+            log_block[i + 1, i] = theta
+            i += 2
+        else:
+            if t[i, i] < 0.0:
+                raise BranchError("rotation by pi")
+            i += 1
+    w = q @ log_block @ q.T
+    i, k = np.array(h_pairs(m)).T
+    return w[k - 1, i - 1]
+
+
+def _plane_rotation(m, angles, rng):
+    """Q diag(R(angles[0]), R(angles[1]), ..., 1) Q^T with a random Q in SO(m)."""
+    block = np.eye(m)
+    for j, theta in enumerate(angles):
+        c, s = math.cos(theta), math.sin(theta)
+        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q @ block @ q.T
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_rotation_log_matches_the_schur_reference(m):
+    """The eigh log equals the real-Schur log for angles up to pi - 1e-3,
+    for equal angles on two planes, and at the identity; one stacked call
+    equals the single calls."""
+    rng = np.random.default_rng(m)
+    cases = [np.eye(m)]
+    for top in (0.3, 2.0, math.pi - 1e-3):
+        for _ in range(10):
+            cases.append(_plane_rotation(m, rng.uniform(-top, top, m // 2), rng))
+        cases.append(_plane_rotation(m, [top] * (m // 2), rng))
+    stack = np.array(cases)
+    got = rotation_log_coords(stack)
+    for r, theta in zip(cases, got):
+        # the log is ill-conditioned like 1 / (pi - |theta|) near pi
+        np.testing.assert_allclose(theta, _schur_log_coords(r), rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(theta, rotation_log_coords(r), rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(got[0], 0.0)
+    np.testing.assert_allclose(vector_hrep(m).exp(got), stack, rtol=0.0, atol=1e-13)
+
+
+def test_rotation_log_branch_at_exactly_pi():
+    rng = np.random.default_rng(4)
+    for m, angles in ((2, [math.pi]), (4, [0.5, math.pi]), (4, [math.pi, math.pi])):
+        with pytest.raises(BranchError):
+            rotation_log_coords(_plane_rotation(m, angles, rng))
+    # one bad rotation in a stack raises for the stack
+    with pytest.raises(BranchError):
+        rotation_log_coords(np.array([np.eye(3), np.diag([-1.0, -1.0, 1.0])]))
+    theta = rotation_log_coords(_plane_rotation(2, [math.pi - 1e-3], rng))
+    assert theta[0] == pytest.approx(math.pi - 1e-3, abs=1e-12)
+
+
 def test_rotation_log_branch_and_validation():
     with pytest.raises(BranchError):
         rotation_log_coords(np.diag([-1.0, -1.0, 1.0]))
@@ -257,6 +324,19 @@ def test_induced_action_under_pure_rotation():
     np.testing.assert_allclose(new_v, rho @ v, atol=1e-12)
 
 
+def test_half_turn_moves_vectors_but_has_no_spinor_lift():
+    """The vector representation applies rho itself, so a plane turned by pi
+    is fine there; a spinor needs the plane angles, which have no principal
+    branch at pi."""
+    g = np.diag([1.0, -1.0, -1.0, 1.0])
+    point = CosetPoint(np.array([0.1, 0.2, 0.3]))
+    new_point, new_v = induced_action(g, point, np.array([1.0, 2.0, 3.0]), vector_hrep(3))
+    np.testing.assert_allclose(new_point.sigma, [-0.1, -0.2, 0.3], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(new_v, [-1.0, -2.0, 3.0], rtol=0.0, atol=1e-14)
+    with pytest.raises(BranchError):
+        induced_action(g, point, np.ones(4), spinor_hrep(3))
+
+
 def test_induced_action_composes_in_both_reps():
     rng = np.random.default_rng(21)
     m = 3
@@ -287,6 +367,44 @@ def test_induced_action_validation():
         induced_action(np.eye(4), point, np.zeros(4), hrep)
     with pytest.raises(DimensionError):
         induced_action(np.eye(3), point, np.zeros(3), hrep)
+    with pytest.raises(DimensionError):
+        induced_action(np.stack([np.eye(4)] * 2), point, np.zeros(3), hrep)
+    with pytest.raises(TypeError):
+        induced_action(np.eye(4), point, np.zeros(3))
+    section = CompositeSection(np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        induced_action(np.stack([np.eye(4)] * 3), section, hrep=hrep)
+    with pytest.raises(TypeError):
+        induced_action(np.eye(4), section, section.v, hrep)
+    with pytest.raises(DimensionError):
+        induced_action(np.eye(4), section, hrep=spinor_hrep(3))
+    with pytest.raises(OrthochronousError):
+        induced_action(np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0])]), section, hrep=hrep)
+
+
+@pytest.mark.parametrize("kind", ["vector", "spinor"])
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_stacked_induced_action_equals_point_calls(kind, m):
+    """A section moved by a stack of matrices, or by one matrix, equals the
+    loop of single-point calls."""
+    rng = np.random.default_rng([m, len(kind)])
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(m)
+    n = 12
+    zeta = rng.uniform(0.0, 3.0, n)
+    axis = rng.normal(size=(n, m))
+    rho = vector_hrep(m).exp(rng.uniform(-1.0, 1.0, (n, m * (m - 1) // 2)))
+    g = boost_matrix(m, zeta, axis) @ rotation_embed(m, rho)
+    sigma = rng.uniform(-0.5, 0.5, (n, m))
+    section = CompositeSection(sigma, rng.uniform(-1.0, 1.0, (n, hrep.d)))
+    moved = induced_action(g, section, hrep=hrep)
+    shared = induced_action(g[0], section, hrep=hrep)
+    for i in range(n):
+        p, w = induced_action(g[i], section.point(i), section.v[i], hrep)
+        np.testing.assert_allclose(moved.sigma[i], p.sigma, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(moved.v[i], w, rtol=0.0, atol=1e-13)
+        p, w = induced_action(g[0], section.point(i), section.v[i], hrep)
+        np.testing.assert_allclose(shared.sigma[i], p.sigma, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(shared.v[i], w, rtol=0.0, atol=1e-13)
 
 
 def test_infinitesimal_action_derivative_of_finite():
@@ -319,6 +437,13 @@ def test_group_from_spec():
         group_from_spec(3, boost=[np.inf, 0.0, 0.0])
     with pytest.raises(DimensionError):
         group_from_spec(1)
+    for bad in ([1.5, 2.7, 0.3], [True, 2, 0.3], [1, 2.0, 0.3]):
+        with pytest.raises(DomainError, match="plane indices must be integers"):
+            group_from_spec(3, rotations=[bad])
+    np.testing.assert_array_equal(
+        group_from_spec(3, rotations=[(np.int64(1), np.int64(3), 0.4)]),
+        group_from_spec(3, rotations=[(1, 3, 0.4)]),
+    )
 
 
 def test_section_construction_and_split():
