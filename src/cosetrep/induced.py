@@ -24,6 +24,7 @@ the flow is vertical, acting on every node independently.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -76,6 +77,9 @@ _TOL = 1e-10
 _TINY = np.finfo(float).tiny
 # the rotation log raises BranchError for angles past this
 _BRANCH = np.pi - 1e-12
+# largest boost rapidity of group_from_spec: the form check's entries grow
+# like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
+_MAX_RAPIDITY = 354.0
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +489,17 @@ def group_from_spec(m: int, boost=None, rotations=()) -> np.ndarray:
     `boost` is a length-m coordinate vector (may be None for no boost);
     `rotations` is a sequence of (i, k, theta) plane angles with
     1 <= i < k <= m.  The inputs are parsed by :func:`generator_coords`.
+    The boost's rapidity 2|boost| may be at most _MAX_RAPIDITY, else
+    DomainError.
     """
     h, f = generator_coords(m, boost, rotations)
+    # math.hypot scales its arguments, so a huge finite boost cannot overflow here
+    rapidity = 2.0 * math.hypot(*f)
+    if rapidity > _MAX_RAPIDITY:
+        raise DomainError(
+            f"boost rapidity 2|boost| = {rapidity:.6g} exceeds {_MAX_RAPIDITY:g}, the largest "
+            "for which the matrix and its form check stay finite"
+        )
     rotation = expm(np.tensordot(h, defining_rep_so1m(m).h_gens, axes=1))
     return _coset_matrix(f) @ rotation
 
@@ -608,6 +621,7 @@ def gauge_transform_section(
     Each node moves independently: sigma_i += eps dF(xi_i, sigma_i) and
     v_i += eps (dI^a G_a) v_i.  No information crosses between nodes; the
     whole section goes through the bracket series in one batched call.
+    Non-finite xi or eps raise DomainError before any work.
     """
     xi = np.asarray(xi, dtype=float)
     n_xi = alg.dim_h + alg.dim_f
@@ -615,6 +629,10 @@ def gauge_transform_section(
         raise DimensionError(
             f"xi must have shape ({section.n_nodes}, {n_xi}), got {xi.shape}"
         )
+    if not np.isfinite(xi).all():
+        raise DomainError("generator field xi has non-finite entries")
+    if not np.isfinite(eps):
+        raise DomainError(f"step eps must be finite, got {eps!r}")
     if section.m != alg.dim_f:
         raise DimensionError(
             f"section has m={section.m} but the algebra has dim_f={alg.dim_f}"
@@ -643,10 +661,15 @@ def flow_section(
 
     The generator coordinates xi stay attached to their nodes while the
     series is re-evaluated at each moved point, so the flow converges to
-    the finite action of exp(t xi_i) at rate O(1/steps).
+    the finite action of exp(t xi_i) at rate O(1/steps).  steps must be an
+    integer >= 1 and t finite, else DomainError.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise DomainError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    if not np.isfinite(t):
+        raise DomainError(f"flow time t must be finite, got {t!r}")
     eps = t / steps
     out = section
     for _ in range(steps):

@@ -21,13 +21,17 @@ matrix factorization of :mod:`cosetrep.induced` computes independently.
 The weights are data: a map {n: w_n} read from the exact table, which is
 built once per process.  One private core takes such a map and evaluates the
 series for N nodes at once, adding w_n T_n into dI for odd n and into dF for
-even n.  The map x -> [x, F] sends f to h and h to f, so it is stored as its
-two off-diagonal blocks, read straight from the structure constant tables;
-the tower T_n alternates between them as batched matrix-vector products.
-The series converges while the spectral radius of ad_F stays below pi; an f
-actor at or past that radius raises DomainError.  :func:`realize` is the
-single-point entry; the gauge flow of :mod:`cosetrep.induced` calls the core
-once per Euler step for a whole section, and the verify suite feeds it the
+even n.  The map x -> [x, F] sends f to h and h to f; its two off-diagonal
+blocks are each one GEMM of sigma against a flattened structure constant
+table.  Their product S = ad_F^2 restricted to f drives the tower: for an f
+actor T_2k(X) = S^k X and T_2k+1(X) = [S^k X, F], so the core runs
+u_k = S^k X for k <= order/2, adds the even weights into dF, sums the odd
+ones in f and maps that sum to h once (N. J. Higham, Functions of Matrices,
+SIAM 2008, ch. 4, on polynomials in a matrix argument).  The series
+converges while rho(S) = rho(ad_F)^2 stays below pi^2; an f actor at or
+past that radius raises DomainError.  :func:`realize` is the single-point
+entry; the gauge flow of :mod:`cosetrep.induced` calls the core once per
+Euler step for a whole section, and the verify suite feeds it the
 report-only plain-l profile.
 
 For so(1,m) the resummed field has the closed form of
@@ -37,6 +41,7 @@ For so(1,m) the resummed field has the closed form of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,6 +92,8 @@ def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
 
 
 def _check_order(order: int) -> None:
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+        raise DomainError(f"truncation order must be an integer, got {order!r}")
     if order < 1:
         raise DomainError(f"truncation order must be >= 1, got {order}")
 
@@ -117,11 +124,13 @@ def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _weights(order: int) -> Mapping[int, float]:
     """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order.
 
-    Built once per order and shared, so the map is read-only.
+    Built once per order and shared, so the map is read-only.  The cache is
+    typed, so True or 2.0 never hits the entry of 1 or 2 and meets the
+    integer check instead.
     """
     return MappingProxyType(dict(even_bracket_weights(order) + odd_bracket_weights(order)))
 
@@ -137,39 +146,54 @@ def _series(
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
     have the shapes of xf and xh.  weights maps every n from 1 to the order
-    max(weights) to the weight of T_n.  Rows never mix, so each node's result
-    is the one a single-node call gives.
+    max(weights) to the weight of T_n.  Rows never mix: every product either
+    runs per node or is a GEMM whose rows are the nodes, and for so(1,m) each
+    node's result is bit for bit the one a single-node call gives.
     """
-    # x -> [x, F] as its two blocks: to_h[n] maps f to h, to_f[n] maps h to f
-    to_h = np.einsum("abd,nb->nda", alg.c_ff, sigma)
-    to_f = -np.einsum("abd,na->ndb", alg.c_fh, sigma)
-    moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
-    if moving.any():
-        # ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2.  The
-        # max-row-sum norm bounds it from above, so eigenvalues are needed
-        # only at nodes where that bound reaches pi^2.
-        sq = np.einsum("ndb,nba->nda", to_f[moving], to_h[moving])
-        near = sq[np.abs(sq).sum(axis=2).max(axis=1) >= math.pi**2]
+    n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
+    # x -> [x, F] as its two blocks, one GEMM each: to_h[n] maps f to h, and
+    # to_f_t[n] is the transpose of the block that maps h to f
+    to_h = (sigma @ alg.c_ff.transpose(1, 2, 0).reshape(nf, nh * nf)).reshape(n, nh, nf)
+    to_f_t = ((-sigma) @ alg.c_fh.reshape(nf, nh * nf)).reshape(n, nh, nf)
+    # S = ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2
+    s = to_f_t.transpose(0, 2, 1) @ to_h
+    # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
+    # needed only at moving nodes where that bound reaches pi^2, and only
+    # when some row of some node reaches it at all.
+    row_sums = np.abs(s).reshape(n * nf, nf) @ np.ones(nf)
+    if row_sums.max(initial=0.0) >= math.pi**2:
+        moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
+        near = s[moving & (row_sums.reshape(n, nf).max(axis=1) >= math.pi**2)]
         rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
         if rho >= math.pi:
             raise DomainError(
                 f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
             )
-    # the sums start from +0.0, so an exact zero never comes out as -0.0
+    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the tower runs on S, the
+    # odd terms are summed in f and mapped to h once.  The sums start from
+    # +0.0, so an exact zero never comes out as -0.0.
+    top = max(weights)
     dF = np.zeros(xf.shape)
-    dI = np.zeros(xh.shape)
     dF += xf
-    t = xf
-    for n in range(1, max(weights) + 1):
-        if n % 2:
-            t = np.einsum("nda,na->nd", to_h, t)
-            dI += weights[n] * t
-        else:
-            t = np.einsum("nda,na->nd", to_f, t)
-            dF += weights[n] * t
-    # every l_{2k-1} past l_1 vanishes, so the h actor's field is [X, F]
-    dF += np.einsum("nda,na->nd", to_f, xh)
+    odd = weights[1] * xf
+    u = xf
+    for k in range(1, top // 2 + 1):
+        u = np.einsum("nda,na->nd", s, u)
+        dF += weights[2 * k] * u
+        if 2 * k < top:
+            odd += weights[2 * k + 1] * u
+    dI = np.zeros(xh.shape)
+    dI += np.einsum("nda,na->nd", to_h, odd)
     dI += xh
+    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
+    # [X, F] = to_f X.  It is summed over b one elementwise product at a
+    # time, not by a reduction kernel whose order may depend on N or on the
+    # BLAS build.  For so(1,m) every entry of to_f is one signed sigma^a and
+    # b runs in the order of a, so the sum is lie.bracket's term for term.
+    field = np.zeros(xf.shape)
+    for b in range(nh):
+        field += to_f_t[:, b, :] * xh[:, b : b + 1]
+    dF += field
     return dF, dI
 
 
@@ -181,13 +205,16 @@ def realize(
 ) -> InfinitesimalAction:
     """Infinitesimal action of a general generator xi = xi_h + xi_f at a point.
 
-    Raises DomainError for order < 1 or when xi has an f part and the point
-    lies at or past the series radius rho(ad_F) = pi, and DimensionError when
-    xi or the point belongs to another algebra.
+    Raises DomainError when order is not an integer >= 1, when xi has
+    non-finite entries, or when xi has an f part and the point lies at or
+    past the series radius rho(ad_F) = pi, and DimensionError when xi or the
+    point belongs to another algebra.
     """
     if xi.algebra is not alg:
         raise DimensionError("generator belongs to a different algebra")
     _check_point(alg, point)
+    if not (np.isfinite(xi.h).all() and np.isfinite(xi.f).all()):
+        raise DomainError("generator xi has non-finite entries")
     dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], _weights(order))
     return InfinitesimalAction(dF=dF[0], dI=dI[0])
 

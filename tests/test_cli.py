@@ -264,6 +264,8 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
         ("realize", {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"rotations": [[True, 2, 0.3]]}}),
         ("factor", {"m": 3, "rotations": [[1.5, 2.7, 0.3]]}),
         ("factor", {"m": 3, "rotations": [[True, 2, 0.3]]}),
+        ("factor", {"m": 3, "boost": [400, 0, 0]}),
+        ("factor", {"m": 3, "boost": [300, 0, 0]}),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):

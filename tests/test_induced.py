@@ -446,6 +446,18 @@ def test_group_from_spec():
     )
 
 
+def test_group_from_spec_bounds_the_rapidity():
+    """The form check's entries grow like cosh^2 of the rapidity 2|boost|;
+    past 354 the spec raises before any matrix is built, with no overflow
+    warning (pytest turns those into errors)."""
+    g = group_from_spec(3, boost=[177.0, 0.0, 0.0])
+    pair = factor_boost_rotation(g)
+    np.testing.assert_allclose(pair.f_prime.sigma, [177.0, 0.0, 0.0], rtol=1e-12)
+    for boost in ([177.5, 0.0, 0.0], [300.0, 0.0, 0.0], [400.0, 0.0, 0.0], [0.0, 150.0, 150.0], [1e300, 1e300, 0.0]):
+        with pytest.raises(DomainError, match="rapidity .* exceeds 354"):
+            group_from_spec(3, boost=boost)
+
+
 def test_section_construction_and_split():
     section = CompositeSection(np.zeros((4, 3)), np.ones((4, 5)))
     assert section.n_nodes == 4 and section.m == 3 and section.d == 5
@@ -548,6 +560,47 @@ def test_gauge_validation():
         gauge_transform_section(
             alg, CompositeSection(np.zeros((2, 2)), np.zeros((2, 3))), np.zeros((2, 3)), 0.1, hrep
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gauge_rejects_non_finite_generators_and_times(bad):
+    """A non-finite xi, t or eps names itself before any step is taken,
+    instead of surfacing as a non-finite section after one."""
+    m = 3
+    alg = so1m_algebra(m)
+    hrep = vector_hrep(m)
+    section = CompositeSection(np.full((2, m), 0.1), np.ones((2, m)))
+    xi = np.zeros((2, alg.dim))
+    for col in (0, alg.dim_h):
+        bad_xi = xi.copy()
+        bad_xi[1, col] = bad
+        with pytest.raises(DomainError, match="xi has non-finite entries"):
+            flow_section(alg, section, bad_xi, 1.0, 2, hrep)
+        with pytest.raises(DomainError, match="xi has non-finite entries"):
+            gauge_transform_section(alg, section, bad_xi, 0.1, hrep)
+    with pytest.raises(DomainError, match="t must be finite"):
+        flow_section(alg, section, xi, bad, 2, hrep)
+    with pytest.raises(DomainError, match="eps must be finite"):
+        gauge_transform_section(alg, section, xi, bad, hrep)
+
+
+@pytest.mark.parametrize("steps", [True, 2.5, 2.0, "2", None])
+def test_flow_steps_must_be_an_integer(steps):
+    alg = so1m_algebra(2)
+    section = CompositeSection(np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(DomainError, match="steps must be an integer"):
+        flow_section(alg, section, np.zeros((1, 3)), 1.0, steps, vector_hrep(2))
+
+
+def test_flow_accepts_numpy_integers():
+    alg = so1m_algebra(2)
+    section = CompositeSection(np.full((1, 2), 0.1), np.ones((1, 2)))
+    xi = np.full((1, 3), 0.2)
+    hrep = vector_hrep(2)
+    want = flow_section(alg, section, xi, 1.0, 3, hrep, order=5)
+    got = flow_section(alg, section, xi, 1.0, np.int64(3), hrep, order=np.int32(5))
+    np.testing.assert_array_equal(got.sigma, want.sigma)
+    np.testing.assert_array_equal(got.v, want.v)
 
 
 @pytest.mark.parametrize("kind, m, n", [("vector", 3, 40), ("spinor", 5, 12)])

@@ -1,13 +1,17 @@
 """The iterated-bracket realization against hand values, finite differences,
 and its own resummed closed form."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cosetrep.coeffs import l_coeffs
 from cosetrep.errors import DimensionError, DomainError
-from cosetrep.lie import CosetPoint, bracket, h_pairs, so1m_algebra
+from cosetrep.lie import CosetPoint, ReductiveAlgebra, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
+    _series,
+    _weights,
     even_bracket_weights,
     odd_bracket_weights,
     realize,
@@ -36,6 +40,38 @@ def test_order_must_be_positive():
     alg = so1m_algebra(2)
     with pytest.raises(DomainError):
         realize(alg, alg.f_basis(0), CosetPoint(np.zeros(2)), order=0)
+
+
+@pytest.mark.parametrize("order", [True, False, 2.5, 11.0, "11", None])
+def test_order_must_be_an_integer(order):
+    """bool is not an order, and a float never stands in for one, even after
+    the integer it equals has been cached."""
+    alg = so1m_algebra(2)
+    point = CosetPoint(np.array([0.1, 0.2]))
+    realize(alg, alg.f_basis(0), point, order=1)
+    realize(alg, alg.f_basis(0), point, order=11)
+    with pytest.raises(DomainError, match="must be an integer"):
+        realize(alg, alg.f_basis(0), point, order=order)
+
+
+def test_numpy_integer_orders_are_orders():
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.array([0.1, 0.2, -0.3]))
+    want = realize(alg, alg.f_basis(1), point, order=7)
+    got = realize(alg, alg.f_basis(1), point, order=np.int64(7))
+    np.testing.assert_array_equal(got.dF, want.dF)
+    np.testing.assert_array_equal(got.dI, want.dI)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_generator_raises(bad):
+    """A NaN in the f part used to skip the radius check and come back as
+    a NaN field; any non-finite entry now names xi."""
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.array([0.1, 0.0, 0.0]))
+    for xi in (alg.element(f=[bad, 0.0, 0.0]), alg.element(h=[0.0, bad, 0.0])):
+        with pytest.raises(DomainError, match="xi has non-finite entries"):
+            realize(alg, xi, point)
 
 
 def test_generator_and_point_must_match_the_algebra():
@@ -272,3 +308,121 @@ def test_action_arrays_read_only():
         act.dF[0] = 1.0
     with pytest.raises(ValueError):
         act.dI[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the S tower against the alternating bracket tower
+# ---------------------------------------------------------------------------
+
+def _reference_series(alg, sigma, xh, xf, weights):
+    """The alternating bracket tower the S tower replaced, kept verbatim:
+    T_n alternates between the two blocks of x -> [x, F], one batched
+    mat-vec per order."""
+    # x -> [x, F] as its two blocks: to_h[n] maps f to h, to_f[n] maps h to f
+    to_h = np.einsum("abd,nb->nda", alg.c_ff, sigma)
+    to_f = -np.einsum("abd,na->ndb", alg.c_fh, sigma)
+    moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
+    if moving.any():
+        # ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2.  The
+        # max-row-sum norm bounds it from above, so eigenvalues are needed
+        # only at nodes where that bound reaches pi^2.
+        sq = np.einsum("ndb,nba->nda", to_f[moving], to_h[moving])
+        near = sq[np.abs(sq).sum(axis=2).max(axis=1) >= math.pi**2]
+        rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
+        if rho >= math.pi:
+            raise DomainError(
+                f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
+            )
+    # the sums start from +0.0, so an exact zero never comes out as -0.0
+    dF = np.zeros(xf.shape)
+    dI = np.zeros(xh.shape)
+    dF += xf
+    t = xf
+    for n in range(1, max(weights) + 1):
+        if n % 2:
+            t = np.einsum("nda,na->nd", to_h, t)
+            dI += weights[n] * t
+        else:
+            t = np.einsum("nda,na->nd", to_f, t)
+            dF += weights[n] * t
+    # every l_{2k-1} past l_1 vanishes, so the h actor's field is [X, F]
+    dF += np.einsum("nda,na->nd", to_f, xh)
+    dI += xh
+    return dF, dI
+
+
+def _compact_dual(alg):
+    """c_ff -> -c_ff: the compact partner of the split, where S = ad_F^2 on f
+    has negative eigenvalues."""
+    return ReductiveAlgebra(alg.c_hh, -alg.c_ff, alg.c_fh)
+
+
+def _nodes(rng, alg, n, radius=0.6):
+    sigma = rng.uniform(-1.0, 1.0, (n, alg.dim_f))
+    sigma *= rng.uniform(0.0, radius, (n, 1)) / np.linalg.norm(sigma, axis=1, keepdims=True)
+    return sigma, rng.uniform(-1.0, 1.0, (n, alg.dim_h)), rng.uniform(-1.0, 1.0, (n, alg.dim_f))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("dual", [False, True])
+def test_s_tower_matches_the_alternating_tower(m, dual):
+    """Both profiles (and the plain-l one verify reports) at orders 1, 2, 11
+    and 61, one node and 1000 nodes, within 1e-14 of the largest entry."""
+    rng = np.random.default_rng(10 * m + dual)
+    alg = _compact_dual(so1m_algebra(m)) if dual else so1m_algebra(m)
+    for n in (1, 1000):
+        sigma, xh, xf = _nodes(rng, alg, n)
+        for order in (1, 2, 11, 61):
+            plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
+            for weights in (_weights(order), plain):
+                got = _series(alg, sigma, xh, xf, weights)
+                want = _reference_series(alg, sigma, xh, xf, weights)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+def test_compact_dual_radius():
+    """On the compact dual S has eigenvalue -4|sigma|^2, so the radius is
+    still |sigma| = pi/2; both cores raise on the same side of it."""
+    alg = _compact_dual(so1m_algebra(3))
+    xh, xf = np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]])
+    for s, raises in ((1.5, False), (1.6, True)):
+        sigma = np.array([[s, 0.0, 0.0]])
+        for core in (_series, _reference_series):
+            if raises:
+                with pytest.raises(DomainError, match="radius"):
+                    core(alg, sigma, xh, xf, _weights(11))
+            else:
+                core(alg, sigma, xh, xf, _weights(11))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_batched_rows_equal_single_node_calls(m):
+    """Rows never mix: every row of a 1000-node call is, bit for bit, the
+    single-node call on that row."""
+    rng = np.random.default_rng(m)
+    alg = so1m_algebra(m)
+    sigma, xh, xf = _nodes(rng, alg, 1000)
+    xf[::7] = 0.0
+    xh[3::7] = 0.0
+    for order in (2, 11):
+        weights = _weights(order)
+        dF, dI = _series(alg, sigma, xh, xf, weights)
+        for i in range(len(sigma)):
+            one = _series(alg, sigma[i : i + 1], xh[i : i + 1], xf[i : i + 1], weights)
+            assert one[0][0].tobytes() == dF[i].tobytes()
+            assert one[1][0].tobytes() == dI[i].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_batched_h_field_is_the_bracket(m):
+    """The h actor's field [X_h, F] of a batched call equals lie.bracket
+    node by node, bit for bit."""
+    rng = np.random.default_rng(100 + m)
+    alg = so1m_algebra(m)
+    sigma, xh, _ = _nodes(rng, alg, 300, radius=3.0)
+    dF, dI = _series(alg, sigma, xh, np.zeros(sigma.shape), _weights(11))
+    for i in range(len(sigma)):
+        want = bracket(alg.element(h=xh[i]), alg.element(f=sigma[i])).f
+        assert dF[i].tobytes() == want.tobytes()
+    assert dI.tobytes() == xh.tobytes()
