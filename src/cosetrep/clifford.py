@@ -11,18 +11,25 @@ i1 < ... < ik) to its real coefficient.  The empty tuple is the scalar blade.
 The matrix representation returned by :func:`matrix_rep` is an independent
 check on the symbolic product: it is built from fixed 2x2 seeds by tensor
 doubling, never from :func:`blade_product`.
+
+Everything that depends on m or on a blade pair alone is built once per
+process: the grade-lex blade tuple, the product of two blades (a bounded
+cache holding every pair for m <= 6) and the stacked blade images of the
+matrix representation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "CliffordSpace",
@@ -48,6 +55,8 @@ class CliffordSpace:
     m: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise DimensionError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise DimensionError(f"need m >= 1, got {self.m}")
 
@@ -58,8 +67,7 @@ class CliffordSpace:
 
     def blades(self) -> Iterator[Blade]:
         """All index tuples, ordered by grade then lexicographically."""
-        for r in range(self.m + 1):
-            yield from itertools.combinations(range(1, self.m + 1), r)
+        return iter(_blade_tuple(self.m))
 
     def check_blade(self, idx: Iterable[int]) -> Blade:
         t = tuple(idx)
@@ -70,11 +78,20 @@ class CliffordSpace:
         return t
 
 
+@lru_cache(maxsize=None)
+def _blade_tuple(m: int) -> tuple[Blade, ...]:
+    return tuple(
+        t for r in range(m + 1) for t in itertools.combinations(range(1, m + 1), r)
+    )
+
+
+@lru_cache(maxsize=4096)
 def _mul_blades(ea: Blade, eb: Blade) -> tuple[Blade, int]:
     """Product of two basis blades: resulting blade and sign.
 
     Indices of eb are merged into ea one at a time; each transposition past a
-    larger index flips the sign, and a repeated index contracts to +1.
+    larger index flips the sign, and a repeated index contracts to +1.  The
+    cache holds every pair of blades of Cl(6) (64 * 64 = 4096 entries).
     """
     sign = 1
     out = list(ea)
@@ -98,7 +115,8 @@ class Multivector:
     ----------
     space : CliffordSpace
     coeffs : mapping from index tuple to float, optional
-        Entries with coefficient exactly 0.0 are dropped.
+        Entries with coefficient exactly 0.0 are dropped; a non-finite
+        coefficient raises DomainError.
     """
 
     __slots__ = ("space", "_c")
@@ -110,6 +128,8 @@ class Multivector:
             for idx, val in coeffs.items():
                 t = space.check_blade(idx)
                 v = float(val)
+                if not math.isfinite(v):
+                    raise DomainError(f"coefficient of blade {t} is not finite: {v}")
                 if v != 0.0:
                     c[t] = c.get(t, 0.0) + v
                     if c[t] == 0.0:
@@ -261,27 +281,33 @@ def matrix_rep(space: CliffordSpace) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _blade_matrices(m: int) -> dict[Blade, np.ndarray]:
+def _blade_images(m: int) -> tuple[dict[Blade, int], np.ndarray]:
+    """Row of each blade in the stack, and the stack of blade images (2^m, d*d)."""
     fam = _gamma_family(m)
     n = fam[0].shape[0]
-    out: dict[Blade, np.ndarray] = {}
-    for t in CliffordSpace(m).blades():
+    blades = _blade_tuple(m)
+    stack = np.empty((len(blades), n * n))
+    for row, t in enumerate(blades):
         P = np.eye(n)
         for i in t:
             P = P @ fam[i - 1]
-        P.setflags(write=False)
-        out[t] = P
-    return out
+        stack[row] = P.ravel()
+    stack.setflags(write=False)
+    return {t: row for row, t in enumerate(blades)}, stack
 
 
 def multivector_matrix(a: Multivector) -> np.ndarray:
-    """Image of a multivector under the matrix representation."""
-    table = _blade_matrices(a.space.m)
-    n = next(iter(table.values())).shape[0]
-    out = np.zeros((n, n))
-    for t, v in a._c.items():
-        out += v * table[t]
-    return out
+    """Image of a multivector under the matrix representation.
+
+    Every blade image is a signed permutation matrix and no matrix entry is
+    shared by more than two blades, so each entry of the product below is a
+    sum of at most two nonzero terms and does not depend on term order.
+    """
+    index, stack = _blade_images(a.space.m)
+    n = math.isqrt(stack.shape[1])
+    rows = [index[t] for t in a._c]
+    coef = np.fromiter(a._c.values(), dtype=float, count=len(rows))
+    return (coef @ stack.take(rows, axis=0)).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +319,14 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
 
     A grade-1 element squares to the scalar s^2, so the exponential closes on
     the scalar + vector subspace.  The sinh(s)/s factor is evaluated by a
-    Taylor polynomial below s = 1e-6, which makes s = 0 regular.
+    Taylor polynomial below s = 1e-6, which makes s = 0 regular.  A
+    non-finite sigma raises DomainError.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (space.m,):
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise DomainError(f"sigma has non-finite entries: {sigma}")
     s = float(np.linalg.norm(sigma))
     if s < _SMALL_NORM:
         s2 = s * s

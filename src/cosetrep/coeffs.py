@@ -4,9 +4,13 @@ The numbers l_1, l_2, ... are defined by the triangular recursion
 
     n / (n+1)!  =  sum_{i=1}^{n}  l_i / (n+1-i)!
 
-solved top-down in exact rational arithmetic.  They satisfy l_n * n! = B_n,
-the Bernoulli numbers in the convention with B_1 = +1/2, which is what the
-independent Akiyama-Tanigawa routine below computes as a cross-check.
+They satisfy l_n * n! = B_n, the Bernoulli numbers in the convention with
+B_1 = +1/2, which is what the independent Akiyama-Tanigawa routine below
+computes as a cross-check.  Multiplied through by (n+1)! the recursion is the
+binomial Bernoulli recurrence sum_{i=0}^{n} C(n+1, i) B_i = n + 1 (Graham,
+Knuth and Patashnik, Concrete Mathematics, section 6.5), which is solved in
+integers over one common denominator; only the returned entries are
+``fractions.Fraction``.
 The table is a pure function of its length, so each length is built once per
 process and the frozen instance is shared.
 """
@@ -14,9 +18,12 @@ process and the frozen instance is shared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import DomainError
 
 __all__ = ["CoeffTable", "l_coeffs", "bernoulli_numbers", "recursion_residuals"]
 
@@ -37,9 +44,15 @@ class CoeffTable:
         return self.values[n - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def l_coeffs(N: int) -> CoeffTable:
     """Solve the recursion for l_1 .. l_N exactly.
+
+    D = lcm(1..N+1) clears every Bernoulli denominator up to B_N (von
+    Staudt-Clausen), so a_n = D B_n is an integer and the recurrence reads
+    a_n = (n D - sum_{i=1}^{n-1} C(n+1, i) a_i) / (n+1), an exact division.
+    The cache is typed, so True never hits the entry of 1 and meets the
+    integer check instead.
 
     Parameters
     ----------
@@ -50,16 +63,26 @@ def l_coeffs(N: int) -> CoeffTable:
     -------
     CoeffTable
         l_1 = 1/2, l_2 = 1/12, l_3 = 0, l_4 = -1/720, ...
+
+    Raises
+    ------
+    DomainError
+        N is not an integer (bools included) or N < 1.
     """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise DomainError(f"table length must be an integer, got {N!r}")
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    out: list[Fraction] = []
+        raise DomainError(f"need N >= 1, got {N}")
+    N = int(N)
+    D = math.lcm(*range(1, N + 2))
+    a: list[int] = [D]
     for n in range(1, N + 1):
-        s = Fraction(n, math.factorial(n + 1))
-        for i in range(1, n):
-            s -= out[i - 1] / math.factorial(n + 1 - i)
-        out.append(s)
-    return CoeffTable(tuple(out))
+        s = n * D - sum(math.comb(n + 1, i) * a[i] for i in range(1, n))
+        q, r = divmod(s, n + 1)
+        if r:
+            raise ArithmeticError(f"D B_{n} is not an integer (remainder {r} mod {n + 1})")
+        a.append(q)
+    return CoeffTable(tuple(Fraction(a[n], D * math.factorial(n)) for n in range(1, N + 1)))
 
 
 def recursion_residuals(table: CoeffTable) -> list[Fraction]:

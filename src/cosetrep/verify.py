@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordSpace, Multivector, blade_product, matrix_rep, multivector_matrix, exp_vector
+from .clifford import (
+    CliffordSpace,
+    Multivector,
+    _blade_tuple,
+    blade_product,
+    exp_vector,
+    matrix_rep,
+    multivector_matrix,
+)
 from .coeffs import bernoulli_numbers, l_coeffs, recursion_residuals
 from .errors import BranchError, OrthochronousError
 from .induced import (
@@ -200,12 +208,16 @@ def suite_coeffs(seed: int = 0) -> list[PropertyResult]:
 # ---------------------------------------------------------------------------
 
 def _random_multivector(rng, space: CliffordSpace, n_terms: int = 4) -> Multivector:
-    blades = tuple(space.blades())
+    blades = _blade_tuple(space.m)
     picks = rng.integers(0, len(blades), size=n_terms)
+    vals = rng.uniform(-2.0, 2.0, n_terms)
     data = {}
-    for p in picks:
-        data[blades[p]] = data.get(blades[p], 0.0) + float(rng.uniform(-2.0, 2.0))
-    return Multivector(space, data)
+    for p, v in zip(picks.tolist(), vals.tolist()):
+        data[blades[p]] = data.get(blades[p], 0.0) + v
+    # the blades are valid by construction; blade_product sums in dict order
+    out = Multivector(space)
+    out._c.update((t, v) for t, v in data.items() if v != 0.0)
+    return out
 
 
 def suite_clifford(seed: int = 0) -> list[PropertyResult]:

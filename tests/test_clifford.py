@@ -8,13 +8,16 @@ from scipy.linalg import expm
 from cosetrep.clifford import (
     CliffordSpace,
     Multivector,
+    _gamma_family,
+    _mul_blades,
     blade_product,
     commutator,
     exp_vector,
     matrix_rep,
     multivector_matrix,
 )
-from cosetrep.errors import DimensionError
+from cosetrep.errors import DimensionError, DomainError
+from cosetrep.verify import _random_multivector
 
 
 def _all_blades(m):
@@ -209,3 +212,113 @@ def test_spaces_do_not_mix():
         a + b
     with pytest.raises(DimensionError):
         a * b
+
+
+# ---------------------------------------------------------------------------
+# cached tables against the routines they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_mul_blades(ea, eb):
+    """Product of two basis blades: resulting blade and sign (uncached)."""
+    sign = 1
+    out = list(ea)
+    for x in eb:
+        pos = len(out)
+        while pos > 0 and out[pos - 1] > x:
+            pos -= 1
+        if (len(out) - pos) % 2:
+            sign = -sign
+        if pos > 0 and out[pos - 1] == x:
+            out.pop(pos - 1)
+        else:
+            out.insert(pos, x)
+    return tuple(out), sign
+
+
+def _reference_multivector_matrix(a):
+    """Per-term sum over a dict of blade images (the former multivector_matrix)."""
+    fam = _gamma_family(a.space.m)
+    n = fam[0].shape[0]
+    table = {}
+    for t in a.space.blades():
+        P = np.eye(n)
+        for i in t:
+            P = P @ fam[i - 1]
+        table[t] = P
+    out = np.zeros((n, n))
+    for t, v in a._c.items():
+        out += v * table[t]
+    return out
+
+
+def _reference_random_multivector(rng, space, n_terms=4):
+    """The former verify draw: one scalar uniform per term, validated blades."""
+    blades = tuple(space.blades())
+    picks = rng.integers(0, len(blades), size=n_terms)
+    data = {}
+    for p in picks:
+        data[blades[p]] = data.get(blades[p], 0.0) + float(rng.uniform(-2.0, 2.0))
+    return Multivector(space, data)
+
+
+def test_blade_products_match_uncached_reference():
+    blades = _all_blades(6)
+    for ea in blades:
+        for eb in blades:
+            assert _mul_blades(ea, eb) == _reference_mul_blades(ea, eb)
+    info = _mul_blades.cache_info()
+    assert info.maxsize == 4096
+    assert info.currsize <= 4096
+
+
+def test_blades_in_grade_lex_order():
+    for m in range(1, 7):
+        blades = list(CliffordSpace(m).blades())
+        assert blades == sorted(blades, key=lambda t: (len(t), t))
+        assert len(set(blades)) == 2**m
+
+
+def test_stacked_matrix_is_bit_identical_to_per_term_sum():
+    rng = np.random.default_rng(11)
+    for m in range(1, 6):
+        sp = CliffordSpace(m)
+        blades = _all_blades(m)
+        for _ in range(100):
+            k = int(rng.integers(0, len(blades) + 1))
+            a = Multivector(sp, {blades[i]: rng.uniform(-2, 2) for i in rng.integers(0, len(blades), size=k)})
+            assert multivector_matrix(a).tobytes() == _reference_multivector_matrix(a).tobytes()
+
+
+def test_verify_draw_matches_scalar_draws():
+    for seed in range(10):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in range(1, 6):
+            sp = CliffordSpace(m)
+            for _ in range(20):
+                a = _random_multivector(new, sp)
+                b = _reference_random_multivector(old, sp)
+                assert list(a._c.items()) == list(b._c.items())
+        assert new.uniform() == old.uniform()
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3", None])
+def test_space_needs_integer_dimension(m):
+    with pytest.raises(DimensionError):
+        CliffordSpace(m)
+
+
+def test_space_accepts_numpy_integer():
+    assert CliffordSpace(np.int64(3)).dim == 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise(bad):
+    sp = CliffordSpace(3)
+    with pytest.raises(DomainError, match="sigma"):
+        exp_vector(sp, [bad, 0.0, 0.0])
+    with pytest.raises(DomainError, match="blade"):
+        Multivector(sp, {(1,): bad})

@@ -3,9 +3,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cosetrep.coeffs import CoeffTable, bernoulli_numbers, l_coeffs, recursion_residuals
+from cosetrep.errors import DomainError
+
+
+def _reference_l_coeffs(N):
+    """The recursion solved top-down in Fraction arithmetic (the former l_coeffs)."""
+    out: list[Fraction] = []
+    for n in range(1, N + 1):
+        s = Fraction(n, math.factorial(n + 1))
+        for i in range(1, n):
+            s -= out[i - 1] / math.factorial(n + 1 - i)
+        out.append(s)
+    return CoeffTable(tuple(out))
 
 
 def test_first_values_exact():
@@ -75,3 +88,19 @@ def test_table_is_persistent():
     assert isinstance(table, CoeffTable)
     assert table.values == l_coeffs(8).values
     assert l_coeffs(8) is l_coeffs(8)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 12, 24, 62, 150])
+def test_integer_recurrence_matches_fraction_recursion(N):
+    assert l_coeffs(N).values == _reference_l_coeffs(N).values
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "4", None])
+def test_rejects_non_integer_length(bad):
+    l_coeffs(1)  # a cached entry for 1 must not answer for True
+    with pytest.raises(DomainError):
+        l_coeffs(bad)
+
+
+def test_accepts_numpy_integer_length():
+    assert l_coeffs(np.int64(7)).values == l_coeffs(7).values
