@@ -46,6 +46,8 @@ Blade = tuple[int, ...]
 # below this norm the sinh(s)/s factor of exp_vector switches to its Taylor
 # polynomial; the degree-4 truncation is exact to well under 1e-12 there
 _SMALL_NORM = 1e-6
+# largest |sigma| of exp_vector: cosh and sinh overflow just past 710.47
+_MAX_NORM = 710.0
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,8 @@ class Multivector:
             c[t] = c.get(t, 0.0) + s * v
             if c[t] == 0.0:
                 del c[t]
+        if not math.isfinite(sum(c.values())):
+            _raise_non_finite(c)
         out = Multivector(self.space)
         out._c.update(c)
         return out
@@ -207,9 +211,15 @@ class Multivector:
         return self.scale(-1.0)
 
     def scale(self, a: float) -> "Multivector":
+        a = float(a)
+        if not math.isfinite(a):
+            raise DomainError(f"scale factor is not finite: {a}")
         out = Multivector(self.space)
         if a != 0.0:
-            out._c.update({t: a * v for t, v in self._c.items()})
+            c = {t: a * v for t, v in self._c.items()}
+            if not math.isfinite(sum(c.values())):
+                _raise_non_finite(c)
+            out._c.update(c)
         return out
 
     def __mul__(self, other):
@@ -230,9 +240,23 @@ def blade_product(a: Multivector, b: Multivector) -> Multivector:
         for tb, vb in b._c.items():
             t, s = _mul_blades(ta, tb)
             c[t] = c.get(t, 0.0) + s * va * vb
+    if not math.isfinite(sum(c.values())):
+        _raise_non_finite(c)
     out = Multivector(a.space)
     out._c.update({t: v for t, v in c.items() if v != 0.0})
     return out
+
+
+def _raise_non_finite(c: dict[Blade, float]) -> None:
+    """Raise DomainError for the first non-finite coefficient of c.
+
+    Arithmetic calls this only when the sum of c's values is not finite,
+    which every NaN or overflowed value makes it; the sum of finite values
+    can overflow too, and then nothing is raised.
+    """
+    for t, v in c.items():
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient of blade {t} is not finite: {v}")
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
@@ -320,13 +344,20 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
     A grade-1 element squares to the scalar s^2, so the exponential closes on
     the scalar + vector subspace.  The sinh(s)/s factor is evaluated by a
     Taylor polynomial below s = 1e-6, which makes s = 0 regular.  A
-    non-finite sigma raises DomainError.
+    non-finite sigma, or one with s > 710 where cosh(s) overflows, raises
+    DomainError.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (space.m,):
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
     if not np.isfinite(sigma).all():
         raise DomainError(f"sigma has non-finite entries: {sigma}")
+    # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
+    size = math.hypot(*sigma)
+    if size > _MAX_NORM:
+        raise DomainError(
+            f"|sigma| = {size:.6g} exceeds {_MAX_NORM:g}, past which cosh(|sigma|) overflows"
+        )
     s = float(np.linalg.norm(sigma))
     if s < _SMALL_NORM:
         s2 = s * s

@@ -91,13 +91,16 @@ class HRepresentation:
     """Matrices G_a for the stabilizer generators of a reductive algebra.
 
     Construction verifies [G_a, G_b] = c_hh[a,b,c] G_c to 1e-10, so any
-    instance exponentiates consistently with the algebra it names.
+    instance exponentiates consistently with the algebra it names;
+    generators with non-finite entries raise ClosureError.
     """
 
     algebra: ReductiveAlgebra
     generators: np.ndarray
     # the generators are the plane rotations E_ki - E_ik of R^d themselves
     _planes: bool = field(init=False, repr=False)
+    # (d, d * dim_h) table T with v @ T = (G_a v)[e] at column e * dim_h + a
+    _action_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -106,14 +109,10 @@ class HRepresentation:
             raise DimensionError(
                 f"expected generator stack of shape ({nh}, d, d), got {gens.shape}"
             )
-        # one generator against the whole stack at a time: batching both
-        # indices would hold dim_h^2 products of size d x d at once
-        worst = 0.0
-        for a in range(nh):
-            lhs = gens[a] @ gens - gens @ gens[a]
-            rhs = np.tensordot(self.algebra.c_hh[a], gens, axes=1)
-            worst = max(worst, float(abs(lhs - rhs).max()))
-        if worst > _TOL:
+        if not np.isfinite(gens).all():
+            raise ClosureError("generators have non-finite entries")
+        worst = _closure_residual(gens, self.algebra.c_hh)
+        if not worst <= _TOL:
             raise ClosureError(
                 f"generators do not satisfy the stabilizer brackets (residual {worst:.3e})"
             )
@@ -125,6 +124,9 @@ class HRepresentation:
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
         )
         object.__setattr__(self, "_planes", planes)
+        table = gens.transpose(2, 1, 0).reshape(d, d * nh)
+        table.setflags(write=False)
+        object.__setattr__(self, "_action_table", table)
 
     @property
     def d(self) -> int:
@@ -159,6 +161,44 @@ class HRepresentation:
         if self._planes:
             return rho
         return self.exp(_log_coords(rho))
+
+
+# the closure check holds at most this many floats in each working array
+# (2^18 floats, 2 MB)
+_CLOSURE_CHUNK = 1 << 18
+
+
+def _closure_residual(gens: np.ndarray, c_hh: np.ndarray) -> float:
+    """max |[G_a, G_b] - c_hh[a,b,c] G_c| over every ordered pair (a, b).
+
+    Each ordered product G_a G_b is formed once: a pair a < b gives
+    [G_a, G_b] = P_ab - P_ba, and [G_b, G_a] is its exact negative.  For
+    a = b the commutator is exactly zero, so only the right-hand side is
+    compared.  The pairs run in a-major order in chunks of at most
+    _CLOSURE_CHUNK floats per working array, whatever dim_h and d are.  A
+    NaN anywhere makes the residual NaN.
+    """
+    nh, d = gens.shape[:2]
+    flat = gens.reshape(nh, d * d)
+    diag, ia, ib = _pair_index(nh)
+    parts = [abs(c_hh[diag, diag] @ flat).max(initial=0.0)]
+    step = max(1, _CLOSURE_CHUNK // max(1, 2 * d * d))
+    for lo in range(0, len(ia), step):
+        a, b = ia[lo : lo + step], ib[lo : lo + step]
+        lhs = (gens[a] @ gens[b] - gens[b] @ gens[a]).reshape(len(a), d * d)
+        # the right-hand sides of (a, b) and (b, a) in one product
+        rhs = c_hh[np.concatenate((a, b)), np.concatenate((b, a))] @ flat
+        parts += [abs(lhs - rhs[: len(a)]).max(), abs(lhs + rhs[len(a) :]).max()]
+    return float(np.max(parts))
+
+
+@lru_cache(maxsize=None)
+def _pair_index(nh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """range(nh), and the pairs a < b in a-major order as two index arrays."""
+    out = (np.arange(nh),) + np.triu_indices(nh, 1)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -463,6 +503,21 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
     return CosetPoint(sigma), moved
 
 
+def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dv = sum_a dI^a (G_a v) for N nodes: dI of shape (N, dim_h), v (N, d).
+
+    Every G_a v_n comes from one GEMM of v against the representation's
+    table; for the vector and spinor reps each of its entries is a single
+    signed term, so it is exact whatever the BLAS kernel.  The sum over a
+    then runs per node, so a node's dv does not depend on N.
+    """
+    nh = hrep.algebra.dim_h
+    if dI.shape[-1] != nh:
+        raise DimensionError(f"expected {nh} compensator coordinates, got {dI.shape[-1]}")
+    gv = (v @ hrep._action_table).reshape(v.shape[0], hrep.d, nh)
+    return np.einsum("nea,na->ne", gv, dI)
+
+
 def infinitesimal_action(
     alg: ReductiveAlgebra,
     xi,
@@ -480,7 +535,7 @@ def infinitesimal_action(
     v = np.asarray(v, dtype=float)
     if v.shape != (hrep.d,):
         raise DimensionError(f"vector must have shape ({hrep.d},), got {v.shape}")
-    return act.dF, hrep.matrix(act.dI) @ v
+    return act.dF, _compensator_action(hrep, act.dI[None], v[None])[0]
 
 
 def group_from_spec(m: int, boost=None, rotations=()) -> np.ndarray:
@@ -644,7 +699,7 @@ def gauge_transform_section(
     dF, dI = _series(
         alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], _weights(order)
     )
-    dv = (hrep.matrix(dI) @ section.v[:, :, None])[:, :, 0]
+    dv = _compensator_action(hrep, dI, section.v)
     return CompositeSection(section.sigma + eps * dF, section.v + eps * dv)
 
 

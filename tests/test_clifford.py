@@ -322,3 +322,47 @@ def test_non_finite_inputs_raise(bad):
         exp_vector(sp, [bad, 0.0, 0.0])
     with pytest.raises(DomainError, match="blade"):
         Multivector(sp, {(1,): bad})
+    one = Multivector.scalar(sp, 1.0)
+    for scaled in (lambda: one.scale(bad), lambda: one * bad, lambda: bad * Multivector(sp)):
+        with pytest.raises(DomainError, match="scale factor is not finite"):
+            scaled()
+
+
+def test_exp_vector_past_the_overflow_limit_names_the_size():
+    """cosh(|sigma|) overflows just past 710.47: the size is checked first, so
+    no RuntimeWarning comes out (pytest makes one an error) and the message
+    names |sigma| rather than a blade coefficient."""
+    sp = CliffordSpace(3)
+    for sigma in ([800.0, 0.0, 0.0], [600.0, 600.0, 0.0], [1e300, -1e300, 1e300]):
+        with pytest.raises(DomainError, match=r"\|sigma\| = .* exceeds 710"):
+            exp_vector(sp, sigma)
+    near = exp_vector(sp, [709.0, 0.0, 0.0])
+    assert np.isfinite(near.coeff(())) and np.isfinite(near.coeff((1,)))
+
+
+def test_overflowing_arithmetic_raises():
+    """scale, +, - and the geometric product keep the constructor's rule: a
+    coefficient that overflows raises DomainError instead of being stored."""
+    sp = CliffordSpace(3)
+    big = Multivector.vector(sp, [1e200, 0.0, 0.0])
+    huge = Multivector.scalar(sp, 1e308)
+    cases = (
+        lambda: big.scale(1e200),
+        lambda: big * big,
+        lambda: blade_product(big, Multivector.blade(sp, (1, 2), 1e200)),
+        lambda: commutator(big, Multivector.blade(sp, (2,), 1e200)),
+        lambda: huge + huge,
+        lambda: huge - huge.scale(-1.0),
+    )
+    for case in cases:
+        with pytest.raises(DomainError, match="blade .* is not finite: -?inf"):
+            case()
+
+
+def test_large_finite_arithmetic_still_passes():
+    """Coefficients whose sum overflows while each stays finite are kept."""
+    sp = CliffordSpace(3)
+    a = Multivector.vector(sp, [1e308, 1e308, 0.0]) + Multivector.scalar(sp, 1e308)
+    assert a.coeff(()) == a.coeff((1,)) == a.coeff((2,)) == 1e308
+    b = a * Multivector.scalar(sp, 1.5)
+    assert b.coeff((1,)) == 1.5e308

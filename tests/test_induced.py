@@ -14,8 +14,10 @@ from cosetrep.errors import (
     DomainError,
     OrthochronousError,
 )
+from cosetrep import induced
 from cosetrep.induced import (
     CompositeSection,
+    HRepresentation,
     boost_matrix,
     check_proper_orthochronous,
     exp_coset,
@@ -33,7 +35,7 @@ from cosetrep.induced import (
     spinor_hrep,
     vector_hrep,
 )
-from cosetrep.lie import CosetPoint, defining_rep_so1m, h_pairs, so1m_algebra
+from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
 
 
 def _eta(m):
@@ -307,6 +309,98 @@ def test_hrep_construction_checks_brackets():
     assert spinor_hrep(3).d == 4
     with pytest.raises(DimensionError):
         good.matrix(np.zeros(2))
+
+
+def _reference_closure_residual(gens, c_hh):
+    """The closure residual as the per-a loop formed it, kept verbatim: every
+    product G_a G_b is formed twice, once in each of its two rows."""
+    worst = 0.0
+    for a in range(gens.shape[0]):
+        lhs = gens[a] @ gens - gens @ gens[a]
+        rhs = np.tensordot(c_hh[a], gens, axes=1)
+        worst = max(worst, float(abs(lhs - rhs).max()))
+    return worst
+
+
+def _rotated_h_basis(alg, q):
+    """alg with its h basis H'_a = q[a, b] H_b, q orthogonal: c_hh is dense."""
+    c_hh = np.einsum("ai,bj,ijk,ck->abc", q, q, alg.c_hh, q)
+    c_ff = np.einsum("abk,ck->abc", alg.c_ff, q)
+    c_fh = np.einsum("bj,ajc->abc", q, alg.c_fh)
+    return ReductiveAlgebra(c_hh, c_ff, c_fh)
+
+
+def _closure_cases():
+    """(generators, c_hh, one term per pair) of the vector and spinor reps,
+    of dense similar copies of them, of the vector rep in a rotated h basis,
+    and of brackets broken on the diagonal or in one order of a pair."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for m in range(2, 7):
+        alg = so1m_algebra(m)
+        for hrep in (vector_hrep(m), spinor_hrep(m)):
+            g = hrep.generators
+            p = rng.standard_normal(g.shape[1:]) + 3.0 * np.eye(hrep.d)
+            cases.append((g, alg.c_hh, True))
+            cases.append((p @ g @ np.linalg.inv(p), alg.c_hh, True))
+        q = np.linalg.qr(rng.standard_normal((alg.dim_h, alg.dim_h)))[0]
+        g = np.einsum("ab,bij->aij", q, vector_hrep(m).generators)
+        cases.append((g, _rotated_h_basis(alg, q).c_hh, False))
+    for a, b in ((2, 2), (0, 2), (2, 0)):
+        broken = np.array(so1m_algebra(3).c_hh)
+        broken[a, b, 1] += 0.5
+        cases.append((vector_hrep(3).generators, broken, True))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_closure_residual_matches_the_per_a_loop(monkeypatch, chunk):
+    """Each ordered product formed once gives the per-a loop's residual bit
+    for bit wherever c_hh has one term per pair (then every right-hand side
+    is exact), in one chunk or in many.  A dense c_hh sums its right-hand
+    sides in GEMMs of another shape, which some BLAS kernels round apart in
+    the last bit."""
+    if chunk is not None:
+        monkeypatch.setattr(induced, "_CLOSURE_CHUNK", chunk)
+    residuals = []
+    for g, c_hh, exact in _closure_cases():
+        got = induced._closure_residual(g, c_hh)
+        want = _reference_closure_residual(g, c_hh)
+        if exact:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15
+        residuals.append(want)
+    assert max(residuals[:-3]) <= 1e-10
+    assert residuals[-3:] == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hrep_rejects_non_finite_generators(bad):
+    """A NaN generator used to pass the closure check: its NaN residual
+    compared false against the bar."""
+    gens = np.array(vector_hrep(3).generators)
+    gens[1, 0, 2] = bad
+    with pytest.raises(ClosureError, match="non-finite"):
+        HRepresentation(so1m_algebra(3), gens)
+
+
+@pytest.mark.parametrize("kind, m", [("vector", m) for m in (2, 3, 4, 5)] + [("spinor", m) for m in (2, 3, 4, 5)])
+def test_compensator_action_is_the_matrix_action(kind, m):
+    """sum_a dI^a (G_a v) equals (sum_a dI^a G_a) v to 1e-15, and every row
+    of a batched call is, bit for bit, the single-node call on that row."""
+    rng = np.random.default_rng(30 + m)
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(m)
+    dI = rng.uniform(-1.0, 1.0, (300, hrep.algebra.dim_h))
+    v = rng.uniform(-1.0, 1.0, (300, hrep.d))
+    dI[::7] = 0.0
+    v[3::7, 0] = -0.0
+    dv = induced._compensator_action(hrep, dI, v)
+    want = (hrep.matrix(dI) @ v[:, :, None])[:, :, 0]
+    assert np.abs(dv - want).max() <= 1e-15
+    for i in range(len(v)):
+        one = induced._compensator_action(hrep, dI[i : i + 1], v[i : i + 1])
+        assert one[0].tobytes() == dv[i].tobytes()
 
 
 def test_induced_action_under_pure_rotation():
@@ -638,3 +732,14 @@ def test_gauge_flow_past_the_series_radius_raises():
     rotation[1, 0] = 0.5
     stepped = gauge_transform_section(alg, section, rotation, 0.1, hrep)
     np.testing.assert_array_equal(stepped.sigma[1], [2.0, 0.1, 0.0])
+
+
+def test_representation_of_another_algebra_raises():
+    """vector_hrep(4) has d = 4 like spinor_hrep(3), but six compensator
+    coordinates: a so(1,3) step or move through it is a DimensionError."""
+    alg = so1m_algebra(3)
+    section = CompositeSection(np.full((2, 3), 0.1), np.ones((2, 4)))
+    with pytest.raises(DimensionError, match="compensator coordinates"):
+        gauge_transform_section(alg, section, np.full((2, alg.dim), 0.1), 0.1, vector_hrep(4))
+    with pytest.raises(DimensionError, match="compensator coordinates"):
+        infinitesimal_action(alg, alg.f_basis(0), CosetPoint(np.zeros(3)), np.ones(4), vector_hrep(4))

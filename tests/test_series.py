@@ -396,7 +396,7 @@ def test_compact_dual_radius():
                 core(alg, sigma, xh, xf, _weights(11))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9, 10])
 def test_batched_rows_equal_single_node_calls(m):
     """Rows never mix: every row of a 1000-node call is, bit for bit, the
     single-node call on that row."""
@@ -426,3 +426,116 @@ def test_batched_h_field_is_the_bracket(m):
         want = bracket(alg.element(h=xh[i]), alg.element(f=sigma[i])).f
         assert dF[i].tobytes() == want.tobytes()
     assert dI.tobytes() == xh.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stacked tower and the structural-nonzero h field against the axpy core
+# ---------------------------------------------------------------------------
+
+def _reference_axpy_core(alg, sigma, xh, xf, weights):
+    """The S tower with one axpy pair per power and the h field summed over
+    every b, as the core ran before the power stack, kept verbatim."""
+    n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
+    # x -> [x, F] as its two blocks, one GEMM each: to_h[n] maps f to h, and
+    # to_f_t[n] is the transpose of the block that maps h to f
+    to_h = (sigma @ alg.c_ff.transpose(1, 2, 0).reshape(nf, nh * nf)).reshape(n, nh, nf)
+    to_f_t = ((-sigma) @ alg.c_fh.reshape(nf, nh * nf)).reshape(n, nh, nf)
+    # S = ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2
+    s = to_f_t.transpose(0, 2, 1) @ to_h
+    # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
+    # needed only at moving nodes where that bound reaches pi^2, and only
+    # when some row of some node reaches it at all.
+    row_sums = np.abs(s).reshape(n * nf, nf) @ np.ones(nf)
+    if row_sums.max(initial=0.0) >= math.pi**2:
+        moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
+        near = s[moving & (row_sums.reshape(n, nf).max(axis=1) >= math.pi**2)]
+        rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
+        if rho >= math.pi:
+            raise DomainError(
+                f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
+            )
+    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the tower runs on S, the
+    # odd terms are summed in f and mapped to h once.  The sums start from
+    # +0.0, so an exact zero never comes out as -0.0.
+    top = max(weights)
+    dF = np.zeros(xf.shape)
+    dF += xf
+    odd = weights[1] * xf
+    u = xf
+    for k in range(1, top // 2 + 1):
+        u = np.einsum("nda,na->nd", s, u)
+        dF += weights[2 * k] * u
+        if 2 * k < top:
+            odd += weights[2 * k + 1] * u
+    dI = np.zeros(xh.shape)
+    dI += np.einsum("nda,na->nd", to_h, odd)
+    dI += xh
+    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
+    # [X, F] = to_f X.  It is summed over b one elementwise product at a
+    # time, not by a reduction kernel whose order may depend on N or on the
+    # BLAS build.  For so(1,m) every entry of to_f is one signed sigma^a and
+    # b runs in the order of a, so the sum is lie.bracket's term for term.
+    field = np.zeros(xf.shape)
+    for b in range(nh):
+        field += to_f_t[:, b, :] * xh[:, b : b + 1]
+    dF += field
+    return dF, dI
+
+
+def _direct_sum(one, two):
+    """The split algebra one (+) two: h and f are each the two summands' parts,
+    first one's, then two's, and the summands commute."""
+    h1, h2, f1, f2 = one.dim_h, two.dim_h, one.dim_f, two.dim_f
+    c_hh = np.zeros((h1 + h2,) * 3)
+    c_ff = np.zeros((f1 + f2, f1 + f2, h1 + h2))
+    c_fh = np.zeros((f1 + f2, h1 + h2, f1 + f2))
+    c_hh[:h1, :h1, :h1], c_hh[h1:, h1:, h1:] = one.c_hh, two.c_hh
+    c_ff[:f1, :f1, :h1], c_ff[f1:, f1:, h1:] = one.c_ff, two.c_ff
+    c_fh[:f1, :h1, :f1], c_fh[f1:, h1:, f1:] = one.c_fh, two.c_fh
+    return ReductiveAlgebra(c_hh, c_ff, c_fh)
+
+
+def _signed_zero_nodes(rng, alg, n):
+    """Nodes whose actors include +0.0 and -0.0 entries and whole zero parts."""
+    sigma, xh, xf = _nodes(rng, alg, n)
+    xh[::4, 0] = -0.0
+    xf[1::4, -1] = -0.0
+    xf[2::4] = -0.0
+    xh[3::4] = 0.0
+    sigma[::5] = 0.0
+    return sigma, xh, xf
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_core_matches_the_axpy_core_bit_for_bit(m):
+    """The stacked tower, its two weight contractions and the h field over
+    the structural nonzeros of c_fh give the axpy core's bytes, for both
+    profiles and the plain-l one, at every node count."""
+    rng = np.random.default_rng(200 + m)
+    alg = so1m_algebra(m)
+    for n in (1, 3, 1000):
+        sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
+        for order in (1, 2, 11, 61):
+            plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
+            for weights in (_weights(order), plain):
+                got = _series(alg, sigma, xh, xf, weights)
+                want = _reference_axpy_core(alg, sigma, xh, xf, weights)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+
+def test_core_pads_rows_with_fewer_structural_nonzeros():
+    """In so(1,2) (+) so(1,3) the f rows of the first summand meet one h
+    column of c_fh and those of the second two, so the short rows pad with
+    an exact zero; the result is still the axpy core's, byte for byte."""
+    alg = _direct_sum(so1m_algebra(2), so1m_algebra(3))
+    counts = (alg.c_fh != 0.0).any(axis=0).sum(axis=0)
+    assert counts.tolist() == [1, 1, 2, 2, 2]
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 1000):
+        sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
+        for order in (1, 2, 11, 61):
+            got = _series(alg, sigma, xh, xf, _weights(order))
+            want = _reference_axpy_core(alg, sigma, xh, xf, _weights(order))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
