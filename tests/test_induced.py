@@ -299,8 +299,6 @@ def test_rotation_log_branch_and_validation():
 
 def test_hrep_construction_checks_brackets():
     alg = so1m_algebra(3)
-    from cosetrep.induced import HRepresentation
-
     with pytest.raises(ClosureError):
         HRepresentation(alg, np.zeros((3, 2, 2)) + np.eye(2))
     good = vector_hrep(3)
