@@ -36,7 +36,13 @@ from .induced import (
     spinor_hrep,
     vector_hrep,
 )
-from .lie import CosetPoint, algebra_from_json_dict, generator_coords, so1m_algebra
+from .lie import (
+    CosetPoint,
+    algebra_from_json_dict,
+    generator_coords,
+    reject_non_numbers,
+    so1m_algebra,
+)
 from .series import DEFAULT_ORDER, realize
 from .verify import SUITES, fd_action_derivative, suite_algebra
 
@@ -88,8 +94,9 @@ def _json_text(payload) -> str:
 def _numeric(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array; a missing or non-numeric field is a usage error."""
     try:
+        reject_non_numbers([doc[key]], key)
         return np.asarray(doc[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise _UsageError(f"document needs a numeric {key}: {exc}") from exc
 
 

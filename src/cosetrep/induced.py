@@ -46,6 +46,7 @@ from .lie import (
     expm,
     generator_coords,
     h_pairs,
+    reject_non_numbers,
     so1m_algebra,
 )
 from .series import DEFAULT_ORDER, _series, _weights, realize
@@ -99,7 +100,8 @@ class HRepresentation:
     generators: np.ndarray
     # the generators are the plane rotations E_ki - E_ik of R^d themselves
     _planes: bool = field(init=False, repr=False)
-    # (d, d * dim_h) table T with v @ T = (G_a v)[e] at column e * dim_h + a
+    # (dim_h * d, d) table T with (T @ v)[a * d + e] = (G_a v)[e]: the
+    # generators themselves, stacked
     _action_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -124,9 +126,7 @@ class HRepresentation:
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
         )
         object.__setattr__(self, "_planes", planes)
-        table = gens.transpose(2, 1, 0).reshape(d, d * nh)
-        table.setflags(write=False)
-        object.__setattr__(self, "_action_table", table)
+        object.__setattr__(self, "_action_table", gens.reshape(nh * d, d))
 
     @property
     def d(self) -> int:
@@ -506,16 +506,22 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv = sum_a dI^a (G_a v) for N nodes: dI of shape (N, dim_h), v (N, d).
 
-    Every G_a v_n comes from one GEMM of v against the representation's
-    table; for the vector and spinor reps each of its entries is a single
-    signed term, so it is exact whatever the BLAS kernel.  The sum over a
-    then runs per node, so a node's dv does not depend on N.
+    Every G_a v_n comes from one GEMM of the representation's table against
+    v transposed; for the vector and spinor reps each of its entries is a
+    single signed term, so it is exact whatever the BLAS kernel.  The sum
+    over a is one einsum with the node index last and max(N, 2) wide, as in
+    :func:`cosetrep.series._series`: ascending a from +0.0 for every node,
+    so a node's dv does not depend on N.
     """
     nh = hrep.algebra.dim_h
     if dI.shape[-1] != nh:
         raise DimensionError(f"expected {nh} compensator coordinates, got {dI.shape[-1]}")
-    gv = (v @ hrep._action_table).reshape(v.shape[0], hrep.d, nh)
-    return np.einsum("nea,na->ne", gv, dI)
+    n, d = v.shape
+    x = np.zeros((nh + d, max(n, 2)))
+    x[:nh, :n] = dI.T
+    x[nh:, :n] = v.T
+    gv = (hrep._action_table @ x[nh:]).reshape(nh, d, -1)
+    return np.ascontiguousarray(np.einsum("aen,an->en", gv, x[:nh])[:, :n].T)
 
 
 def infinitesimal_action(
@@ -620,6 +626,34 @@ def section_to_json_dict(section: CompositeSection, xi: np.ndarray | None = None
     return {"m": section.m, "d": section.d, "nodes": nodes}
 
 
+def _node_rows(nodes: list, key: str, size: int) -> np.ndarray:
+    """The `key` entries of every node as one (N, size) float array.
+
+    Strings and booleans anywhere in them raise DomainError, and so does a
+    node whose entry is missing, not numeric or not `size` long.
+    """
+    try:
+        raw = [node[key] for node in nodes]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"every node needs a numeric {key}: {exc}") from exc
+    reject_non_numbers(raw, f"node {key}")
+    try:
+        rows = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is not None and rows.shape == (len(nodes), size):
+        return rows
+    # name the first node whose entry is not `size` numbers
+    for idx, entry in enumerate(raw):
+        try:
+            shape = np.asarray(entry, dtype=float).shape
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"node {idx} needs a numeric {key}: {exc}") from exc
+        if shape != (size,):
+            raise DomainError(f"node {idx}: {key} must have {size} entries, got shape {shape}")
+    raise DomainError(f"the nodes' {key} entries do not stack into a ({len(nodes)}, {size}) array")
+
+
 def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
     """Parse a section document; returns (section, xi or None).
 
@@ -635,31 +669,12 @@ def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
     if m < 1 or d < 1 or not isinstance(nodes, list) or not nodes:
         raise DomainError("section document must have m >= 1, d >= 1 and a nonempty node list")
     n_xi = m * (m - 1) // 2 + m
-    sigma = np.zeros((len(nodes), m))
-    v = np.zeros((len(nodes), d))
-    xis = []
-    for idx, node in enumerate(nodes):
-        try:
-            s = np.asarray(node["sigma"], dtype=float)
-            w = np.asarray(node["v"], dtype=float)
-            x = np.asarray(node["xi"], dtype=float) if "xi" in node else None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"node {idx} needs numeric sigma, v and xi: {exc}") from exc
-        if s.shape != (m,):
-            raise DomainError(f"node {idx}: sigma must have {m} entries, got shape {s.shape}")
-        if w.shape != (d,):
-            raise DomainError(f"node {idx}: v must have {d} entries, got shape {w.shape}")
-        sigma[idx] = s
-        v[idx] = w
-        if x is not None:
-            if x.shape != (n_xi,):
-                raise DomainError(
-                    f"node {idx}: xi must have {n_xi} entries (stabilizer first), got shape {x.shape}"
-                )
-            xis.append(x)
-    if xis and len(xis) != len(nodes):
+    sigma = _node_rows(nodes, "sigma", m)
+    v = _node_rows(nodes, "v", d)
+    carry = sum("xi" in node for node in nodes)
+    if carry and carry != len(nodes):
         raise DomainError("either every node carries xi or none does")
-    xi = np.array(xis) if xis else None
+    xi = _node_rows(nodes, "xi", n_xi) if carry else None
     return CompositeSection(sigma, v), xi
 
 

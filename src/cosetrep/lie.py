@@ -18,6 +18,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -219,6 +220,38 @@ def h_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, k) for i in range(1, m + 1) for k in range(i + 1, m + 1))
 
 
+# values np.asarray(..., dtype=float) reads as numbers although a document
+# holding them is malformed: "0.5" becomes 0.5 and true becomes 1.0
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def reject_non_numbers(fields, what: str) -> None:
+    """Raise DomainError when a string or a boolean sits anywhere in `fields`,
+    a sequence of numeric values: numbers, or lists, tuples and arrays of
+    them nested to any depth.
+
+    The check runs one pass of map(type) per nesting level, so the fields of
+    every node of a large section are checked together at C speed.
+    """
+    level = list(fields)
+    while level:
+        kinds = set(map(type, level))
+        if any(issubclass(k, _NOT_NUMBERS) for k in kinds):
+            raise DomainError(f"{what} must hold numbers, not strings or booleans")
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+        elif any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
+            nested = []
+            for x in level:
+                if isinstance(x, (list, tuple)):
+                    nested.extend(x)
+                elif isinstance(x, np.ndarray) and x.dtype.kind not in "iuf":
+                    nested.append(x.tolist())
+            level = nested
+        else:
+            return
+
+
 def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.ndarray]:
     """(h, f) coordinates of so(1,m) from a boost vector and plane angles.
 
@@ -230,6 +263,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
         raise DimensionError(f"need m >= 2, got {m}")
     f = np.zeros(m)
     if boost is not None:
+        reject_non_numbers([boost], "boost")
         try:
             f = np.asarray(boost, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -247,9 +281,10 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     for entry in entries:
         try:
             i, k, theta = entry
+            reject_non_numbers([theta], "rotation angle")
             theta = float(theta)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}") from exc
+            raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}: {exc}") from exc
         if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (i, k)):
             raise DomainError(f"rotation plane indices must be integers, got {entry!r}")
         i, k = int(i), int(k)

@@ -19,20 +19,36 @@ factorization of a group flow through a coset slice, which is what the
 matrix factorization of :mod:`cosetrep.induced` computes independently.
 
 The weights are data: a map {n: w_n} read from the exact table, which is
-built once per process.  One private core takes such a map and evaluates the
-series for N nodes at once, adding w_n T_n into dI for odd n and into dF for
-even n.  The map x -> [x, F] sends f to h and h to f; its two off-diagonal
-blocks are each one GEMM of sigma against a flattened structure constant
-table, built once per algebra, and the h -> f block comes out in the layout
-the product S = to_f to_h reads.  S = ad_F^2 restricted to f drives the
+built once per process together with the weight rows the core reads.
+One private core takes such a map and evaluates the series for N nodes at
+once, adding w_n T_n into dI for odd n and into dF for even n.  Inside the
+core the node index is the last axis of every array, the interleaved layout
+of batched BLAS for tiny matrices (J. Dongarra et al., "The Design and
+Performance of Batched BLAS on Modern High-Performance Computing Systems",
+ICCS 2017), so every per-node contraction runs across nodes.  The map
+x -> [x, F] sends f to h and h to f; one GEMM of a per-algebra table against
+sigma^T gives its f -> h block to_h, its h -> f block to_f at the structural
+slots (the b whose column c_fh[:, b, d] is not identically zero, m - 1 of
+the m(m-1)/2 for so(1,m)), and the rows of to_h that the product
+S = to_f to_h reads at those slots.  S = ad_F^2 restricted to f drives the
 tower: for an f actor T_2k(X) = S^k X and T_2k+1(X) = [S^k X, F], so the
 core writes u_k = S^k X for k <= order/2 into one stack, contracts that
-stack with the even weights into dF and with the odd ones into a sum in f,
-and maps that sum to h once (N. J. Higham, Functions of Matrices, SIAM
-2008, ch. 4, on polynomials in a matrix argument).  The stack holds
+stack in one pass with the even weights into dF and with the odd ones into
+a sum in f, and maps that sum to h once (N. J. Higham, Functions of
+Matrices, SIAM 2008, ch. 4, on polynomials in a matrix argument).  The stack holds
 (order/2 + 1) N dim_f floats: 74 MB at order 61 for 10^5 nodes of so(1,3).
-The h actor's field [X_h, F] is summed only over the b whose column
-c_fh[:, b, d] is not identically zero, m - 1 of the m(m-1)/2 for so(1,m).
+The h actor's field [X_h, F] is summed over the structural slots.
+
+Summation order: S, each power of the tower, the weight contraction, the
+to_h map of the odd sum and the h field are each one einsum whose
+reduction index is never the contiguous axis.  Each of them sums, for every
+node, over its index in ascending order from +0.0, so an exact zero never
+comes out as -0.0.  The node axis is max(N, 2) wide, so a single node takes
+the same einsum kernel as a batch, and a node's result is the same for every
+N.  For so(1,m) every entry of the GEMM is a single signed sigma^a, so no sum
+runs through a BLAS kernel: the result is the same under every OpenBLAS
+kernel.
+
 The series converges while rho(S) = rho(ad_F)^2 stays below pi^2; an f
 actor at or past that radius raises DomainError.  :func:`realize` is the
 single-point entry; the gauge flow of :mod:`cosetrep.induced` calls the core
@@ -129,42 +145,77 @@ def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
     ]
 
 
+# the weight rows of every map _weights has built, keyed by the map's id;
+# each entry holds its map, so no other map can take that id
+_ROWS: dict[int, tuple[Mapping[int, float], np.ndarray]] = {}
+
+
 @lru_cache(maxsize=None, typed=True)
 def _weights(order: int) -> Mapping[int, float]:
     """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order.
 
-    Built once per order and shared, so the map is read-only.  The cache is
-    typed, so True or 2.0 never hits the entry of 1 or 2 and meets the
-    integer check instead.
+    Built once per order and shared, so the map is read-only; its weight
+    rows are built with it.  The cache is typed, so True or 2.0 never hits
+    the entry of 1 or 2 and meets the integer check instead.
     """
-    return MappingProxyType(dict(even_bracket_weights(order) + odd_bracket_weights(order)))
+    weights = MappingProxyType(dict(even_bracket_weights(order) + odd_bracket_weights(order)))
+    _ROWS[id(weights)] = (weights, _weight_rows(weights))
+    return weights
+
+
+def _weight_rows(weights: Mapping[int, float]) -> np.ndarray:
+    """The (2, order/2 + 1) rows that contract the powers u_k = S^k X:
+    (1, w_2, w_4, ...) for dF and (w_1, w_3, ...) for the f sum that dI maps
+    to h, the latter closed with a zero weight when the order is even.
+
+    The maps of :func:`_weights` reuse the rows built with them; any other
+    map gets fresh ones.
+    """
+    hit = _ROWS.get(id(weights))
+    if hit is not None:
+        return hit[1]
+    top = max(weights)
+    rows = np.zeros((2, top // 2 + 1))
+    rows[0] = [1.0] + [weights[2 * k] for k in range(1, top // 2 + 1)]
+    rows[1, : (top + 1) // 2] = [weights[2 * k + 1] for k in range((top + 1) // 2)]
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=32)
-def _tables(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The per-algebra tables of :func:`_series`, built once per algebra.
+def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The per-algebra table of :func:`_series`, built once per algebra.
 
-    Returns (h_table, f_table, cols, flat).  sigma @ h_table is the f -> h
-    block of x -> [x, F] as (N, dim_h, dim_f), and (-sigma) @ f_table the
-    h -> f block as (N, dim_f, dim_h), the layout the product S = to_f @ to_h
-    reads.  Slot j of column d of cols (width, dim_f) is the j-th b, in
-    ascending order, whose column c_fh[:, b, d] is not identically zero; a
-    d with fewer such b pads with a b whose column is zero, so its extra
-    slots hold an exact zero.  flat indexes the same entries in the
-    flattened h -> f block.  The cache is bounded: it holds its algebras.
+    Returns (table, cols).  table @ sigma.T, with sigma of shape
+    (N, dim_f), holds three node-last blocks of x -> [x, F] in its rows:
+
+      (d, a)     to_h[d, a], the f -> h block                 dim_h dim_f rows
+      (j, d)     to_f[d, cols[j, d]], the h -> f block        width dim_f rows
+      (j, d, e)  to_h[cols[j, d], e], the rows S reads        width dim_f^2 rows
+
+    Slot j of column d of cols (width, dim_f) is the j-th b, in ascending
+    order, whose column c_fh[:, b, d] is not identically zero; a d with
+    fewer such b pads with a b whose column is zero, so its extra slots hold
+    an exact zero.  No entry is -0.0.  For so(1,m) each row has one nonzero,
+    +-1 or +-4, so each entry of the product is a single signed sigma^a
+    times a power of two: exact on every BLAS kernel.  The cache is
+    bounded: it holds its algebras.
     """
     nf, nh = alg.dim_f, alg.dim_h
-    h_table = alg.c_ff.transpose(1, 2, 0).reshape(nf, nh * nf)
-    f_table = alg.c_fh.transpose(0, 2, 1).reshape(nf, nf * nh)
     pattern = (alg.c_fh != 0.0).any(axis=0).T
     width = int(pattern.sum(axis=1).max(initial=0))
     # a stable sort puts every structural nonzero b of a row first, ascending,
     # and then the zero columns, ascending
-    cols = np.argsort(~pattern, axis=1, kind="stable")[:, :width].T.copy()
-    flat = cols + nh * np.arange(nf)
-    for arr in (h_table, f_table, cols, flat):
+    cols = np.argsort(~pattern, axis=1, kind="stable")[:, :width].T
+    to_h = alg.c_ff.transpose(2, 0, 1)
+    to_f = -alg.c_fh[:, cols, np.arange(nf)].transpose(1, 2, 0)
+    # adding +0.0 turns every -0.0 into +0.0
+    table = 0.0 + np.concatenate(
+        (to_h.reshape(-1, nf), to_f.reshape(-1, nf), to_h[cols].reshape(-1, nf))
+    )
+    for arr in (table, cols):
         arr.setflags(write=False)
-    return h_table, f_table, cols, flat
+    return table, cols
 
 
 def _series(
@@ -178,59 +229,58 @@ def _series(
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
     have the shapes of xf and xh.  weights maps every n from 1 to the order
-    max(weights) to the weight of T_n.  Rows never mix: every product either
-    runs per node or is a GEMM whose rows are the nodes, and for so(1,m) each
-    node's result is bit for bit the one a single-node call gives.
+    max(weights) to the weight of T_n.  Inside, the node index is the last
+    axis of every array, which is max(N, 2) wide: a single node rides with
+    a zero node.  Every contraction is then one einsum that, for each node,
+    sums over its index in ascending order from +0.0; the one GEMM's entries
+    are single terms for so(1,m).  A node's result therefore depends neither
+    on N nor on the BLAS kernel.
     """
     n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
-    h_table, f_table, cols, flat = _tables(alg)
-    # x -> [x, F] as its two blocks, one GEMM each: to_h[n] maps f to h and
-    # to_f[n] maps h to f
-    to_h = (sigma @ h_table).reshape(n, nh, nf)
-    to_f = ((-sigma) @ f_table).reshape(n, nf, nh)
-    # S = ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2
-    s = to_f @ to_h
+    table, cols = _table(alg)
+    width = len(cols)
+    rows = _weight_rows(weights)
+    # sigma, X_h and X_f as node-last rows of one buffer
+    x = np.zeros((2 * nf + nh, max(n, 2)))
+    np.concatenate((sigma.T, xh.T, xf.T), out=x[:, :n])
+    sig_t, xh_t, xf_t = x[:nf], x[nf : nf + nh], x[nf + nh :]
+    blocks = table @ sig_t
+    split = nh * nf, (nh + width) * nf
+    to_h = blocks[: split[0]].reshape(nh, nf, -1)
+    to_f = blocks[split[0] : split[1]].reshape(width, nf, -1)
+    # S = ad_F^2 restricted to f, summed over the structural slots; its
+    # spectral radius is rho(ad_F)^2
+    s = np.einsum("jdn,jden->den", to_f, blocks[split[1] :].reshape(width, nf, nf, -1))
     # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
     # needed only at moving nodes where that bound reaches pi^2, and only
     # when some row of some node reaches it at all.
-    row_sums = np.abs(s).reshape(n * nf, nf) @ np.ones(nf)
+    row_sums = np.abs(s).sum(axis=1)
     if row_sums.max(initial=0.0) >= math.pi**2:
-        moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
-        near = s[moving & (row_sums.reshape(n, nf).max(axis=1) >= math.pi**2)]
+        moving = np.abs(xf_t).max(axis=0, initial=0.0) > 0.0
+        near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
         rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
         if rho >= math.pi:
             raise DomainError(
                 f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
             )
     # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers u_k = S^k X
-    # fill one stack, which the even weights (with 1 for u_0 = X) and the odd
-    # weights each contract in one pass; the odd sum is mapped to h once.
-    # einsum sums over k in order from +0.0, so an exact zero never comes
-    # out as -0.0.
-    top = max(weights)
-    u = np.empty((top // 2 + 1, n, nf))
-    u[0] = xf
+    # fill one stack, which one pass contracts with the even weights (with 1
+    # for u_0 = X) and the odd ones; a zero weight closing the odd row adds
+    # an exact zero.  The odd sum is mapped to h once.
+    u = np.empty((rows.shape[1],) + xf_t.shape)
+    u[0] = xf_t
     for k in range(1, len(u)):
-        np.einsum("nda,na->nd", s, u[k - 1], out=u[k])
-    even = np.array([1.0] + [weights[2 * k] for k in range(1, len(u))])
-    odd = np.array([weights[2 * k + 1] for k in range((top + 1) // 2)])
-    dF = np.einsum("k,knd->nd", even, u)
-    dI = np.zeros(xh.shape)
-    dI += np.einsum("nda,na->nd", to_h, np.einsum("k,knd->nd", odd, u[: len(odd)]))
-    dI += xh
+        np.einsum("dan,an->dn", s, u[k - 1], out=u[k])
+    dF, odd = np.einsum("pk,kdn->pdn", rows, u)
+    dI = np.einsum("dan,an->dn", to_h, odd)
+    dI += xh_t
     # every l_{2k-1} past l_1 vanishes, so the h actor's field is
-    # [X, F] = to_f X.  It is summed over the b of each row's structural
-    # nonzeros one elementwise product at a time, not by a reduction kernel
-    # whose order may depend on N or on the BLAS build.  For so(1,m) every
+    # [X, F] = to_f X, summed over the structural slots.  For so(1,m) every
     # entry of to_f is one signed sigma^a and b runs in the order of a, so
-    # the sum is lie.bracket's term for term; the skipped terms are exact
-    # zeros, which leave a sum started from +0.0 unchanged.
-    terms = to_f.reshape(n, nf * nh)[:, flat] * xh[:, cols]
-    field = np.zeros(xf.shape)
-    for j in range(len(cols)):
-        field += terms[:, j]
-    dF += field
-    return dF, dI
+    # the sum is lie.bracket's term for term; a padded slot adds an exact
+    # zero, which leaves a sum started from +0.0 unchanged.
+    dF += np.einsum("jdn,jdn->dn", to_f, xh_t[cols])
+    return np.ascontiguousarray(dF[:, :n].T), np.ascontiguousarray(dI[:, :n].T)
 
 
 def realize(

@@ -15,8 +15,10 @@ from cosetrep.lie import (
     algebra_to_json_dict,
     bracket,
     defining_rep_so1m,
+    generator_coords,
     h_pairs,
     jacobi_residual,
+    reject_non_numbers,
     so1m_algebra,
 )
 
@@ -273,3 +275,40 @@ def test_expm_rejects_bad_input():
         lie_expm(np.full((2, 2), np.nan))
     with pytest.raises(DomainError):
         lie_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        ["0.5", 0.0],
+        [True, 0.0],
+        [[0.1, 0.2], [0.3, False]],
+        (0.1, ("0.2", 0.3)),
+        [np.array([0.1, 0.2]), np.array([True, False])],
+        [np.array(["0.5"])],
+        [np.True_],
+        "0.5",
+    ],
+)
+def test_reject_non_numbers_finds_strings_and_booleans_at_any_depth(field):
+    with pytest.raises(DomainError, match="must hold numbers"):
+        reject_non_numbers([field], "field")
+
+
+def test_reject_non_numbers_passes_numbers():
+    reject_non_numbers([[0.1, 2, [3.0, -4]], (5, 6.5), np.arange(3), np.zeros((2, 2)), 7, 8.0, []], "field")
+    reject_non_numbers([], "field")
+
+
+def test_generator_coords_rejects_strings_and_booleans():
+    """np.asarray and float() read "0.5" as 0.5 and True as 1.0; a boost or
+    a rotation angle holding them is malformed instead."""
+    for boost in (["0.5", 0, 0], [True, 0, 0], [0.5, 0, np.False_]):
+        with pytest.raises(DomainError, match="boost must hold numbers"):
+            generator_coords(3, boost)
+    for theta in ("0.3", True):
+        with pytest.raises(DomainError, match="rotation angle must hold numbers"):
+            generator_coords(3, None, [(1, 2, theta)])
+    h, f = generator_coords(3, np.array([0.5, 0.0, 1.0]), [(1, 2, np.float64(0.3))])
+    np.testing.assert_array_equal(f, [0.5, 0.0, 1.0])
+    np.testing.assert_array_equal(h, [0.3, 0.0, 0.0])

@@ -266,6 +266,12 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
         ("factor", {"m": 3, "rotations": [[True, 2, 0.3]]}),
         ("factor", {"m": 3, "boost": [400, 0, 0]}),
         ("factor", {"m": 3, "boost": [300, 0, 0]}),
+        # numpy reads "0.5" as 0.5 and true as 1.0; the documents must not
+        ("factor", {"m": 3, "boost": ["0.5", True, 0]}),
+        ("realize", {"sigma": ["0.1", True, 0], "xi": {"boost": [1, 0, 0]}}),
+        ("gauge", {"m": 3, "d": 3, "nodes": [{"sigma": ["0.1", True, 0], "v": [1, 0, 0], "xi": [0] * 6}]}),
+        ("factor", {"m": 3, "rotations": [[1, 2, "0.3"]]}),
+        ("gauge", {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": [0, False, 0]}]}),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):

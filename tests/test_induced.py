@@ -602,6 +602,32 @@ def test_section_json_round_trip_and_errors():
         section_from_json_dict(bad2)
 
 
+@pytest.mark.parametrize("key, value", [("sigma", ["0.1", 0.2]), ("v", [True, 0.0]), ("xi", [0.1, 0.2, "0.3"])])
+def test_section_json_rejects_strings_and_booleans(key, value):
+    doc = section_to_json_dict(
+        CompositeSection(np.array([[0.1, 0.2], [0.3, 0.4]]), np.eye(2)), np.zeros((2, 3))
+    )
+    doc["nodes"][1][key] = value
+    with pytest.raises(DomainError, match=f"node {key} must hold numbers"):
+        section_from_json_dict(doc)
+
+
+def test_section_json_names_the_node_with_a_bad_entry():
+    doc = section_to_json_dict(CompositeSection(np.zeros((3, 2)), np.ones((3, 2))), np.zeros((3, 3)))
+    doc["nodes"][2]["v"] = [1.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match="node 2: v must have 2 entries"):
+        section_from_json_dict(doc)
+    doc["nodes"][2]["v"] = [[1.0], [0.0, 0.0]]
+    with pytest.raises(DomainError, match="node 2 needs a numeric v"):
+        section_from_json_dict(doc)
+    doc["nodes"][2]["v"] = {"a": 1}
+    with pytest.raises(DomainError, match="node 2 needs a numeric v"):
+        section_from_json_dict(doc)
+    del doc["nodes"][1]["sigma"]
+    with pytest.raises(DomainError, match="every node needs a numeric sigma"):
+        section_from_json_dict(doc)
+
+
 def test_gauge_step_moves_each_node_independently():
     m = 2
     alg = so1m_algebra(m)

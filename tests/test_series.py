@@ -398,20 +398,33 @@ def test_compact_dual_radius():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9, 10])
 def test_batched_rows_equal_single_node_calls(m):
-    """Rows never mix: every row of a 1000-node call is, bit for bit, the
-    single-node call on that row."""
+    """Rows never mix: every row of a 1000-node call and of a 2-node call is,
+    bit for bit, the single-node call on that row, also when the actors are
+    the strided views xi[:, :dim_h] and xi[:, dim_h:] the gauge step passes."""
     rng = np.random.default_rng(m)
     alg = so1m_algebra(m)
     sigma, xh, xf = _nodes(rng, alg, 1000)
     xf[::7] = 0.0
     xh[3::7] = 0.0
+    xi = np.concatenate((xh, xf), axis=1)
+    xh_view, xf_view = xi[:, : alg.dim_h], xi[:, alg.dim_h :]
     for order in (2, 11):
         weights = _weights(order)
         dF, dI = _series(alg, sigma, xh, xf, weights)
+        views = _series(alg, sigma, xh_view, xf_view, weights)
+        assert views[0].tobytes() == dF.tobytes()
+        assert views[1].tobytes() == dI.tobytes()
         for i in range(len(sigma)):
             one = _series(alg, sigma[i : i + 1], xh[i : i + 1], xf[i : i + 1], weights)
             assert one[0][0].tobytes() == dF[i].tobytes()
             assert one[1][0].tobytes() == dI[i].tobytes()
+            one = _series(alg, sigma[i : i + 1], xh_view[i : i + 1], xf_view[i : i + 1], weights)
+            assert one[0][0].tobytes() == dF[i].tobytes()
+            assert one[1][0].tobytes() == dI[i].tobytes()
+        for i in range(0, len(sigma), 2):
+            two = _series(alg, sigma[i : i + 2], xh_view[i : i + 2], xf_view[i : i + 2], weights)
+            assert two[0].tobytes() == dF[i : i + 2].tobytes()
+            assert two[1].tobytes() == dI[i : i + 2].tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
@@ -429,57 +442,47 @@ def test_batched_h_field_is_the_bracket(m):
 
 
 # ---------------------------------------------------------------------------
-# the stacked tower and the structural-nonzero h field against the axpy core
+# the node-last core against a scalar reference, byte for byte
 # ---------------------------------------------------------------------------
 
-def _reference_axpy_core(alg, sigma, xh, xf, weights):
-    """The S tower with one axpy pair per power and the h field summed over
-    every b, as the core ran before the power stack, kept verbatim."""
-    n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
-    # x -> [x, F] as its two blocks, one GEMM each: to_h[n] maps f to h, and
-    # to_f_t[n] is the transpose of the block that maps h to f
-    to_h = (sigma @ alg.c_ff.transpose(1, 2, 0).reshape(nf, nh * nf)).reshape(n, nh, nf)
-    to_f_t = ((-sigma) @ alg.c_fh.reshape(nf, nh * nf)).reshape(n, nh, nf)
-    # S = ad_F^2 restricted to f; its spectral radius is rho(ad_F)^2
-    s = to_f_t.transpose(0, 2, 1) @ to_h
-    # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
-    # needed only at moving nodes where that bound reaches pi^2, and only
-    # when some row of some node reaches it at all.
-    row_sums = np.abs(s).reshape(n * nf, nf) @ np.ones(nf)
-    if row_sums.max(initial=0.0) >= math.pi**2:
-        moving = np.abs(xf).max(axis=1, initial=0.0) > 0.0
-        near = s[moving & (row_sums.reshape(n, nf).max(axis=1) >= math.pi**2)]
-        rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
-        if rho >= math.pi:
-            raise DomainError(
-                f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
-            )
-    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the tower runs on S, the
-    # odd terms are summed in f and mapped to h once.  The sums start from
-    # +0.0, so an exact zero never comes out as -0.0.
+def _scalar_core(alg, sigma, xh, xf, weights):
+    """The core's contract, one node at a time in Python floats: every
+    contraction is an axpy loop over its full index range, in ascending
+    order, from +0.0.  There is no radius check."""
+    nf, nh = alg.dim_f, alg.dim_h
+    c_ff, c_fh = alg.c_ff.tolist(), alg.c_fh.tolist()
     top = max(weights)
-    dF = np.zeros(xf.shape)
-    dF += xf
-    odd = weights[1] * xf
-    u = xf
-    for k in range(1, top // 2 + 1):
-        u = np.einsum("nda,na->nd", s, u)
-        dF += weights[2 * k] * u
-        if 2 * k < top:
-            odd += weights[2 * k + 1] * u
-    dI = np.zeros(xh.shape)
-    dI += np.einsum("nda,na->nd", to_h, odd)
-    dI += xh
-    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
-    # [X, F] = to_f X.  It is summed over b one elementwise product at a
-    # time, not by a reduction kernel whose order may depend on N or on the
-    # BLAS build.  For so(1,m) every entry of to_f is one signed sigma^a and
-    # b runs in the order of a, so the sum is lie.bracket's term for term.
-    field = np.zeros(xf.shape)
-    for b in range(nh):
-        field += to_f_t[:, b, :] * xh[:, b : b + 1]
-    dF += field
+    even = [1.0] + [weights[2 * k] for k in range(1, top // 2 + 1)]
+    odd = [weights[2 * k + 1] for k in range((top + 1) // 2)]
+
+    def dot(row, vec):
+        total = 0.0
+        for r, v in zip(row, vec):
+            total += r * v
+        return total
+
+    dF, dI = np.zeros(xf.shape), np.zeros(xh.shape)
+    for i, (s, h, f) in enumerate(zip(sigma.tolist(), xh.tolist(), xf.tolist())):
+        # to_h[d][a] = sum_b c_ff[a, b, d] sigma^b, to_f[d][b] = -sum_a c_fh[a, b, d] sigma^a
+        to_h = [[dot([c_ff[a][b][d] for b in range(nf)], s) for a in range(nf)] for d in range(nh)]
+        to_f = [[dot([-c_fh[a][b][d] for a in range(nf)], s) for b in range(nh)] for d in range(nf)]
+        sq = [[dot(to_f[d], [to_h[b][e] for b in range(nh)]) for e in range(nf)] for d in range(nf)]
+        u = [f]
+        for _ in range(1, len(even)):
+            u.append([dot(row, u[-1]) for row in sq])
+        odd_sum = [dot(odd, [uk[d] for uk in u]) for d in range(nf)]
+        dF[i] = [dot(even, [uk[d] for uk in u]) + dot(to_f[d], h) for d in range(nf)]
+        dI[i] = [dot(to_h[d], odd_sum) + h[d] for d in range(nh)]
     return dF, dI
+
+
+def _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights):
+    """Every row for N <= 3, every 97th row for more nodes."""
+    got = _series(alg, sigma, xh, xf, weights)
+    rows = slice(None) if len(sigma) <= 3 else slice(None, None, 97)
+    want = _scalar_core(alg, sigma[rows], xh[rows], xf[rows], weights)
+    for g, w in zip(got, want):
+        assert g[rows].tobytes() == w.tobytes()
 
 
 def _direct_sum(one, two):
@@ -508,9 +511,8 @@ def _signed_zero_nodes(rng, alg, n):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
 def test_core_matches_the_axpy_core_bit_for_bit(m):
-    """The stacked tower, its two weight contractions and the h field over
-    the structural nonzeros of c_fh give the axpy core's bytes, for both
-    profiles and the plain-l one, at every node count."""
+    """The node-last core, for both profiles and the plain-l one, gives the
+    bytes of the scalar axpy reference at every node count."""
     rng = np.random.default_rng(200 + m)
     alg = so1m_algebra(m)
     for n in (1, 3, 1000):
@@ -518,16 +520,14 @@ def test_core_matches_the_axpy_core_bit_for_bit(m):
         for order in (1, 2, 11, 61):
             plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
             for weights in (_weights(order), plain):
-                got = _series(alg, sigma, xh, xf, weights)
-                want = _reference_axpy_core(alg, sigma, xh, xf, weights)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
+                _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights)
 
 
 def test_core_pads_rows_with_fewer_structural_nonzeros():
     """In so(1,2) (+) so(1,3) the f rows of the first summand meet one h
     column of c_fh and those of the second two, so the short rows pad with
-    an exact zero; the result is still the axpy core's, byte for byte."""
+    an exact zero; the result is still the scalar reference's, byte for
+    byte."""
     alg = _direct_sum(so1m_algebra(2), so1m_algebra(3))
     counts = (alg.c_fh != 0.0).any(axis=0).sum(axis=0)
     assert counts.tolist() == [1, 1, 2, 2, 2]
@@ -535,7 +535,4 @@ def test_core_pads_rows_with_fewer_structural_nonzeros():
     for n in (1, 3, 1000):
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
-            got = _series(alg, sigma, xh, xf, _weights(order))
-            want = _reference_axpy_core(alg, sigma, xh, xf, _weights(order))
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, _weights(order))
