@@ -27,6 +27,7 @@ import numpy as np
 from .coeffs import l_coeffs
 from .errors import ClosureError, DimensionError, DomainError
 from .induced import (
+    _compensator_action,
     factor_boost_rotation,
     flow_section,
     group_from_spec,
@@ -53,14 +54,22 @@ class _UsageError(Exception):
     """Bad flags or an unreadable/malformed input document (exit 2)."""
 
 
-def _positive_int(text: str) -> int:
+def _int_from(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_from(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_from(0, text)
 
 
 def _load_json(path: str) -> dict:
@@ -203,7 +212,7 @@ def _cmd_realize(args) -> int:
             raise _UsageError(
                 f"v must have {hrep.d} entries for the {args.rep} representation, got shape {v.shape}"
             )
-        payload["d_v"] = (hrep.matrix(act.dI) @ v).tolist()
+        payload["d_v"] = _compensator_action(hrep, act.dI[None], v[None])[0].tolist()
         payload["rep"] = args.rep
 
     if args.format == "csv":
@@ -332,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--in", dest="infile", default=None, help="algebra JSON for the algebra suite")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

@@ -100,9 +100,6 @@ class HRepresentation:
     generators: np.ndarray
     # the generators are the plane rotations E_ki - E_ik of R^d themselves
     _planes: bool = field(init=False, repr=False)
-    # (dim_h * d, d) table T with (T @ v)[a * d + e] = (G_a v)[e]: the
-    # generators themselves, stacked
-    _action_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -126,7 +123,6 @@ class HRepresentation:
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
         )
         object.__setattr__(self, "_planes", planes)
-        object.__setattr__(self, "_action_table", gens.reshape(nh * d, d))
 
     @property
     def d(self) -> int:
@@ -506,12 +502,12 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv = sum_a dI^a (G_a v) for N nodes: dI of shape (N, dim_h), v (N, d).
 
-    Every G_a v_n comes from one GEMM of the representation's table against
-    v transposed; for the vector and spinor reps each of its entries is a
-    single signed term, so it is exact whatever the BLAS kernel.  The sum
-    over a is one einsum with the node index last and max(N, 2) wide, as in
-    :func:`cosetrep.series._series`: ascending a from +0.0 for every node,
-    so a node's dv does not depend on N.
+    Every G_a v_n comes from one GEMM of the generator stack, read as a
+    (dim_h d, d) view, against v transposed; for the vector and spinor reps
+    each of its entries is a single signed term, so it is exact whatever the
+    BLAS kernel.  The sum over a is one einsum with the node index last and
+    max(N, 2) wide, as in :func:`cosetrep.series._series`: ascending a from
+    +0.0 for every node, so a node's dv does not depend on N.
     """
     nh = hrep.algebra.dim_h
     if dI.shape[-1] != nh:
@@ -520,7 +516,7 @@ def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) ->
     x = np.zeros((nh + d, max(n, 2)))
     x[:nh, :n] = dI.T
     x[nh:, :n] = v.T
-    gv = (hrep._action_table @ x[nh:]).reshape(nh, d, -1)
+    gv = (hrep.generators.reshape(nh * d, d) @ x[nh:]).reshape(nh, d, -1)
     return np.ascontiguousarray(np.einsum("aen,an->en", gv, x[:nh])[:, :n].T)
 
 

@@ -481,11 +481,12 @@ def algebra_to_json_dict(alg: ReductiveAlgebra) -> dict:
 
 def algebra_from_json_dict(data) -> ReductiveAlgebra:
     try:
-        nh = int(data["dim_h"])
-        nf = int(data["dim_f"])
-        c_hh = np.asarray(data["c_hh"], dtype=float)
-        c_ff = np.asarray(data["c_ff"], dtype=float)
-        c_fh = np.asarray(data["c_fh"], dtype=float)
+        nh, nf = data["dim_h"], data["dim_f"]
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (nh, nf)):
+            raise TypeError(f"dim_h and dim_f must be integers, got {nh!r} and {nf!r}")
+        tables = [data["c_hh"], data["c_ff"], data["c_fh"]]
+        reject_non_numbers(tables, "the structure constants")
+        c_hh, c_ff, c_fh = (np.asarray(t, dtype=float) for t in tables)
     except (KeyError, TypeError, ValueError) as e:
         raise ClosureError(f"invalid algebra JSON: {e}") from None
     if c_hh.shape != (nh, nh, nh) or c_ff.shape != (nf, nf, nh) or c_fh.shape != (nf, nh, nf):

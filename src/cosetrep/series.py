@@ -18,12 +18,12 @@ generating functions; on a split with [f,f] in h these resum the
 factorization of a group flow through a coset slice, which is what the
 matrix factorization of :mod:`cosetrep.induced` computes independently.
 
-The weights are data: a map {n: w_n} read from the exact table, which is
-built once per process together with the weight rows the core reads.
-One private core takes such a map and evaluates the series for N nodes at
-once, adding w_n T_n into dI for odd n and into dF for even n.  Inside the
-core the node index is the last axis of every array, the interleaved layout
-of batched BLAS for tiny matrices (J. Dongarra et al., "The Design and
+The weights are data: two rows read from the exact table once per order,
+(1, w_2, w_4, ...) and (w_1, w_3, ...).  One private core takes such rows
+and evaluates the series for N nodes at once, adding w_n T_n into dF for
+even n and, through a sum mapped to h, into dI for odd n.  Inside the core
+the node index is the last axis of every array, the interleaved layout of
+batched BLAS for tiny matrices (J. Dongarra et al., "The Design and
 Performance of Batched BLAS on Modern High-Performance Computing Systems",
 ICCS 2017), so every per-node contraction runs across nodes.  The map
 x -> [x, F] sends f to h and h to f; one GEMM of a per-algebra table against
@@ -66,8 +66,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -145,41 +143,30 @@ def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
     ]
 
 
-# the weight rows of every map _weights has built, keyed by the map's id;
-# each entry holds its map, so no other map can take that id
-_ROWS: dict[int, tuple[Mapping[int, float], np.ndarray]] = {}
+def _rows(even, odd) -> np.ndarray:
+    """The read-only (2, K) weight rows that contract the powers u_k = S^k X,
+    from the even weights (w_2, w_4, ...) and the odd ones (w_1, w_3, ...):
+    row 0 is (1, w_2, w_4, ...) for dF, row 1 (w_1, w_3, ...) for the f sum
+    that dI maps to h, closed with an exact 0.0 when the order is even.
+    """
+    rows = np.zeros((2, len(even) + 1))
+    rows[0] = [1.0, *even]
+    rows[1, : len(odd)] = odd
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None, typed=True)
-def _weights(order: int) -> Mapping[int, float]:
-    """{n: w_n} of the z coth z and tanh(z/2) profiles for every n <= order.
+def _weights(order: int) -> np.ndarray:
+    """The weight rows of the z coth z and tanh(z/2) profiles to `order`.
 
-    Built once per order and shared, so the map is read-only; its weight
-    rows are built with it.  The cache is typed, so True or 2.0 never hits
-    the entry of 1 or 2 and meets the integer check instead.
+    Built once per order and shared, so the rows are read-only.  The cache
+    is typed, so True or 2.0 never hits the entry of 1 or 2 and meets the
+    integer check instead.
     """
-    weights = MappingProxyType(dict(even_bracket_weights(order) + odd_bracket_weights(order)))
-    _ROWS[id(weights)] = (weights, _weight_rows(weights))
-    return weights
-
-
-def _weight_rows(weights: Mapping[int, float]) -> np.ndarray:
-    """The (2, order/2 + 1) rows that contract the powers u_k = S^k X:
-    (1, w_2, w_4, ...) for dF and (w_1, w_3, ...) for the f sum that dI maps
-    to h, the latter closed with a zero weight when the order is even.
-
-    The maps of :func:`_weights` reuse the rows built with them; any other
-    map gets fresh ones.
-    """
-    hit = _ROWS.get(id(weights))
-    if hit is not None:
-        return hit[1]
-    top = max(weights)
-    rows = np.zeros((2, top // 2 + 1))
-    rows[0] = [1.0] + [weights[2 * k] for k in range(1, top // 2 + 1)]
-    rows[1, : (top + 1) // 2] = [weights[2 * k + 1] for k in range((top + 1) // 2)]
-    rows.setflags(write=False)
-    return rows
+    return _rows(
+        [w for _, w in even_bracket_weights(order)], [w for _, w in odd_bracket_weights(order)]
+    )
 
 
 @lru_cache(maxsize=32)
@@ -223,13 +210,13 @@ def _series(
     sigma: np.ndarray,
     xh: np.ndarray,
     xf: np.ndarray,
-    weights: Mapping[int, float],
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
-    have the shapes of xf and xh.  weights maps every n from 1 to the order
-    max(weights) to the weight of T_n.  Inside, the node index is the last
+    have the shapes of xf and xh.  rows are the (2, K) weight rows of
+    :func:`_rows`, which fix the order.  Inside, the node index is the last
     axis of every array, which is max(N, 2) wide: a single node rides with
     a zero node.  Every contraction is then one einsum that, for each node,
     sums over its index in ascending order from +0.0; the one GEMM's entries
@@ -239,7 +226,6 @@ def _series(
     n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
     table, cols = _table(alg)
     width = len(cols)
-    rows = _weight_rows(weights)
     # sigma, X_h and X_f as node-last rows of one buffer
     x = np.zeros((2 * nf + nh, max(n, 2)))
     np.concatenate((sigma.T, xh.T, xf.T), out=x[:, :n])

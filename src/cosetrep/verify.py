@@ -28,6 +28,7 @@ from .coeffs import bernoulli_numbers, l_coeffs, recursion_residuals
 from .errors import BranchError, OrthochronousError
 from .induced import (
     CompositeSection,
+    _compensator_action,
     _coset_matrix,
     _embed,
     _factor,
@@ -58,6 +59,7 @@ from .lie import (
 )
 from .series import (
     _compensator_rows,
+    _rows,
     _series,
     _weights,
     even_bracket_weights,
@@ -379,11 +381,12 @@ def _printed_profile_action(
     Only the leading orders of this profile agree with the factorization.
     """
     table = l_coeffs(order)
-    weights = {n: float(table.l(n)) for n in range(1, order + 1)}
-    dF, dI = _series(alg, point.sigma[None], actor.h[None], actor.f[None], weights)
+    plain = [float(table.l(n)) for n in range(1, order + 1)]
+    rows = _rows(plain[1::2], plain[::2])
+    dF, dI = _series(alg, point.sigma[None], actor.h[None], actor.f[None], rows)
     # the field of the h actor dI is [dI, F] = -[F, dI]
     drift = realize(alg, alg.element(h=dI[0]), point, order=1).dF
-    return dF[0] + weights[1] * drift, dI[0]
+    return dF[0] + plain[0] * drift, dI[0]
 
 
 def _so1m_closed_field_variant(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -708,7 +711,7 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
         sig, coords, vv = (np.array(x) for x in zip(*cases))
         xh, xf = coords[:, : alg.dim_h], coords[:, alg.dim_h :]
         ds, di = _series(alg, sig, xh, xf, _weights(19))
-        dv = (hrep_i.matrix(di) @ vv[:, :, None])[:, :, 0]
+        dv = _compensator_action(hrep_i, di, vv)
         x = np.tensordot(xh, rep.h_gens, axes=1) + np.tensordot(xf, rep.f_gens, axes=1)
         g = expm((h * _STEPS)[None, :, None, None] * x[:, None])
         steps = len(_STEPS)

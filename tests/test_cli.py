@@ -248,6 +248,61 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
     assert main(["verify", "algebra", "--in", broken]) == 2
 
 
+@pytest.mark.parametrize("suite", ["series", "coeffs"])
+def test_verify_rejects_a_negative_seed(suite, capsys):
+    assert main(["verify", suite, "--seed", "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert main(["verify", suite, "--seed", "0.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "rep, doc",
+    [
+        (
+            "vector",
+            {
+                "m": 3,
+                "sigma": [0.24, 0.25, 0.01],
+                "xi": {"boost": [-0.18, -0.91, -0.9], "rotations": [[1, 2, -0.43], [1, 3, -0.89], [2, 3, -0.23]]},
+                "v": [1.0, 0.3, -0.53],
+            },
+        ),
+        (
+            "spinor",
+            {
+                "m": 5,
+                "sigma": [0.24, 0.25, 0.01, -0.3, 0.12],
+                "xi": {"boost": [-0.18, -0.91, -0.9, 0.4, 0.05], "rotations": [[1, 2, -0.43], [2, 5, -0.23], [4, 5, 0.61]]},
+                "v": [round(0.13 * k - 0.7, 2) for k in range(16)],
+            },
+        ),
+    ],
+)
+def test_realize_d_v_is_the_library_compensator_action(tmp_path, capsys, rep, doc):
+    """The report's d_v is infinitesimal_action's dv, byte for byte; summing
+    hrep.matrix(dI) @ v instead differs in the last bits for both documents."""
+    from cosetrep.induced import infinitesimal_action, spinor_hrep, vector_hrep
+    from cosetrep.lie import CosetPoint, generator_coords, so1m_algebra
+
+    path = _write(tmp_path, "gen.json", doc)
+    assert main(["realize", "--in", path, "--rep", rep]) == 0
+    got = np.array(json.loads(capsys.readouterr().out)["d_v"])
+    m, xi = doc["m"], doc["xi"]
+    alg = so1m_algebra(m)
+    h, f = generator_coords(m, xi["boost"], xi["rotations"])
+    hrep = (vector_hrep if rep == "vector" else spinor_hrep)(m)
+    point, v = CosetPoint(np.array(doc["sigma"])), np.array(doc["v"])
+    _, dv = infinitesimal_action(alg, alg.element(h=h, f=f), point, v, hrep)
+    assert got.tobytes() == dv.tobytes()
+
+
+def _so12_document(**changes):
+    """so(1,2) as an algebra document, with some fields replaced."""
+    from cosetrep.lie import algebra_to_json_dict, so1m_algebra
+
+    return {**algebra_to_json_dict(so1m_algebra(2)), **changes}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -272,11 +327,17 @@ def test_verify_in_only_for_algebra(tmp_path, capsys):
         ("gauge", {"m": 3, "d": 3, "nodes": [{"sigma": ["0.1", True, 0], "v": [1, 0, 0], "xi": [0] * 6}]}),
         ("factor", {"m": 3, "rotations": [[1, 2, "0.3"]]}),
         ("gauge", {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1, 0], "xi": [0, False, 0]}]}),
+        (
+            "verify algebra",
+            _so12_document(dim_h="1", c_hh=[[[False]]], c_ff=[[["0.0"], ["-4.0"]], [["4.0"], ["0"]]]),
+        ),
+        # int() would truncate 1.7 to 1
+        ("verify algebra", _so12_document(dim_h=1.7)),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):
     path = _write(tmp_path, "doc.json", payload)
-    assert main([command, "--in", path]) == 2
+    assert main([*command.split(), "--in", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cosetrep: ") and len(err.splitlines()) == 1
 

@@ -10,6 +10,7 @@ from cosetrep.coeffs import l_coeffs
 from cosetrep.errors import DimensionError, DomainError
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
+    _rows,
     _series,
     _weights,
     even_bracket_weights,
@@ -34,6 +35,18 @@ def test_weights_are_the_taylor_coefficients():
     assert odd[1] == 0.5
     assert odd[3] == pytest.approx(-1.0 / 24.0, abs=0.0)
     assert odd[5] == pytest.approx(1.0 / 240.0, abs=0.0)
+
+
+def test_weights_are_the_rows_of_the_public_weights():
+    """Row 0 is (1, w_2, w_4, ...), row 1 (w_1, w_3, ...) closed with +0.0
+    at even orders, read-only and byte for byte the public lists."""
+    for order in range(1, 62):
+        even = [w for _, w in even_bracket_weights(order)]
+        odd = [w for _, w in odd_bracket_weights(order)] + ([0.0] if order % 2 == 0 else [])
+        rows = _weights(order)
+        assert rows.shape == (2, order // 2 + 1)
+        assert rows.tobytes() == np.array([[1.0] + even, odd]).tobytes()
+        assert not rows.flags.writeable
 
 
 def test_order_must_be_positive():
@@ -314,6 +327,17 @@ def test_action_arrays_read_only():
 # the S tower against the alternating bracket tower
 # ---------------------------------------------------------------------------
 
+def _profile(order):
+    """{n: w_n} of the z coth z and tanh(z/2) profiles, from the public lists."""
+    return dict(even_bracket_weights(order) + odd_bracket_weights(order))
+
+
+def _core_rows(weights):
+    """The core's weight rows from a {n: w_n} map."""
+    top = max(weights)
+    return _rows([weights[n] for n in range(2, top + 1, 2)], [weights[n] for n in range(1, top + 1, 2)])
+
+
 def _reference_series(alg, sigma, xh, xf, weights):
     """The alternating bracket tower the S tower replaced, kept verbatim:
     T_n alternates between the two blocks of x -> [x, F], one batched
@@ -374,8 +398,8 @@ def test_s_tower_matches_the_alternating_tower(m, dual):
         sigma, xh, xf = _nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
             plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
-            for weights in (_weights(order), plain):
-                got = _series(alg, sigma, xh, xf, weights)
+            for weights in (_profile(order), plain):
+                got = _series(alg, sigma, xh, xf, _core_rows(weights))
                 want = _reference_series(alg, sigma, xh, xf, weights)
                 for g, w in zip(got, want):
                     assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
@@ -388,12 +412,12 @@ def test_compact_dual_radius():
     xh, xf = np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]])
     for s, raises in ((1.5, False), (1.6, True)):
         sigma = np.array([[s, 0.0, 0.0]])
-        for core in (_series, _reference_series):
+        for core, weights in ((_series, _weights(11)), (_reference_series, _profile(11))):
             if raises:
                 with pytest.raises(DomainError, match="radius"):
-                    core(alg, sigma, xh, xf, _weights(11))
+                    core(alg, sigma, xh, xf, weights)
             else:
-                core(alg, sigma, xh, xf, _weights(11))
+                core(alg, sigma, xh, xf, weights)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9, 10])
@@ -478,7 +502,7 @@ def _scalar_core(alg, sigma, xh, xf, weights):
 
 def _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights):
     """Every row for N <= 3, every 97th row for more nodes."""
-    got = _series(alg, sigma, xh, xf, weights)
+    got = _series(alg, sigma, xh, xf, _core_rows(weights))
     rows = slice(None) if len(sigma) <= 3 else slice(None, None, 97)
     want = _scalar_core(alg, sigma[rows], xh[rows], xf[rows], weights)
     for g, w in zip(got, want):
@@ -519,7 +543,7 @@ def test_core_matches_the_axpy_core_bit_for_bit(m):
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
             plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
-            for weights in (_weights(order), plain):
+            for weights in (_profile(order), plain):
                 _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights)
 
 
@@ -535,4 +559,4 @@ def test_core_pads_rows_with_fewer_structural_nonzeros():
     for n in (1, 3, 1000):
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
-            _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, _weights(order))
+            _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, _profile(order))
