@@ -42,6 +42,7 @@ from .errors import (
 from .lie import (
     CosetPoint,
     ReductiveAlgebra,
+    _closure_residual,
     defining_rep_so1m,
     expm,
     generator_coords,
@@ -159,44 +160,6 @@ class HRepresentation:
         return self.exp(_log_coords(rho))
 
 
-# the closure check holds at most this many floats in each working array
-# (2^18 floats, 2 MB)
-_CLOSURE_CHUNK = 1 << 18
-
-
-def _closure_residual(gens: np.ndarray, c_hh: np.ndarray) -> float:
-    """max |[G_a, G_b] - c_hh[a,b,c] G_c| over every ordered pair (a, b).
-
-    Each ordered product G_a G_b is formed once: a pair a < b gives
-    [G_a, G_b] = P_ab - P_ba, and [G_b, G_a] is its exact negative.  For
-    a = b the commutator is exactly zero, so only the right-hand side is
-    compared.  The pairs run in a-major order in chunks of at most
-    _CLOSURE_CHUNK floats per working array, whatever dim_h and d are.  A
-    NaN anywhere makes the residual NaN.
-    """
-    nh, d = gens.shape[:2]
-    flat = gens.reshape(nh, d * d)
-    diag, ia, ib = _pair_index(nh)
-    parts = [abs(c_hh[diag, diag] @ flat).max(initial=0.0)]
-    step = max(1, _CLOSURE_CHUNK // max(1, 2 * d * d))
-    for lo in range(0, len(ia), step):
-        a, b = ia[lo : lo + step], ib[lo : lo + step]
-        lhs = (gens[a] @ gens[b] - gens[b] @ gens[a]).reshape(len(a), d * d)
-        # the right-hand sides of (a, b) and (b, a) in one product
-        rhs = c_hh[np.concatenate((a, b)), np.concatenate((b, a))] @ flat
-        parts += [abs(lhs - rhs[: len(a)]).max(), abs(lhs + rhs[len(a) :]).max()]
-    return float(np.max(parts))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(nh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """range(nh), and the pairs a < b in a-major order as two index arrays."""
-    out = (np.arange(nh),) + np.triu_indices(nh, 1)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=None)
 def vector_hrep(m: int) -> HRepresentation:
     """SO(m) acting on R^m: the spatial blocks E_ki - E_ik of the defining rep."""
@@ -246,16 +209,20 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
 
     Entries: top-left cosh(zeta), first row/column sinh(zeta) n_k, spatial
     block d_jk + (cosh(zeta) - 1) n_j n_k.  zeta of shape (...) and axis of
-    shape (..., m) give a stack of boosts (..., m+1, m+1).
+    shape (..., m) give a stack of boosts (..., m+1, m+1).  A non-finite
+    rapidity or axis entry raises DomainError.
     """
     n = np.asarray(axis, dtype=float)
     if n.ndim < 1 or n.shape[-1] != m:
         raise DimensionError(f"axis must have shape (..., {m}), got {n.shape}")
+    zeta = np.asarray(zeta, dtype=float)
+    if not (np.isfinite(zeta).all() and np.isfinite(n).all()):
+        raise DomainError("boost rapidity and axis must be finite")
     norm = _norm(n)
     if np.count_nonzero(norm == 0.0):
         raise DomainError("boost axis must be nonzero")
     n = np.where(abs(norm - 1.0) <= 1e-12, n, n / norm)
-    z, n = np.broadcast_arrays(np.asarray(zeta, dtype=float)[..., None], n)
+    z, n = np.broadcast_arrays(zeta[..., None], n)
     return _boost(z[..., :1], n)
 
 
@@ -264,9 +231,13 @@ def _check_rotation(rho) -> np.ndarray:
     r = np.asarray(rho, dtype=float)
     if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise DimensionError(f"rho must be square, got shape {r.shape}")
-    if np.abs(r.swapaxes(-1, -2) @ r - np.eye(r.shape[-1])).max(initial=0.0) > _TOL:
+    # a non-finite or overflowing rho makes the defect NaN or inf, which
+    # fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(r.swapaxes(-1, -2) @ r - np.eye(r.shape[-1])).max(initial=0.0)
+    if not defect <= _TOL:
         raise DomainError("rho is not orthogonal")
-    if np.count_nonzero(np.linalg.det(r) < 0.0):
+    if not np.all(np.linalg.det(r) > 0.0):
         raise DomainError("rho reverses orientation")
     return r
 

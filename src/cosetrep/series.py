@@ -239,9 +239,14 @@ def _series(
     s = np.einsum("jdn,jden->den", to_f, blocks[split[1] :].reshape(width, nf, nf, -1))
     # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
     # needed only at moving nodes where that bound reaches pi^2, and only
-    # when some row of some node reaches it at all.
+    # when some row of some node reaches it at all (or is NaN).  A huge
+    # |sigma| overflows S, whose tower would then multiply inf by 0.
     row_sums = np.abs(s).sum(axis=1)
-    if row_sums.max(initial=0.0) >= math.pi**2:
+    if not row_sums.max(initial=0.0) < math.pi**2:
+        finite = np.isfinite(row_sums).all(axis=0)
+        if not finite.all():
+            size = math.hypot(*sigma[np.argmin(finite)])
+            raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
         moving = np.abs(xf_t).max(axis=0, initial=0.0) > 0.0
         near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
         rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
@@ -278,9 +283,10 @@ def realize(
     """Infinitesimal action of a general generator xi = xi_h + xi_f at a point.
 
     Raises DomainError when order is not an integer >= 1, when xi has
-    non-finite entries, or when xi has an f part and the point lies at or
-    past the series radius rho(ad_F) = pi, and DimensionError when xi or the
-    point belongs to another algebra.
+    non-finite entries, when |sigma| is so large that ad_F^2 overflows, or
+    when xi has an f part and the point lies at or past the series radius
+    rho(ad_F) = pi, and DimensionError when xi or the point belongs to
+    another algebra.
     """
     if xi.algebra is not alg:
         raise DimensionError("generator belongs to a different algebra")
@@ -331,7 +337,15 @@ def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
         U[k, j] is the k-th component of dF for actor F_{j+1}; W[a, j] the
         a-th h coordinate (pairs lexicographic) for the same actor.  Both are
         smooth at sigma = 0 where U = identity, W = 0.
+
+    A |sigma| whose square overflows raises DomainError.
     """
+    # math.hypot scales its arguments, so a huge finite sigma cannot
+    # overflow here; the form below squares |sigma|, and the factor 2
+    # leaves room for the rounding of the norm's sum of squares
+    size = math.hypot(*point.sigma)
+    if not 2.0 * size * size < math.inf:
+        raise DomainError(f"|sigma| = {size:.6g} is too large: its square overflows")
     m = point.m
     s = point.norm
     a = _two_s_coth(s)

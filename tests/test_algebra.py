@@ -1,16 +1,20 @@
 """Structure constants of so(1,m) and the generic reductive-split container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cosetrep.clifford import CliffordSpace, Multivector, commutator, multivector_matrix
 from cosetrep.errors import ClosureError, DimensionError, DomainError
+from cosetrep import lie
 from cosetrep.lie import expm as lie_expm
 from cosetrep.lie import (
     AlgebraElement,
     CosetPoint,
     ReductiveAlgebra,
+    _total_structure,
     algebra_from_json_dict,
     algebra_to_json_dict,
     bracket,
@@ -40,6 +44,104 @@ def test_dimensions():
 def test_jacobi_residual_zero():
     for m in (2, 3, 4):
         assert jacobi_residual(so1m_algebra(m)) == 0.0
+
+
+def _reference_jacobi_residual(alg):
+    """The Jacobi residual as the dense (n, n, n, n) tensor formed it, kept
+    verbatim: its memory grows as n^4."""
+    C = _total_structure(alg)
+    t = np.tensordot(C, C, axes=1)
+    jac = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
+    return float(np.abs(jac).max()) if jac.size else 0.0
+
+
+def _unchecked(c_hh, c_ff, c_fh):
+    """A ReductiveAlgebra holding the tables without the constructor's checks."""
+    alg = object.__new__(ReductiveAlgebra)
+    for name, arr in (("c_hh", c_hh), ("c_ff", c_ff), ("c_fh", c_fh)):
+        object.__setattr__(alg, name, np.asarray(arr, dtype=float))
+    return alg
+
+
+def _rotated_h_basis(alg, q):
+    """alg with its h basis H'_a = q[a, b] H_b, q orthogonal: c_hh is dense."""
+    c_hh = np.einsum("ai,bj,ijk,ck->abc", q, q, alg.c_hh, q)
+    c_ff = np.einsum("abk,ck->abc", alg.c_ff, q)
+    c_fh = np.einsum("bj,ajc->abc", q, alg.c_fh)
+    return ReductiveAlgebra(c_hh, c_ff, c_fh)
+
+
+def _jacobi_cases():
+    """(algebra, one term per right-hand side) for so(1,m), its compact dual
+    so(m+1), so(1,m) in a rotated h basis, and antisymmetric tables broken
+    in one [F,H], [H,H] or [F,F] bracket."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for m in range(2, 7):
+        alg = so1m_algebra(m)
+        cases.append((alg, True))
+        cases.append((ReductiveAlgebra(alg.c_hh, -alg.c_ff, alg.c_fh), True))
+    for m in (3, 4):
+        alg = so1m_algebra(m)
+        q = np.linalg.qr(rng.standard_normal((alg.dim_h, alg.dim_h)))[0]
+        cases.append((_rotated_h_basis(alg, q), False))
+    alg = so1m_algebra(3)
+    c_fh = np.array(alg.c_fh)
+    c_fh[0, 0, 1] += 0.5
+    cases.append((_unchecked(alg.c_hh, alg.c_ff, c_fh), True))
+    c_hh = np.array(alg.c_hh)
+    c_hh[0, 1, 2] += 0.5
+    c_hh[1, 0, 2] -= 0.5
+    cases.append((_unchecked(c_hh, alg.c_ff, alg.c_fh), True))
+    c_ff = np.array(alg.c_ff)
+    c_ff[0, 1, 0] += 0.25
+    c_ff[1, 0, 0] -= 0.25
+    cases.append((_unchecked(alg.c_hh, c_ff, alg.c_fh), True))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_jacobi_residual_matches_the_dense_tensor(monkeypatch, chunk):
+    """The closure check on the adjoint matrices is the dense Jacobi tensor's
+    residual: bit for bit where every right-hand side has one term, in one
+    chunk or in many, and to rounding for a dense c_hh."""
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    residuals = []
+    for alg, exact in _jacobi_cases():
+        got = jacobi_residual(alg)
+        want = _reference_jacobi_residual(alg)
+        if exact:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15
+        residuals.append(want)
+    assert max(residuals[:-3]) <= 1e-14
+    assert min(residuals[-3:]) >= 0.25
+
+
+def test_jacobi_residual_memory_is_bounded():
+    """The dense tensor of so(1,8) peaked at 38.8 MiB (210.7 MiB for
+    so(1,10)); the chunked check holds a few working arrays of 2 MB."""
+    alg = so1m_algebra(8)
+    tracemalloc.start()
+    try:
+        assert jacobi_residual(alg) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_constructor_rejects_a_nan_jacobi_residual():
+    """With every table scaled by 1e200 the products overflow and the
+    residual of a broken so(1,3) is NaN, which used to compare false against
+    the bar and let the table through."""
+    alg = so1m_algebra(3)
+    c_fh = np.array(alg.c_fh)
+    c_fh[0, 0, 1] += 0.5
+    with pytest.raises(ClosureError, match="Jacobi"):
+        ReductiveAlgebra(1e200 * alg.c_hh, 1e200 * alg.c_ff, 1e200 * c_fh)
 
 
 def test_boost_bracket_lands_on_minus_four_rotation():

@@ -303,6 +303,18 @@ def _so12_document(**changes):
     return {**algebra_to_json_dict(so1m_algebra(2)), **changes}
 
 
+def _overflowing_so13_document():
+    """so(1,3) with one c_fh entry raised by 0.5 and every table scaled by
+    1e200: the Jacobi products overflow, and the residual is NaN."""
+    from cosetrep.lie import algebra_to_json_dict, so1m_algebra
+
+    alg = so1m_algebra(3)
+    c_fh = np.array(alg.c_fh)
+    c_fh[0, 0, 1] += 0.5
+    tables = {"c_hh": alg.c_hh, "c_ff": alg.c_ff, "c_fh": c_fh}
+    return {**algebra_to_json_dict(alg), **{k: (1e200 * v).tolist() for k, v in tables.items()}}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -333,6 +345,8 @@ def _so12_document(**changes):
         ),
         # int() would truncate 1.7 to 1
         ("verify algebra", _so12_document(dim_h=1.7)),
+        # a NaN Jacobi residual must reject the table, not pass it
+        ("verify algebra", _overflowing_so13_document()),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, schur
 
 from cosetrep.errors import (
@@ -14,7 +15,7 @@ from cosetrep.errors import (
     DomainError,
     OrthochronousError,
 )
-from cosetrep import induced
+from cosetrep import induced, lie
 from cosetrep.induced import (
     CompositeSection,
     HRepresentation,
@@ -64,6 +65,16 @@ def test_boost_axis_validation():
         boost_matrix(2, 0.5, np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "zeta, axis",
+    [(np.nan, [1.0, 0.0, 0.0]), (np.inf, [1.0, 0.0, 0.0]), (0.5, [np.nan, 0.0, 0.0]), (0.5, [np.inf, 1.0, 0.0])],
+)
+def test_boost_matrix_rejects_non_finite_input(zeta, axis):
+    """A NaN or infinite rapidity or axis used to give a NaN or inf matrix."""
+    with pytest.raises(DomainError, match="finite"):
+        boost_matrix(3, zeta, axis)
+
+
 def test_exp_coset_is_the_generator_exponential():
     rep = defining_rep_so1m(3)
     sig = np.array([0.3, -0.5, 0.1])
@@ -86,6 +97,18 @@ def test_rotation_embed_validation():
     with pytest.raises(DomainError):
         rotation_embed(2, np.diag([1.0, -1.0]))
     with pytest.raises(DimensionError):
+        rotation_embed(3, rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_rotation_embed_rejects_non_finite_rho(bad):
+    """A NaN rho used to pass both gates (NaN compares false), so
+    rotation_embed returned diag(1, NaN)."""
+    with pytest.raises(DomainError, match="not orthogonal"):
+        rotation_embed(3, np.full((3, 3), bad))
+    rho = np.eye(3)
+    rho[1, 2] = bad
+    with pytest.raises(DomainError, match="not orthogonal"):
         rotation_embed(3, rho)
 
 
@@ -150,6 +173,17 @@ def test_factor_at_large_rapidity_matches_exact_matrices(m, zeta):
         _, w = induced_action(g, CosetPoint(np.full(m, 0.05)), np.ones(spinor.d), spinor)
         assert w.shape == (spinor.d,)
     assert abs(reconstruct(pair) - g).max() <= 1e-15 * np.cosh(zeta) ** 2
+
+
+@settings(deadline=None, derandomize=True)
+@given(m=st.integers(2, 6), zeta=st.floats(0.0, 24.0), seed=st.integers(0, 2**32 - 1))
+def test_split_matches_exact_matrices_at_random_rapidity(m, zeta, seed):
+    """The bounds of the fixed-rapidity test above, for random rapidity,
+    boost axis and rotation."""
+    g, n, rho0 = _exact_boost_rotation(np.random.default_rng(seed), m, zeta)
+    pair = factor_boost_rotation(g)
+    assert abs(pair.rho - rho0).max() <= 1e-15 * np.cosh(zeta)
+    assert abs(pair.f_prime.sigma - 0.5 * zeta * n).max() <= 1e-14
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -297,6 +331,17 @@ def test_rotation_log_branch_and_validation():
     assert rotation_log_coords(np.eye(1)).size == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_rotation_log_rejects_non_finite_rho(bad):
+    """A NaN rho used to reach eigh and raise numpy's LinAlgError."""
+    with pytest.raises(DomainError, match="not orthogonal"):
+        rotation_log_coords(np.full((3, 3), bad))
+    rho = np.eye(3)
+    rho[0, 0] = bad
+    with pytest.raises(DomainError, match="not orthogonal"):
+        rotation_log_coords(np.stack([np.eye(3), rho]))
+
+
 def test_hrep_construction_checks_brackets():
     alg = so1m_algebra(3)
     with pytest.raises(ClosureError):
@@ -359,7 +404,7 @@ def test_closure_residual_matches_the_per_a_loop(monkeypatch, chunk):
     sides in GEMMs of another shape, which some BLAS kernels round apart in
     the last bit."""
     if chunk is not None:
-        monkeypatch.setattr(induced, "_CLOSURE_CHUNK", chunk)
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
     residuals = []
     for g, c_hh, exact in _closure_cases():
         got = induced._closure_residual(g, c_hh)

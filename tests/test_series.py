@@ -109,6 +109,39 @@ def test_boost_past_the_series_radius_raises():
     np.testing.assert_array_equal(act.dI, [1.0, 0.0, 0.0])
 
 
+def test_huge_sigma_raises_a_domain_error():
+    """At |sigma| = 1e160 S = ad_F^2 overflows.  The rotation actor's tower
+    used to multiply inf by 0 and return NaN without a warning, the boost
+    actor to fail in numpy's eigvals, and the closed form to overflow in its
+    norm."""
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.array([1e160, 0.0, 0.0]))
+    for xi in (alg.h_basis(0), alg.f_basis(0)):
+        with pytest.raises(DomainError, match=r"\|sigma\| = 1e\+160"):
+            realize(alg, xi, point)
+    for sig in ([1e160, 0.0, 0.0], [1e160, 1e160, 0.0]):
+        with pytest.raises(DomainError, match=r"\|sigma\| = 1\.?\d*e\+160"):
+            so1m_closed_field(CosetPoint(np.array(sig)))
+    # in a section the node that overflows is named
+    sigma = np.zeros((3, 3))
+    sigma[1] = [3e159, 4e159, 0.0]
+    xh = np.zeros((3, 3))
+    xh[:, 0] = 1.0
+    with pytest.raises(DomainError, match=r"\|sigma\| = 5e\+159"):
+        _series(alg, sigma, xh, np.zeros((3, 3)), _weights(11))
+
+
+def test_large_finite_sigma_keeps_the_rotation_field():
+    """Below the overflow the rotation actor's field is still [X, F]."""
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.array([1e150, -2e150, 0.5e150]))
+    xi = alg.element(h=[0.5, -1.0, 0.25])
+    act = realize(alg, xi, point)
+    want = bracket(xi, alg.element(f=point.sigma))
+    np.testing.assert_array_equal(act.dF, want.f)
+    np.testing.assert_array_equal(act.dI, xi.h)
+
+
 def test_origin_is_trivial():
     alg = so1m_algebra(3)
     origin = CosetPoint(np.zeros(3))
