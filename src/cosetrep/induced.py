@@ -210,7 +210,8 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     Entries: top-left cosh(zeta), first row/column sinh(zeta) n_k, spatial
     block d_jk + (cosh(zeta) - 1) n_j n_k.  zeta of shape (...) and axis of
     shape (..., m) give a stack of boosts (..., m+1, m+1).  A non-finite
-    rapidity or axis entry raises DomainError.
+    rapidity or axis entry, or a |zeta| above _MAX_RAPIDITY, raises
+    DomainError.
     """
     n = np.asarray(axis, dtype=float)
     if n.ndim < 1 or n.shape[-1] != m:
@@ -218,6 +219,12 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     if not (np.isfinite(zeta).all() and np.isfinite(n).all()):
         raise DomainError("boost rapidity and axis must be finite")
+    size = float(np.abs(zeta).max(initial=0.0))
+    if size > _MAX_RAPIDITY:
+        raise DomainError(
+            f"boost rapidity |zeta| = {size:.6g} exceeds {_MAX_RAPIDITY:g}, the largest "
+            "for which the matrix and its form check stay finite"
+        )
     norm = _norm(n)
     if np.count_nonzero(norm == 0.0):
         raise DomainError("boost axis must be nonzero")

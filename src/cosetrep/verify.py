@@ -10,6 +10,7 @@ the constant written at its row.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 from .clifford import (
     CliffordSpace,
     Multivector,
+    _blade_images,
     _blade_tuple,
     blade_product,
     exp_vector,
@@ -210,17 +212,36 @@ def suite_coeffs(seed: int = 0) -> list[PropertyResult]:
 # Clifford suite
 # ---------------------------------------------------------------------------
 
-def _random_multivector(rng, space: CliffordSpace, n_terms: int = 4) -> Multivector:
+def _random_pairs(rng, space: CliffordSpace, n_pairs: int, n_terms: int = 4):
+    """n_pairs pairs (a, b) of multivectors of n_terms random terms, drawn by
+    one integers and one uniform call and built as the iterator is read."""
     blades = _blade_tuple(space.m)
-    picks = rng.integers(0, len(blades), size=n_terms)
-    vals = rng.uniform(-2.0, 2.0, n_terms)
-    data = {}
-    for p, v in zip(picks.tolist(), vals.tolist()):
-        data[blades[p]] = data.get(blades[p], 0.0) + v
-    # the blades are valid by construction; blade_product sums in dict order
-    out = Multivector(space)
-    out._c.update((t, v) for t, v in data.items() if v != 0.0)
-    return out
+    picks = rng.integers(0, len(blades), size=(2 * n_pairs, n_terms))
+    vals = rng.uniform(-2.0, 2.0, (2 * n_pairs, n_terms))
+
+    def build(row_p, row_v):
+        # the blades are valid by construction, a repeated one sums in draw
+        # order, and blade_product sums in dict order
+        data = {}
+        for p, v in zip(row_p.tolist(), row_v.tolist()):
+            data[blades[p]] = data.get(blades[p], 0.0) + v
+        out = Multivector(space)
+        out._c.update((t, v) for t, v in data.items() if v != 0.0)
+        return out
+
+    mvs = map(build, picks, vals)
+    return zip(mvs, mvs)
+
+
+def _matrices(mvs) -> np.ndarray:
+    """multivector_matrix of each of mvs (one space) as one GEMM of dense
+    coefficient rows; each entry still sums at most two nonzero terms."""
+    index, stack = _blade_images(mvs[0].space.m)
+    rows = np.zeros((len(mvs), len(index)))
+    at = [r * len(index) + index[t] for r, mv in enumerate(mvs) for t in mv._c]
+    rows.flat[at] = [v for mv in mvs for v in mv._c.values()]
+    n = math.isqrt(stack.shape[1])
+    return (rows @ stack).reshape(len(mvs), n, n)
 
 
 def suite_clifford(seed: int = 0) -> list[PropertyResult]:
@@ -249,16 +270,16 @@ def suite_clifford(seed: int = 0) -> list[PropertyResult]:
         )
     )
 
+    # every pair is multiplied by blade_product and checked in chunks of 25,
+    # which keep each temporary below glibc's 128 KiB mmap threshold
     worst = 0.0
-    pairs_per_m = 200
+    pairs_per_m, chunk = 200, 25
     for m in range(1, 6):
-        sp = CliffordSpace(m)
-        for _ in range(pairs_per_m):
-            a = _random_multivector(rng, sp)
-            b = _random_multivector(rng, sp)
-            lhs = multivector_matrix(blade_product(a, b))
-            rhs = multivector_matrix(a) @ multivector_matrix(b)
-            worst = max(worst, float(abs(lhs - rhs).max()))
+        pairs = _random_pairs(rng, CliffordSpace(m), pairs_per_m)
+        for _ in range(pairs_per_m // chunk):
+            a, b = zip(*itertools.islice(pairs, chunk))
+            lhs = _matrices(list(map(blade_product, a, b)))
+            worst = max(worst, float(abs(lhs - _matrices(a) @ _matrices(b)).max()))
     out.append(
         _row(
             "clifford_product_matrix_oracle",
@@ -279,12 +300,11 @@ def suite_clifford(seed: int = 0) -> list[PropertyResult]:
     worst = 0.0
     for m in (2, 3, 4):
         sp = CliffordSpace(m)
-        for _ in range(20):
-            sig = rng.uniform(-1.0, 1.0, m)
-            closed = multivector_matrix(exp_vector(sp, sig))
-            gam = matrix_rep(sp)
-            direct = expm(sum(sig[k] * gam[k] for k in range(m)))
-            worst = max(worst, float(abs(closed - direct).max()))
+        sig = rng.uniform(-1.0, 1.0, (20, m))
+        closed = np.stack([multivector_matrix(exp_vector(sp, s)) for s in sig])
+        # each matrix entry is one signed sigma^k: exact in any summation order
+        direct = expm(np.tensordot(sig, matrix_rep(sp), axes=1))
+        worst = max(worst, float(abs(closed - direct).max()))
     out.append(
         _row(
             "clifford_exp_vector",
@@ -400,24 +420,35 @@ def _so1m_closed_field_variant(point: CosetPoint) -> tuple[np.ndarray, np.ndarra
     return U, W
 
 
+def _ball_cases(rng, m: int, n: int, radius, *dims: int) -> tuple[np.ndarray, ...]:
+    """n cases stacked: each a point sigma of norm uniform in radius = (lo, hi),
+    then a uniform(-1, 1) vector of each length in dims."""
+    cases = []
+    for _ in range(n):
+        sig = rng.uniform(-1.0, 1.0, m)
+        sig *= rng.uniform(*radius) / max(np.linalg.norm(sig), 1e-12)
+        cases.append((sig, *(rng.uniform(-1.0, 1.0, d) for d in dims)))
+    return tuple(np.array(x) for x in zip(*cases))
+
+
 def suite_series(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
+
+    # each row takes its cases in one _series call per m (per order for the
+    # slopes), whose per-node result does not depend on the node count
 
     # series vs the factorization derivative, mixed actors; the tail of the
     # series decays like (2 |sigma| / pi)^order, so the radius stays at 0.35
     worst = 0.0
     for m in (2, 3):
         alg = so1m_algebra(m)
-        for _ in range(6):
-            sig = rng.uniform(-1.0, 1.0, m)
-            sig *= rng.uniform(0.0, 0.35) / max(np.linalg.norm(sig), 1e-12)
-            point = CosetPoint(sig)
-            coords = rng.uniform(-1.0, 1.0, alg.dim)
-            xi = alg.element(h=coords[: alg.dim_h], f=coords[alg.dim_h :])
-            act = realize(alg, xi, point, order=19)
-            fd_s, fd_t = fd_action_derivative(alg, xi, point)
-            worst = max(worst, float(abs(act.dF - fd_s).max()), float(abs(act.dI - fd_t).max()))
+        sig, coords = _ball_cases(rng, m, 6, (0.0, 0.35), alg.dim)
+        ds, di = _series(alg, sig, coords[:, : alg.dim_h], coords[:, alg.dim_h :], _weights(19))
+        for k, c in enumerate(coords):
+            xi = alg.element(h=c[: alg.dim_h], f=c[alg.dim_h :])
+            fd_s, fd_t = fd_action_derivative(alg, xi, CosetPoint(sig[k]))
+            worst = max(worst, float(abs(ds[k] - fd_s).max()), float(abs(di[k] - fd_t).max()))
     out.append(
         _row(
             "series_matches_factorization",
@@ -432,19 +463,15 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
     direction = direction / np.linalg.norm(direction)
     norms = (0.4, 0.2, 0.1, 0.05)
     alg = so1m_algebra(3)
+    sig = np.outer(norms, direction)
+    u, w = (np.array(x)[:, :, 1] for x in zip(*(so1m_closed_field(CosetPoint(s)) for s in sig)))
+    actor = np.tile(alg.f_basis(1).f, (len(norms), 1))
     min_margin = math.inf
     slopes = {}
     for order in (3, 5, 7):
-        errs = []
-        for s in norms:
-            point = CosetPoint(s * direction)
-            u, w = so1m_closed_field(point)
-            act = realize(alg, alg.f_basis(1), point, order=order)
-            err = max(float(abs(act.dF - u[:, 1]).max()), float(abs(act.dI - w[:, 1]).max()))
-            errs.append(err)
-        logs = np.log(errs)
-        xs = np.log(norms)
-        slope = float(np.polyfit(xs, logs, 1)[0])
+        ds, di = _series(alg, sig, np.zeros((len(norms), alg.dim_h)), actor, _weights(order))
+        logs = np.log(np.maximum(abs(ds - u).max(axis=1), abs(di - w).max(axis=1)))
+        slope = float(np.polyfit(np.log(norms), logs, 1)[0])
         slopes[order] = slope
         min_margin = min(min_margin, slope - (order + 0.5))
     out.append(
@@ -466,20 +493,14 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
     exact_di = True
     for m in (2, 3, 4):
         alg = so1m_algebra(m)
-        pairs = h_pairs(m)
-        for _ in range(5):
-            sig = rng.uniform(-1.0, 1.0, m)
-            sig *= rng.uniform(0.0, 1.0) / max(np.linalg.norm(sig), 1e-12)
-            point = CosetPoint(sig)
-            coords = rng.uniform(-1.0, 1.0, alg.dim_h)
-            actor = alg.element(h=coords)
-            act = realize(alg, actor, point, order=9)
-            linear = np.zeros(m)
-            for a, (i, k) in enumerate(pairs):
-                linear[k - 1] += coords[a] * sig[i - 1]
-                linear[i - 1] -= coords[a] * sig[k - 1]
-            worst = max(worst, float(abs(act.dF - linear).max()))
-            exact_di = exact_di and np.array_equal(act.dI, actor.h)
+        sig, coords = _ball_cases(rng, m, 5, (0.0, 1.0), alg.dim_h)
+        ds, di = _series(alg, sig, coords, np.zeros_like(sig), _weights(9))
+        linear = np.zeros_like(sig)
+        for a, (i, k) in enumerate(h_pairs(m)):
+            linear[:, k - 1] += coords[:, a] * sig[:, i - 1]
+            linear[:, i - 1] -= coords[:, a] * sig[:, k - 1]
+        worst = max(worst, float(abs(ds - linear).max()))
+        exact_di = exact_di and np.array_equal(di, coords)
     out.append(
         _row(
             "series_stabilizer_linear_field",
@@ -501,16 +522,14 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
     worst = 0.0
     for m in (2, 3):
         alg = so1m_algebra(m)
-        for _ in range(6):
-            sig = rng.uniform(-1.0, 1.0, m)
-            sig *= rng.uniform(0.05, 0.9) / max(np.linalg.norm(sig), 1e-12)
-            point = CosetPoint(sig)
-            u, w = so1m_closed_field(point)
-            for j in range(m):
-                act = realize(alg, alg.f_basis(j), point, order=61)
-                worst = max(
-                    worst, float(abs(act.dF - u[:, j]).max()), float(abs(act.dI - w[:, j]).max())
-                )
+        (points,) = _ball_cases(rng, m, 6, (0.05, 0.9))
+        # node (k, j) is the actor F_j at point k
+        nodes = np.repeat(points, m, axis=0)
+        actors = np.tile(np.eye(m), (len(points), 1))
+        act = _series(alg, nodes, np.zeros((len(nodes), alg.dim_h)), actors, _weights(61))
+        for sig, ds, di in zip(points, *(x.reshape(len(points), m, -1) for x in act)):
+            u, w = so1m_closed_field(CosetPoint(sig))
+            worst = max(worst, float(abs(ds - u.T).max()), float(abs(di - w.T).max()))
     out.append(
         _row(
             "series_closed_field_match",
@@ -690,12 +709,7 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
     rep = defining_rep_so1m(m)
     h = 1e-3
     for hrep_i in (vector_hrep(m), spinor_hrep(m)):
-        cases = []
-        for _ in range(10):
-            sig = rng.uniform(-1.0, 1.0, m)
-            sig *= rng.uniform(0.0, 0.35) / max(np.linalg.norm(sig), 1e-12)
-            cases.append((sig, rng.uniform(-1.0, 1.0, alg.dim), rng.uniform(-1.0, 1.0, hrep_i.d)))
-        sig, coords, vv = (np.array(x) for x in zip(*cases))
+        sig, coords, vv = _ball_cases(rng, m, 10, (0.0, 0.35), alg.dim, hrep_i.d)
         xh, xf = coords[:, : alg.dim_h], coords[:, alg.dim_h :]
         ds, di = _series(alg, sig, xh, xf, _weights(19))
         dv = _compensator_action(hrep_i, di, vv)

@@ -1,5 +1,7 @@
 """Blade arithmetic of Cl(m) against the independent matrix representation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from cosetrep.clifford import (
     multivector_matrix,
 )
 from cosetrep.errors import DimensionError, DomainError
-from cosetrep.verify import _random_multivector
+from cosetrep.verify import _random_pairs, suite_clifford
 
 
 def _all_blades(m):
@@ -251,14 +253,18 @@ def _reference_multivector_matrix(a):
     return out
 
 
-def _reference_random_multivector(rng, space, n_terms=4):
-    """The former verify draw: one scalar uniform per term, validated blades."""
+def _reference_random_pairs(rng, space, n_pairs, n_terms=4):
+    """The verify pair draw, each multivector built by the validating constructor."""
     blades = tuple(space.blades())
-    picks = rng.integers(0, len(blades), size=n_terms)
-    data = {}
-    for p in picks:
-        data[blades[p]] = data.get(blades[p], 0.0) + float(rng.uniform(-2.0, 2.0))
-    return Multivector(space, data)
+    picks = rng.integers(0, len(blades), size=(2 * n_pairs, n_terms))
+    vals = rng.uniform(-2.0, 2.0, (2 * n_pairs, n_terms))
+    mvs = []
+    for row_p, row_v in zip(picks, vals):
+        data = {}
+        for p, v in zip(row_p, row_v):
+            data[blades[p]] = data.get(blades[p], 0.0) + float(v)
+        mvs.append(Multivector(space, data))
+    return list(zip(mvs[::2], mvs[1::2]))
 
 
 def test_blade_products_match_uncached_reference():
@@ -289,16 +295,40 @@ def test_stacked_matrix_is_bit_identical_to_per_term_sum():
             assert multivector_matrix(a).tobytes() == _reference_multivector_matrix(a).tobytes()
 
 
-def test_verify_draw_matches_scalar_draws():
+def test_verify_pair_draw_matches_validated_reference():
     for seed in range(10):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
         for m in range(1, 6):
             sp = CliffordSpace(m)
-            for _ in range(20):
-                a = _random_multivector(new, sp)
-                b = _reference_random_multivector(old, sp)
-                assert list(a._c.items()) == list(b._c.items())
-        assert new.uniform() == old.uniform()
+            got, want = list(_random_pairs(new, sp, 200)), _reference_random_pairs(old, sp, 200)
+            assert len(got) == len(want) == 200
+            for pair, ref in zip(got, want):
+                assert [list(x._c.items()) for x in pair] == [list(x._c.items()) for x in ref]
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_verify_oracle_catches_a_wrong_product(monkeypatch):
+    def wrong(ea, eb):
+        t, s = _mul_blades(ea, eb)
+        return t, -s if (ea, eb) == ((1,), (2,)) else s
+
+    monkeypatch.setattr("cosetrep.clifford._mul_blades", wrong)
+    rows = {r.name: r for r in suite_clifford(0)}
+    assert not rows["clifford_product_matrix_oracle"].passed
+    assert not rows["clifford_generator_relations"].passed
+
+
+def test_verify_clifford_suite_memory_is_bounded():
+    """The stacked product oracle works in chunks of 25 pairs; unchunked, its
+    temporaries peak at about 1.8 MB and raise verify's peak RSS."""
+    suite_clifford(1)
+    tracemalloc.start()
+    try:
+        suite_clifford(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,21 @@ def test_boost_matrix_rejects_non_finite_input(zeta, axis):
         boost_matrix(3, zeta, axis)
 
 
+@pytest.mark.parametrize("zeta", [800.0, -800.0, [0.5, 400.0, 1.0]])
+def test_boost_matrix_rejects_rapidity_past_the_bound(zeta):
+    """Past |zeta| of about 710 the matrix used to hold inf and NaN."""
+    axis = np.ones((np.size(zeta), 3)) if np.ndim(zeta) else [1.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match="exceeds 354"):
+        boost_matrix(3, zeta, axis)
+
+
+@pytest.mark.parametrize("zeta", [354.0, -354.0])
+def test_boost_matrix_at_the_rapidity_bound_is_finite(zeta):
+    g = boost_matrix(3, zeta, [0.0, 1.0, 0.0])
+    assert np.isfinite(g).all()
+    assert g[0, 0] == np.cosh(354.0)
+
+
 def test_exp_coset_is_the_generator_exponential():
     rep = defining_rep_so1m(3)
     sig = np.array([0.3, -0.5, 0.1])
