@@ -19,7 +19,7 @@ from cosetrep.clifford import (
     multivector_matrix,
 )
 from cosetrep.errors import DimensionError, DomainError
-from cosetrep.verify import _random_pairs, suite_clifford
+from cosetrep.verify import _matrices, _random_pairs, suite_clifford
 
 
 def _all_blades(m):
@@ -293,6 +293,17 @@ def test_stacked_matrix_is_bit_identical_to_per_term_sum():
             k = int(rng.integers(0, len(blades) + 1))
             a = Multivector(sp, {blades[i]: rng.uniform(-2, 2) for i in rng.integers(0, len(blades), size=k)})
             assert multivector_matrix(a).tobytes() == _reference_multivector_matrix(a).tobytes()
+
+
+def test_verify_stacked_images_equal_multivector_matrix():
+    """Each entry of a blade-image sum has at most two nonzero terms, so the
+    dense-row GEMM of the verify oracle gives multivector_matrix's values."""
+    rng = np.random.default_rng(5)
+    for m in range(1, 6):
+        pairs = list(_random_pairs(rng, CliffordSpace(m), 25))
+        mvs = [x for pair in pairs for x in pair] + [blade_product(a, b) for a, b in pairs]
+        want = np.stack([multivector_matrix(x) for x in mvs])
+        assert np.array_equal(_matrices(mvs), want)
 
 
 def test_verify_pair_draw_matches_validated_reference():
