@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,16 @@ def _positive_int(text: str) -> int:
 
 def _non_negative_int(text: str) -> int:
     return _int_from(0, text)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -180,10 +191,7 @@ def _cmd_realize(args) -> int:
         raise _UsageError(f"document has m={m} but --m {args.m} was given")
     if sigma.shape != (m,):
         raise _UsageError(f"sigma must have {m} entries, got shape {sigma.shape}")
-    try:
-        alg = so1m_algebra(m)
-    except (DomainError, DimensionError) as exc:
-        raise _UsageError(str(exc)) from exc
+    alg = so1m_algebra(m)
     xi_doc = doc.get("xi")
     if not isinstance(xi_doc, dict):
         raise _UsageError('document needs "xi": {"boost": [...], "rotations": [...]}')
@@ -251,10 +259,7 @@ def _cmd_gauge(args) -> int:
     if xi is None:
         raise _UsageError("gauge flow needs a generator field: every node must carry xi")
     m = section.m
-    try:
-        alg = so1m_algebra(m)
-    except (DomainError, DimensionError) as exc:
-        raise _UsageError(str(exc)) from exc
+    alg = so1m_algebra(m)
     hrep = (vector_hrep if args.rep == "vector" else spinor_hrep)(m)
     if section.d != hrep.d:
         raise _UsageError(
@@ -333,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gauge", help="flow a section along its generator field")
     p.add_argument("--in", dest="infile", required=True, help="section JSON, every node carrying xi")
-    p.add_argument("--t", type=float, default=1.0, help="total flow time")
+    p.add_argument("--t", type=_finite_float, default=1.0, help="total flow time")
     p.add_argument("--steps", type=_positive_int, default=16, help="number of Euler steps")
     p.add_argument("--rep", choices=("vector", "spinor"), default="vector")
     p.add_argument("--out", default=None)
@@ -358,18 +363,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"cosetrep: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
+    except (_UsageError, DimensionError, OSError) as exc:
         print(f"cosetrep: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ClosureError) as exc:
         print(f"cosetrep: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"cosetrep: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

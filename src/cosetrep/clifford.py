@@ -320,18 +320,29 @@ def _blade_images(m: int) -> tuple[dict[Blade, int], np.ndarray]:
     return {t: row for row, t in enumerate(blades)}, stack
 
 
-def multivector_matrix(a: Multivector) -> np.ndarray:
-    """Image of a multivector under the matrix representation.
+def multivector_matrix(a) -> np.ndarray:
+    """Image of a multivector under the matrix representation, or the stack
+    of images (n, d, d) of a non-empty sequence of multivectors of one space.
 
-    Every blade image is a signed permutation matrix and no matrix entry is
-    shared by more than two blades, so each entry of the product below is a
-    sum of at most two nonzero terms and does not depend on term order.
+    The images are one GEMM of dense coefficient rows against the stacked
+    blade images.  Every blade image is a signed permutation matrix and no
+    matrix entry is shared by more than two blades, so each entry is a sum of
+    at most two nonzero terms and does not depend on term order or on the
+    BLAS kernel.  An empty sequence or one mixing spaces raises DimensionError.
     """
-    index, stack = _blade_images(a.space.m)
+    mvs = [a] if isinstance(a, Multivector) else list(a)
+    if not mvs:
+        raise DimensionError("multivector_matrix needs at least one multivector")
+    # spaces are equal when their m are; reading m avoids dataclass __eq__
+    if len({mv.space.m for mv in mvs}) > 1:
+        raise DimensionError("multivectors live in different spaces")
+    index, stack = _blade_images(mvs[0].space.m)
+    rows = np.zeros((len(mvs), len(index)))
+    at = [r * len(index) + index[t] for r, mv in enumerate(mvs) for t in mv._c]
+    rows.flat[at] = [v for mv in mvs for v in mv._c.values()]
     n = math.isqrt(stack.shape[1])
-    rows = [index[t] for t in a._c]
-    coef = np.fromiter(a._c.values(), dtype=float, count=len(rows))
-    return (coef @ stack.take(rows, axis=0)).reshape(n, n)
+    out = (rows @ stack).reshape(len(mvs), n, n)
+    return out[0] if isinstance(a, Multivector) else out
 
 
 # ---------------------------------------------------------------------------

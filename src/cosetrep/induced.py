@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import CliffordSpace, matrix_rep
+from .clifford import multivector_matrix
 from .errors import (
     BranchError,
     ClosureError,
@@ -43,6 +43,7 @@ from .lie import (
     CosetPoint,
     ReductiveAlgebra,
     _closure_residual,
+    _so1m_basis,
     defining_rep_so1m,
     expm,
     generator_coords,
@@ -59,7 +60,6 @@ __all__ = [
     "boost_matrix",
     "rotation_embed",
     "exp_coset",
-    "check_proper_orthochronous",
     "FactoredPair",
     "factor_boost_rotation",
     "reconstruct",
@@ -168,16 +168,9 @@ def vector_hrep(m: int) -> HRepresentation:
 
 @lru_cache(maxsize=None)
 def spinor_hrep(m: int) -> HRepresentation:
-    """SO(m) on the spinor space of Cl(m): generators (1/4)[gamma_k, gamma_i]."""
-    alg = so1m_algebra(m)
-    gammas = matrix_rep(CliffordSpace(m))
-    pairs = h_pairs(m)
-    d = gammas[0].shape[0]
-    gens = np.zeros((len(pairs), d, d))
-    for a, (i, k) in enumerate(pairs):
-        gk, gi = gammas[k - 1], gammas[i - 1]
-        gens[a] = 0.25 * (gk @ gi - gi @ gk)
-    return HRepresentation(alg, gens)
+    """SO(m) on the spinor space of Cl(m): the matrix images of the rotation
+    generators (1/4)[gamma_k, gamma_i] that so1m_algebra is built from."""
+    return HRepresentation(so1m_algebra(m), multivector_matrix(_so1m_basis(m)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +278,13 @@ def exp_coset(point: CosetPoint) -> np.ndarray:
 def _check_form(g) -> np.ndarray:
     """g (or a stack) as a float array preserving the form forward in time.
 
+    Raises DimensionError for a bad shape, DomainError when g does not
+    preserve the form diag(+1, -1, ..., -1), and OrthochronousError when it
+    reverses time.  The form is compared entrywise against
+    1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding bound of the
+    product g^T eta g, so the tolerance grows with the entries of a large
+    boost while an error in a small entry is still caught.
+
     The orientation is left to :func:`_check_orientation` on the rho of a
     split: det(g) = det(rho), but g's entries grow like cosh(zeta) while
     rho's stay O(1), so only rho's determinant keeps its sign at large
@@ -309,27 +309,11 @@ def _check_orientation(rho: np.ndarray) -> None:
 
 
 def _factor(g) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma', rho) of a matrix or stack g after the checks of
-    :func:`check_proper_orthochronous`."""
+    """(sigma', rho) of a proper orthochronous matrix or stack g, after the
+    form check and the orientation check on rho."""
     sigma, rho = _split(_check_form(g))
     _check_orientation(rho)
     return sigma, rho
-
-
-def check_proper_orthochronous(g: np.ndarray) -> int:
-    """Validate g, or every matrix of a stack (..., m+1, m+1), as a proper
-    orthochronous transformation; return m.
-
-    Raises DimensionError for a bad shape, DomainError when g does not
-    preserve the form diag(+1, -1, ..., -1), and OrthochronousError when it
-    reverses time or orientation.  The form is compared entrywise against
-    1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding bound of the
-    product g^T eta g, so the tolerance grows with the entries of a large
-    boost while an error in a small entry is still caught.  The orientation
-    is the sign of det(rho) of the boost-rotation split.
-    """
-    sigma, _ = _factor(g)
-    return sigma.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)

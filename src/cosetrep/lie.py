@@ -396,8 +396,15 @@ class DefiningRep:
     f_gens: np.ndarray
     eta: np.ndarray
 
-    def matrix(self, x: AlgebraElement) -> np.ndarray:
-        return np.tensordot(x.h, self.h_gens, axes=1) + np.tensordot(x.f, self.f_gens, axes=1)
+    def matrix(self, coords) -> np.ndarray:
+        """Sum x^a G_a over the generators [H_1..H_nh, F_1..F_m] for
+        generator coordinates of shape (..., dim_h + dim_f), stabilizer part
+        first (the layout of a section's xi)."""
+        x = np.asarray(coords, dtype=float)
+        gens = np.concatenate([self.h_gens, self.f_gens])
+        if x.ndim < 1 or x.shape[-1] != len(gens):
+            raise DimensionError(f"expected {len(gens)} generator coordinates, got shape {x.shape}")
+        return np.tensordot(x, gens, axes=1)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ import numpy as np
 from .clifford import (
     CliffordSpace,
     Multivector,
-    _blade_images,
     _blade_tuple,
     blade_product,
     exp_vector,
@@ -138,10 +137,27 @@ _STEPS = np.array([1.0, -1.0, 0.5, -0.5])
 
 def _richardson(values: np.ndarray, h: float) -> np.ndarray:
     """Richardson-extrapolated central difference at t=0 from the values
-    values[..., j, :] at t = _STEPS[j] h."""
-    d1 = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
-    d2 = (values[..., 2, :] - values[..., 3, :]) / (2.0 * (h / 2.0))
+    values[j] at t = _STEPS[j] h."""
+    d1 = (values[0] - values[1]) / (2.0 * h)
+    d2 = (values[2] - values[3]) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
+
+
+def _exp_defining(m: int, t, coords: np.ndarray) -> np.ndarray:
+    """exp(t X) in the defining matrices of so(1,m) for generator coordinates
+    coords (..., dim_h + dim_f): shape t.shape + coords.shape[:-1] + (m+1, m+1)."""
+    return expm(np.multiply.outer(t, defining_rep_so1m(m).matrix(coords)))
+
+
+def _fd_action(
+    alg: ReductiveAlgebra, coords: np.ndarray, sigma: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """fd_action_derivative of every node in one stacked call: generator
+    coordinates coords (N, dim) at points sigma (N, dim_f), or one node as
+    coords (dim,) and sigma (dim_f,)."""
+    g = _exp_defining(alg.dim_f, h * _STEPS, coords) @ _coset_matrix(sigma)
+    sigma_t, rho = _factor(g)
+    return _richardson(sigma_t, h), _richardson(rotation_log_coords(rho), h)
 
 
 def fd_action_derivative(
@@ -156,9 +172,7 @@ def fd_action_derivative(
     matrices, returning (d sigma, d theta) with d theta in plane-angle
     coordinates.  Entirely independent of the bracket series.
     """
-    x = defining_rep_so1m(alg.dim_f).matrix(xi)
-    sigma, rho = _factor(expm((h * _STEPS)[:, None, None] * x) @ exp_coset(point))
-    return _richardson(sigma, h), _richardson(rotation_log_coords(rho), h)
+    return _fd_action(alg, np.concatenate([xi.h, xi.f]), point.sigma, h)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +247,6 @@ def _random_pairs(rng, space: CliffordSpace, n_pairs: int, n_terms: int = 4):
     return zip(mvs, mvs)
 
 
-def _matrices(mvs) -> np.ndarray:
-    """multivector_matrix of each of mvs (one space) as one GEMM of dense
-    coefficient rows; each entry still sums at most two nonzero terms."""
-    index, stack = _blade_images(mvs[0].space.m)
-    rows = np.zeros((len(mvs), len(index)))
-    at = [r * len(index) + index[t] for r, mv in enumerate(mvs) for t in mv._c]
-    rows.flat[at] = [v for mv in mvs for v in mv._c.values()]
-    n = math.isqrt(stack.shape[1])
-    return (rows @ stack).reshape(len(mvs), n, n)
-
-
 def suite_clifford(seed: int = 0) -> list[PropertyResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -278,8 +281,8 @@ def suite_clifford(seed: int = 0) -> list[PropertyResult]:
         pairs = _random_pairs(rng, CliffordSpace(m), pairs_per_m)
         for _ in range(pairs_per_m // chunk):
             a, b = zip(*itertools.islice(pairs, chunk))
-            lhs = _matrices(list(map(blade_product, a, b)))
-            worst = max(worst, float(abs(lhs - _matrices(a) @ _matrices(b)).max()))
+            lhs = multivector_matrix(list(map(blade_product, a, b)))
+            worst = max(worst, float(abs(lhs - multivector_matrix(a) @ multivector_matrix(b)).max()))
     out.append(
         _row(
             "clifford_product_matrix_oracle",
@@ -292,8 +295,8 @@ def suite_clifford(seed: int = 0) -> list[PropertyResult]:
     faithful = True
     for m in range(1, 6):
         sp = CliffordSpace(m)
-        images = np.stack([multivector_matrix(Multivector.blade(sp, b)).ravel() for b in sp.blades()])
-        rank = int(np.linalg.matrix_rank(images, tol=1e-9))
+        images = multivector_matrix([Multivector.blade(sp, b) for b in sp.blades()])
+        rank = int(np.linalg.matrix_rank(images.reshape(sp.dim, -1), tol=1e-9))
         faithful = faithful and rank == sp.dim
     out.append(_check("clifford_rep_faithful", faithful, "all 2^m blade images linearly independent, m <= 5"))
 
@@ -301,7 +304,7 @@ def suite_clifford(seed: int = 0) -> list[PropertyResult]:
     for m in (2, 3, 4):
         sp = CliffordSpace(m)
         sig = rng.uniform(-1.0, 1.0, (20, m))
-        closed = np.stack([multivector_matrix(exp_vector(sp, s)) for s in sig])
+        closed = multivector_matrix([exp_vector(sp, s) for s in sig])
         # each matrix entry is one signed sigma^k: exact in any summation order
         direct = expm(np.tensordot(sig, matrix_rep(sp), axes=1))
         worst = max(worst, float(abs(closed - direct).max()))
@@ -445,10 +448,8 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
         alg = so1m_algebra(m)
         sig, coords = _ball_cases(rng, m, 6, (0.0, 0.35), alg.dim)
         ds, di = _series(alg, sig, coords[:, : alg.dim_h], coords[:, alg.dim_h :], _weights(19))
-        for k, c in enumerate(coords):
-            xi = alg.element(h=c[: alg.dim_h], f=c[alg.dim_h :])
-            fd_s, fd_t = fd_action_derivative(alg, xi, CosetPoint(sig[k]))
-            worst = max(worst, float(abs(ds[k] - fd_s).max()), float(abs(di[k] - fd_t).max()))
+        fd_s, fd_t = _fd_action(alg, coords, sig, 1e-3)
+        worst = max(worst, float(abs(ds - fd_s).max()), float(abs(di - fd_t).max()))
     out.append(
         _row(
             "series_matches_factorization",
@@ -706,20 +707,17 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
     # action, all cases of a representation in one stacked call
     worst = 0.0
     alg = so1m_algebra(m)
-    rep = defining_rep_so1m(m)
     h = 1e-3
+    steps = len(_STEPS)
     for hrep_i in (vector_hrep(m), spinor_hrep(m)):
         sig, coords, vv = _ball_cases(rng, m, 10, (0.0, 0.35), alg.dim, hrep_i.d)
-        xh, xf = coords[:, : alg.dim_h], coords[:, alg.dim_h :]
-        ds, di = _series(alg, sig, xh, xf, _weights(19))
+        ds, di = _series(alg, sig, coords[:, : alg.dim_h], coords[:, alg.dim_h :], _weights(19))
         dv = _compensator_action(hrep_i, di, vv)
-        x = np.tensordot(xh, rep.h_gens, axes=1) + np.tensordot(xf, rep.f_gens, axes=1)
-        g = expm((h * _STEPS)[None, :, None, None] * x[:, None])
-        steps = len(_STEPS)
-        nodes = CompositeSection(np.repeat(sig, steps, axis=0), np.repeat(vv, steps, axis=0))
+        g = _exp_defining(m, h * _STEPS, coords)
+        nodes = CompositeSection(np.tile(sig, (steps, 1)), np.tile(vv, (steps, 1)))
         moved = induced_action(g.reshape(-1, m + 1, m + 1), nodes, hrep=hrep_i)
-        fd_s = _richardson(moved.sigma.reshape(-1, steps, m), h)
-        fd_w = _richardson(moved.v.reshape(-1, steps, hrep_i.d), h)
+        fd_s = _richardson(moved.sigma.reshape(steps, -1, m), h)
+        fd_w = _richardson(moved.v.reshape(steps, -1, hrep_i.d), h)
         worst = max(worst, float(abs(ds - fd_s).max()), float(abs(dv - fd_w).max()))
     out.append(
         _row(
@@ -787,10 +785,7 @@ def suite_gauge(seed: int = 0) -> list[PropertyResult]:
     )
 
     # Euler flow converges at first order to the finite action
-    rep = defining_rep_so1m(m)
-    x = np.tensordot(xi[:, : alg.dim_h], rep.h_gens, axes=1)
-    x += np.tensordot(xi[:, alg.dim_h :], rep.f_gens, axes=1)
-    target = induced_action(expm(x), section, hrep=hrep)
+    target = induced_action(_exp_defining(m, 1.0, xi), section, hrep=hrep)
     errs = []
     for steps in (8, 16, 32, 64):
         flowed = flow_section(alg, section, xi, 1.0, steps, hrep)

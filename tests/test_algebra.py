@@ -211,12 +211,27 @@ def test_defining_rep_matches_algebra():
         basis = [alg.h_basis(a) for a in range(alg.dim_h)] + [
             alg.f_basis(al) for al in range(alg.dim_f)
         ]
-        mats = [rep.matrix(x) for x in basis]
+        mats = rep.matrix(np.eye(alg.dim))
         for a in range(alg.dim):
             for b in range(alg.dim):
                 comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-                want = rep.matrix(bracket(basis[a], basis[b]))
+                x = bracket(basis[a], basis[b])
+                want = rep.matrix(np.concatenate([x.h, x.f]))
                 np.testing.assert_allclose(comm, want, atol=1e-12)
+
+
+def test_defining_rep_matrix_takes_section_coordinates():
+    """A stack of xi rows, stabilizer part first, maps to one matrix per row."""
+    rep = defining_rep_so1m(3)
+    xi = np.array([[0.3, -0.2, 0.5, 1.0, 0.4, -0.6], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    mats = rep.matrix(xi)
+    assert mats.shape == (2, 4, 4)
+    want = np.tensordot(xi[0, :3], rep.h_gens, axes=1) + np.tensordot(xi[0, 3:], rep.f_gens, axes=1)
+    assert mats[0].tobytes() == want.tobytes()
+    assert np.array_equal(mats[1], rep.f_gens[2])
+    for bad in (np.zeros(3), np.zeros((2, 7)), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            rep.matrix(bad)
 
 
 def test_defining_rep_preserves_form():

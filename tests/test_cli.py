@@ -372,3 +372,39 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, cosetrep, cosetrep.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_gauge_non_finite_time_is_a_usage_error(tmp_path, capsys, t):
+    path = _write(
+        tmp_path,
+        "section.json",
+        {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1.0, 0.0], "xi": [0.3, 0.1, -0.2]}]},
+    )
+    assert main(["gauge", "--in", path, f"--t={t}"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_realize_with_m_one_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "point.json", {"sigma": [0.1], "xi": {"boost": [0.2]}})
+    assert main(["realize", "--in", path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "need m >= 2" in err[0]
+
+
+def test_gauge_with_m_one_is_a_usage_error(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "section.json",
+        {"m": 1, "d": 1, "nodes": [{"sigma": [0.1], "v": [1.0], "xi": [0.2]}]},
+    )
+    assert main(["gauge", "--in", path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "need m >= 2" in err[0]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "point.json", {"sigma": [0.1, 0.2], "xi": {"boost": [0.2, 0.0]}})
+    assert main(["realize", "--in", path, "--out", str(tmp_path / "missing" / "out.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("cosetrep: ")

@@ -19,7 +19,7 @@ from cosetrep.clifford import (
     multivector_matrix,
 )
 from cosetrep.errors import DimensionError, DomainError
-from cosetrep.verify import _matrices, _random_pairs, suite_clifford
+from cosetrep.verify import _random_pairs, suite_clifford
 
 
 def _all_blades(m):
@@ -295,15 +295,23 @@ def test_stacked_matrix_is_bit_identical_to_per_term_sum():
             assert multivector_matrix(a).tobytes() == _reference_multivector_matrix(a).tobytes()
 
 
-def test_verify_stacked_images_equal_multivector_matrix():
+def test_sequence_form_equals_per_element_calls():
     """Each entry of a blade-image sum has at most two nonzero terms, so the
-    dense-row GEMM of the verify oracle gives multivector_matrix's values."""
+    images of a sequence are byte for byte the images of its elements."""
     rng = np.random.default_rng(5)
     for m in range(1, 6):
         pairs = list(_random_pairs(rng, CliffordSpace(m), 25))
         mvs = [x for pair in pairs for x in pair] + [blade_product(a, b) for a, b in pairs]
         want = np.stack([multivector_matrix(x) for x in mvs])
-        assert np.array_equal(_matrices(mvs), want)
+        assert multivector_matrix(mvs).tobytes() == want.tobytes()
+
+
+def test_sequence_form_rejects_empty_and_mixed_spaces():
+    with pytest.raises(DimensionError):
+        multivector_matrix([])
+    mixed = [Multivector.scalar(CliffordSpace(2), 1.0), Multivector.scalar(CliffordSpace(3), 1.0)]
+    with pytest.raises(DimensionError, match="different spaces"):
+        multivector_matrix(mixed)
 
 
 def test_verify_pair_draw_matches_validated_reference():

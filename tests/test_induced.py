@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, schur
 
+from cosetrep.clifford import CliffordSpace, matrix_rep
 from cosetrep.errors import (
     BranchError,
     ClosureError,
@@ -20,7 +21,6 @@ from cosetrep.induced import (
     CompositeSection,
     HRepresentation,
     boost_matrix,
-    check_proper_orthochronous,
     exp_coset,
     factor_boost_rotation,
     flow_section,
@@ -127,14 +127,14 @@ def test_rotation_embed_rejects_non_finite_rho(bad):
         rotation_embed(3, rho)
 
 
-def test_check_proper_orthochronous():
-    assert check_proper_orthochronous(np.eye(4)) == 3
+def test_factor_checks_proper_orthochronous():
+    assert factor_boost_rotation(np.eye(4)).f_prime.m == 3
     with pytest.raises(DomainError):
-        check_proper_orthochronous(np.eye(4) * 2.0)
+        factor_boost_rotation(np.eye(4) * 2.0)
     with pytest.raises(OrthochronousError):
-        check_proper_orthochronous(np.diag([-1.0, 1.0, 1.0, -1.0]))
+        factor_boost_rotation(np.diag([-1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(OrthochronousError):
-        check_proper_orthochronous(np.diag([1.0, -1.0, 1.0, 1.0]))
+        factor_boost_rotation(np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
 def _exact_boost_rotation(rng, m, zeta):
@@ -207,14 +207,14 @@ def test_form_check_rejects_one_corrupted_entry(m, zeta):
     """Scaling the tolerance by |g|^T |g| still catches a 1e-7 relative error
     in any single entry, including the O(1) entries of a large boost."""
     g, _, _ = _exact_boost_rotation(np.random.default_rng([m, 7]), m, zeta)
-    check_proper_orthochronous(g)
+    factor_boost_rotation(g)
     delta = 1e-7 * abs(g).max()
     for idx in np.ndindex(g.shape):
         for sign in (1.0, -1.0):
             bad = g.copy()
             bad[idx] += sign * delta
             with pytest.raises(DomainError):
-                check_proper_orthochronous(bad)
+                factor_boost_rotation(bad)
 
 
 def test_factor_identity_and_pure_boost():
@@ -367,6 +367,25 @@ def test_hrep_construction_checks_brackets():
     assert spinor_hrep(3).d == 4
     with pytest.raises(DimensionError):
         good.matrix(np.zeros(2))
+
+
+def _reference_spinor_generators(m):
+    """0.25 [G_k, G_i] of the generator matrices, plane by plane (the former
+    spinor_hrep)."""
+    gammas = matrix_rep(CliffordSpace(m))
+    d = gammas[0].shape[0]
+    gens = np.zeros((len(h_pairs(m)), d, d))
+    for a, (i, k) in enumerate(h_pairs(m)):
+        gk, gi = gammas[k - 1], gammas[i - 1]
+        gens[a] = 0.25 * (gk @ gi - gi @ gk)
+    return gens
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_spinor_generators_equal_the_gamma_commutators(m):
+    """The Clifford images of so1m_algebra's rotation generators are the
+    gamma-matrix commutators byte for byte."""
+    assert spinor_hrep(m).generators.tobytes() == _reference_spinor_generators(m).tobytes()
 
 
 def _reference_closure_residual(gens, c_hh):
@@ -568,7 +587,7 @@ def test_infinitesimal_action_derivative_of_finite():
     xi = alg.element(h=[0.3, -0.2, 0.5], f=[1.0, 0.4, -0.6])
     v = np.array([0.7, -0.3, 0.2, 1.1])
     ds, dv = infinitesimal_action(alg, xi, point, v, hrep, order=21)
-    x = rep.matrix(xi)
+    x = rep.matrix(np.concatenate([xi.h, xi.f]))
     h = 1e-4
     pp, vp = induced_action(expm(h * x), point, v, hrep)
     pm, vm = induced_action(expm(-h * x), point, v, hrep)
@@ -578,7 +597,7 @@ def test_infinitesimal_action_derivative_of_finite():
 
 def test_group_from_spec():
     g = group_from_spec(3, boost=[0.2, 0.0, -0.1], rotations=[(1, 3, 0.4)])
-    check_proper_orthochronous(g)
+    factor_boost_rotation(g)
     only_boost = group_from_spec(3, boost=[0.2, 0.0, -0.1])
     np.testing.assert_allclose(only_boost, exp_coset(CosetPoint(np.array([0.2, 0.0, -0.1]))), atol=0.0)
     with pytest.raises(DomainError):
@@ -713,7 +732,7 @@ def test_gauge_flow_approaches_finite_action():
     rep = defining_rep_so1m(m)
     section = CompositeSection(np.array([[0.1, -0.2]]), np.array([[1.0, 0.5]]))
     xi = np.array([[0.4, 0.3, -0.2]])
-    x = rep.matrix(alg.element(h=xi[0, :1], f=xi[0, 1:]))
+    x = rep.matrix(xi[0])
     target_p, target_v = induced_action(expm(x), section.point(0), section.v[0], hrep)
     errs = []
     for steps in (8, 16, 32):
