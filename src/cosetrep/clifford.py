@@ -8,14 +8,13 @@ i.e. every generator squares to +1.  A multivector is stored sparsely as a
 map from a strictly increasing index tuple (the blade gamma_{i1}...gamma_{ik},
 i1 < ... < ik) to its real coefficient.  The empty tuple is the scalar blade.
 
-The matrix representation returned by :func:`matrix_rep` is an independent
-check on the symbolic product: it is built from fixed 2x2 seeds by tensor
-doubling, never from :func:`blade_product`.
-
-Everything that depends on m or on a blade pair alone is built once per
-process: the grade-lex blade tuple, the product of two blades (a bounded
-cache holding every pair for m <= 6) and the stacked blade images of the
-matrix representation.
+The matrix representation (:func:`matrix_rep`, :func:`multivector_matrix`)
+checks the symbolic product independently: each generator is a real Pauli
+string X^x Z^z whose bit masks come from the tensor doubling
+gamma_k -> X (x) gamma_k, gamma_m = Z (x) 1, so each blade image is a signed
+permutation built by composing permutations, never by :func:`blade_product`.
+The blade tuple and the (2^m, d) table of signed entries are built once per
+process for each m.
 """
 
 from __future__ import annotations
@@ -73,6 +72,9 @@ class CliffordSpace:
 
     def check_blade(self, idx: Iterable[int]) -> Blade:
         t = tuple(idx)
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in t):
+            raise DimensionError(f"blade indices must be integers: {t}")
+        t = tuple(map(int, t))
         if list(t) != sorted(set(t)):
             raise DimensionError(f"blade indices must be strictly increasing: {t}")
         if t and (t[0] < 1 or t[-1] > self.m):
@@ -87,13 +89,11 @@ def _blade_tuple(m: int) -> tuple[Blade, ...]:
     )
 
 
-@lru_cache(maxsize=4096)
 def _mul_blades(ea: Blade, eb: Blade) -> tuple[Blade, int]:
     """Product of two basis blades: resulting blade and sign.
 
     Indices of eb are merged into ea one at a time; each transposition past a
-    larger index flips the sign, and a repeated index contracts to +1.  The
-    cache holds every pair of blades of Cl(6) (64 * 64 = 4096 entries).
+    larger index flips the sign, and a repeated index contracts to +1.
     """
     sign = 1
     out = list(ea)
@@ -268,24 +268,31 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 # matrix representation (independent product oracle)
 # ---------------------------------------------------------------------------
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
 @lru_cache(maxsize=None)
-def _gamma_family(m: int) -> tuple[np.ndarray, ...]:
-    if m == 1:
-        fam = [_SZ]
-    elif m == 2:
-        fam = [_SX, _SZ]
-    else:
-        prev = _gamma_family(m - 1)
-        n = prev[0].shape[0]
-        fam = [np.kron(_SX, g) for g in prev]
-        fam.append(np.kron(_SZ, np.eye(n)))
-    for g in fam:
-        g.setflags(write=False)
-    return tuple(fam)
+def _signed_permutations(m: int) -> tuple[dict[Blade, int], np.ndarray, np.ndarray]:
+    """Row of each blade (its bit mask, bit i-1 for gamma_i), and each blade
+    image as a signed permutation: row b maps e_c to signs[b, c] e_(c ^ x[b]).
+
+    gamma_k is the Pauli string X^gx[k] Z^gz[k] of the doubling
+    gamma_k -> X (x) gamma_k, gamma_m = Z (x) 1 from (Z) at m = 1 and (X, Z)
+    at m = 2; each gz has at most one bit.  Row b | 2^k (b < 2^k) is row b
+    times gamma_(k+1).
+    """
+    gx, gz = ([0], [1]) if m == 1 else ([1, 0], [0, 1])
+    for k in range(3, m + 1):
+        high = 1 << (k - 2)
+        gx, gz = [x | high for x in gx] + [0], gz + [high]
+    cols = np.arange(1 << max(m - 1, 1))
+    x = np.zeros(1 << m, dtype=np.intp)
+    signs = np.ones((1 << m, cols.size))
+    for k in range(m):
+        lo, hi = slice(0, 1 << k), slice(1 << k, 2 << k)
+        x[hi] = x[lo] ^ gx[k]
+        signs[hi] = signs[lo][:, cols ^ gx[k]] * np.where(cols & gz[k], -1.0, 1.0)
+    x.setflags(write=False)
+    signs.setflags(write=False)
+    rows = {t: sum(1 << (i - 1) for i in t) for t in _blade_tuple(m)}
+    return rows, x, signs
 
 
 def matrix_rep(space: CliffordSpace) -> tuple[np.ndarray, ...]:
@@ -301,34 +308,21 @@ def matrix_rep(space: CliffordSpace) -> tuple[np.ndarray, ...]:
     tuple of (d, d) ndarrays, read-only
         matrices G_1 .. G_m with G_i G_k + G_k G_i = 2 delta_ik exactly.
     """
-    return _gamma_family(space.m)
-
-
-@lru_cache(maxsize=None)
-def _blade_images(m: int) -> tuple[dict[Blade, int], np.ndarray]:
-    """Row of each blade in the stack, and the stack of blade images (2^m, d*d)."""
-    fam = _gamma_family(m)
-    n = fam[0].shape[0]
-    blades = _blade_tuple(m)
-    stack = np.empty((len(blades), n * n))
-    for row, t in enumerate(blades):
-        P = np.eye(n)
-        for i in t:
-            P = P @ fam[i - 1]
-        stack[row] = P.ravel()
-    stack.setflags(write=False)
-    return {t: row for row, t in enumerate(blades)}, stack
+    gens = multivector_matrix([Multivector.blade(space, (k,)) for k in range(1, space.m + 1)])
+    gens.setflags(write=False)
+    return tuple(gens)
 
 
 def multivector_matrix(a) -> np.ndarray:
     """Image of a multivector under the matrix representation, or the stack
     of images (n, d, d) of a non-empty sequence of multivectors of one space.
 
-    The images are one GEMM of dense coefficient rows against the stacked
-    blade images.  Every blade image is a signed permutation matrix and no
-    matrix entry is shared by more than two blades, so each entry is a sum of
-    at most two nonzero terms and does not depend on term order or on the
-    BLAS kernel.  An empty sequence or one mixing spaces raises DimensionError.
+    Each term v * blade adds v times the blade's d signed entries at their
+    positions (c ^ x, c), c < d, of an image that starts from +0.0.  Blades
+    that share an X mask share positions, and at most two blades share a
+    mask, so each entry is a sum of at most two nonzero terms and does not
+    depend on term order.  An empty sequence or one mixing spaces raises
+    DimensionError.
     """
     mvs = [a] if isinstance(a, Multivector) else list(a)
     if not mvs:
@@ -336,12 +330,16 @@ def multivector_matrix(a) -> np.ndarray:
     # spaces are equal when their m are; reading m avoids dataclass __eq__
     if len({mv.space.m for mv in mvs}) > 1:
         raise DimensionError("multivectors live in different spaces")
-    index, stack = _blade_images(mvs[0].space.m)
-    rows = np.zeros((len(mvs), len(index)))
-    at = [r * len(index) + index[t] for r, mv in enumerate(mvs) for t in mv._c]
-    rows.flat[at] = [v for mv in mvs for v in mv._c.values()]
-    n = math.isqrt(stack.shape[1])
-    out = (rows @ stack).reshape(len(mvs), n, n)
+    rows, x, signs = _signed_permutations(mvs[0].space.m)
+    d = signs.shape[1]
+    at = np.array([rows[t] for mv in mvs for t in mv._c], dtype=np.intp)
+    coeffs = np.array([v for mv in mvs for v in mv._c.values()])
+    image = np.repeat(np.arange(len(mvs)) * (d * d), [len(mv._c) for mv in mvs])
+    cols = np.arange(d)
+    flat = image[:, None] + (x[at][:, None] ^ cols) * d + cols
+    out = np.bincount(flat.ravel(), (coeffs[:, None] * signs[at]).ravel(), len(mvs) * d * d)
+    # with no terms at all, bincount counts in integers
+    out = out.astype(float, copy=False).reshape(len(mvs), d, d)
     return out[0] if isinstance(a, Multivector) else out
 
 

@@ -1,16 +1,20 @@
 """Blade arithmetic of Cl(m) against the independent matrix representation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import cosetrep
 from cosetrep.clifford import (
     CliffordSpace,
     Multivector,
-    _gamma_family,
     _mul_blades,
     blade_product,
     commutator,
@@ -24,6 +28,21 @@ from cosetrep.verify import _random_pairs, suite_clifford
 
 def _all_blades(m):
     return tuple(CliffordSpace(m).blades())
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def kron_gammas(m):
+    """gamma_1 .. gamma_m by tensor doubling of 2x2 seeds: (Z) at m = 1,
+    (X, Z) at m = 2, then gamma_k -> X (x) gamma_k and gamma_m = Z (x) 1."""
+    if m == 1:
+        return [_SZ]
+    if m == 2:
+        return [_SX, _SZ]
+    prev = kron_gammas(m - 1)
+    return [np.kron(_SX, g) for g in prev] + [np.kron(_SZ, np.eye(prev[0].shape[0]))]
 
 
 def test_generators_square_to_one():
@@ -129,6 +148,22 @@ def test_matrix_rep_entries_and_sizes():
             assert set(np.unique(g)) <= {-1.0, 0.0, 1.0}
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_images_equal_the_kron_reference(m):
+    """matrix_rep equals the tensor-doubled gammas in value and holds no -0.0,
+    and every blade image is the reference product byte for byte."""
+    sp = CliffordSpace(m)
+    for g, want in zip(matrix_rep(sp), kron_gammas(m), strict=True):
+        np.testing.assert_array_equal(g, want)
+        assert not g.flags.writeable
+        assert not np.signbit(g[g == 0.0]).any()
+    for t in sp.blades():
+        got = multivector_matrix(Multivector.blade(sp, t))
+        assert got.tobytes() == _reference_multivector_matrix(Multivector.blade(sp, t)).tobytes()
+    empty = multivector_matrix(Multivector(sp))
+    assert empty.dtype == np.float64 and not empty.any()
+
+
 def test_matrix_rep_relations():
     for m in range(1, 7):
         gams = matrix_rep(CliffordSpace(m))
@@ -205,6 +240,12 @@ def test_blade_validation():
         Multivector.vector(sp, np.zeros(3))
     with pytest.raises(DimensionError):
         CliffordSpace(0)
+    for bad in ((1.5,), (1.0,), (True,), (1, np.float64(2.0)), ("1",)):
+        with pytest.raises(DimensionError, match="must be integers"):
+            Multivector.blade(CliffordSpace(3), bad)
+    a = Multivector.blade(sp, (np.int64(1), np.int32(2)), 2.0)
+    assert [type(i) for t, _ in a.items() for i in t] == [int, int]
+    assert a.coeff((1, 2)) == 2.0
 
 
 def test_spaces_do_not_mix():
@@ -217,7 +258,7 @@ def test_spaces_do_not_mix():
 
 
 # ---------------------------------------------------------------------------
-# cached tables against the routines they replaced
+# per-process tables and stacked forms against the routines they replaced
 # ---------------------------------------------------------------------------
 
 def _reference_mul_blades(ea, eb):
@@ -238,18 +279,15 @@ def _reference_mul_blades(ea, eb):
 
 
 def _reference_multivector_matrix(a):
-    """Per-term sum over a dict of blade images (the former multivector_matrix)."""
-    fam = _gamma_family(a.space.m)
+    """Per-term sum of blade images, each a product of the tensor-doubled gammas."""
+    fam = kron_gammas(a.space.m)
     n = fam[0].shape[0]
-    table = {}
-    for t in a.space.blades():
+    out = np.zeros((n, n))
+    for t, v in a._c.items():
         P = np.eye(n)
         for i in t:
             P = P @ fam[i - 1]
-        table[t] = P
-    out = np.zeros((n, n))
-    for t, v in a._c.items():
-        out += v * table[t]
+        out += v * P
     return out
 
 
@@ -272,9 +310,6 @@ def test_blade_products_match_uncached_reference():
     for ea in blades:
         for eb in blades:
             assert _mul_blades(ea, eb) == _reference_mul_blades(ea, eb)
-    info = _mul_blades.cache_info()
-    assert info.maxsize == 4096
-    assert info.currsize <= 4096
 
 
 def test_blades_in_grade_lex_order():
@@ -348,6 +383,24 @@ def test_verify_clifford_suite_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_cold_spinor_rep_memory_is_bounded():
+    """spinor_hrep(8) takes its 28 images from the (256, 128) table of signed
+    entries; a dense stack of all 256 blade images peaked at 46 MB."""
+    probe = (
+        "import tracemalloc\n"
+        "from cosetrep.induced import spinor_hrep\n"
+        "tracemalloc.start()\n"
+        "spinor_hrep(8)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cosetrep.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 16 * 10**6
 
 
 # ---------------------------------------------------------------------------

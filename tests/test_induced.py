@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, schur
 
-from cosetrep.clifford import CliffordSpace, matrix_rep
 from cosetrep.errors import (
     BranchError,
     ClosureError,
@@ -37,6 +36,8 @@ from cosetrep.induced import (
     vector_hrep,
 )
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
+
+from test_clifford import kron_gammas
 
 
 def _eta(m):
@@ -370,9 +371,8 @@ def test_hrep_construction_checks_brackets():
 
 
 def _reference_spinor_generators(m):
-    """0.25 [G_k, G_i] of the generator matrices, plane by plane (the former
-    spinor_hrep)."""
-    gammas = matrix_rep(CliffordSpace(m))
+    """0.25 [G_k, G_i] of the tensor-doubled gammas, plane by plane."""
+    gammas = kron_gammas(m)
     d = gammas[0].shape[0]
     gens = np.zeros((len(h_pairs(m)), d, d))
     for a, (i, k) in enumerate(h_pairs(m)):
