@@ -5,15 +5,17 @@ Generators gamma_1 .. gamma_m satisfy
     gamma_i gamma_k + gamma_k gamma_i = 2 delta_ik,
 
 i.e. every generator squares to +1.  A multivector is stored sparsely as a
-map from a strictly increasing index tuple (the blade gamma_{i1}...gamma_{ik},
-i1 < ... < ik) to its real coefficient.  The empty tuple is the scalar blade.
+map from a blade's bit mask (bit i-1 set for gamma_i, so the blade
+gamma_{i1}...gamma_{ik}, i1 < ... < ik, has k bits and the scalar blade is 0)
+to its real coefficient.  The public methods take and yield strictly
+increasing index tuples; the mask is the only format inside.
 
 The matrix representation (:func:`matrix_rep`, :func:`multivector_matrix`)
 checks the symbolic product independently: each generator is a real Pauli
 string X^x Z^z whose bit masks come from the tensor doubling
 gamma_k -> X (x) gamma_k, gamma_m = Z (x) 1, so each blade image is a signed
 permutation built by composing permutations, never by :func:`blade_product`.
-The blade tuple and the (2^m, d) table of signed entries are built once per
+The blade masks and the (2^m, d) table of signed entries are built once per
 process for each m.
 """
 
@@ -68,7 +70,7 @@ class CliffordSpace:
 
     def blades(self) -> Iterator[Blade]:
         """All index tuples, ordered by grade then lexicographically."""
-        return iter(_blade_tuple(self.m))
+        return map(_indices, _blade_tuple(self.m))
 
     def check_blade(self, idx: Iterable[int]) -> Blade:
         t = tuple(idx)
@@ -83,31 +85,34 @@ class CliffordSpace:
 
 
 @lru_cache(maxsize=None)
-def _blade_tuple(m: int) -> tuple[Blade, ...]:
+def _blade_tuple(m: int) -> tuple[int, ...]:
+    """Masks of all blades of Cl(m), ordered by grade then lexicographically."""
     return tuple(
-        t for r in range(m + 1) for t in itertools.combinations(range(1, m + 1), r)
+        sum(1 << i for i in bits) for r in range(m + 1) for bits in itertools.combinations(range(m), r)
     )
 
 
-def _mul_blades(ea: Blade, eb: Blade) -> tuple[Blade, int]:
-    """Product of two basis blades: resulting blade and sign.
+def _mask(t: Blade) -> int:
+    return sum(1 << (i - 1) for i in t)
 
-    Indices of eb are merged into ea one at a time; each transposition past a
-    larger index flips the sign, and a repeated index contracts to +1.
+
+def _indices(mask: int) -> Blade:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mul_blades(a: int, b: int) -> tuple[int, int]:
+    """Product of the blades with masks a and b: mask a ^ b and sign.
+
+    Bringing the product to increasing order moves each gamma of b left past
+    every larger gamma of a, one transposition each; (a >> k) & b marks the
+    pairs k apart.  A repeated gamma contracts to +1.
     """
-    sign = 1
-    out = list(ea)
-    for x in eb:
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > x:
-            pos -= 1
-        if (len(out) - pos) % 2:
-            sign = -sign
-        if pos > 0 and out[pos - 1] == x:
-            out.pop(pos - 1)
-        else:
-            out.insert(pos, x)
-    return tuple(out), sign
+    swaps = 0
+    high = a >> 1
+    while high:
+        swaps += (high & b).bit_count()
+        high >>= 1
+    return a ^ b, -1 if swaps & 1 else 1
 
 
 class Multivector:
@@ -125,18 +130,32 @@ class Multivector:
 
     def __init__(self, space: CliffordSpace, coeffs: Mapping[Blade, float] | None = None):
         self.space = space
-        c: dict[Blade, float] = {}
-        if coeffs:
-            for idx, val in coeffs.items():
-                t = space.check_blade(idx)
-                v = float(val)
+        c: dict[int, float] = {}
+        for idx, val in (coeffs or {}).items():
+            t = space.check_blade(idx)
+            v = float(val)
+            if not math.isfinite(v):
+                raise DomainError(f"coefficient of blade {t} is not finite: {v}")
+            c[_mask(t)] = c.get(_mask(t), 0.0) + v
+        self._c = {t: v for t, v in c.items() if v != 0.0}
+
+    @classmethod
+    def _of(cls, space: CliffordSpace, c: dict[int, float]) -> "Multivector":
+        """The multivector of space with the mask-keyed coefficients c.
+
+        Entries of exactly 0.0 are dropped.  A non-finite entry raises
+        DomainError; it is looked for only when the sum of c's values is not
+        finite, which every NaN or overflowed value makes it (the sum of
+        finite values can overflow too, and then nothing is raised).
+        """
+        if not math.isfinite(sum(c.values())):
+            for t, v in c.items():
                 if not math.isfinite(v):
-                    raise DomainError(f"coefficient of blade {t} is not finite: {v}")
-                if v != 0.0:
-                    c[t] = c.get(t, 0.0) + v
-                    if c[t] == 0.0:
-                        del c[t]
-        self._c = c
+                    raise DomainError(f"coefficient of blade {_indices(t)} is not finite: {v}")
+        out = cls.__new__(cls)
+        out.space = space
+        out._c = {t: v for t, v in c.items() if v != 0.0}
+        return out
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -157,21 +176,23 @@ class Multivector:
 
     # ------------------------------------------------------------- inspection
     def coeff(self, idx: Iterable[int]) -> float:
-        return self._c.get(self.space.check_blade(idx), 0.0)
+        return self._c.get(_mask(self.space.check_blade(idx)), 0.0)
 
     def items(self) -> Iterator[tuple[Blade, float]]:
-        yield from sorted(self._c.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        yield from sorted(
+            ((_indices(t), v) for t, v in self._c.items()), key=lambda kv: (len(kv[0]), kv[0])
+        )
 
     def grade(self, k: int) -> "Multivector":
-        return Multivector(self.space, {t: v for t, v in self._c.items() if len(t) == k})
+        return Multivector._of(self.space, {t: v for t, v in self._c.items() if t.bit_count() == k})
 
     def grades(self) -> set[int]:
-        return {len(t) for t in self._c}
+        return {t.bit_count() for t in self._c}
 
     def vector_part(self) -> np.ndarray:
         out = np.zeros(self.space.m)
         for k in range(1, self.space.m + 1):
-            out[k - 1] = self._c.get((k,), 0.0)
+            out[k - 1] = self._c.get(1 << (k - 1), 0.0)
         return out
 
     def max_abs(self) -> float:
@@ -193,13 +214,7 @@ class Multivector:
         c = dict(self._c)
         for t, v in other._c.items():
             c[t] = c.get(t, 0.0) + s * v
-            if c[t] == 0.0:
-                del c[t]
-        if not math.isfinite(sum(c.values())):
-            _raise_non_finite(c)
-        out = Multivector(self.space)
-        out._c.update(c)
-        return out
+        return Multivector._of(self.space, c)
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return self._merge(other, 1.0)
@@ -214,13 +229,7 @@ class Multivector:
         a = float(a)
         if not math.isfinite(a):
             raise DomainError(f"scale factor is not finite: {a}")
-        out = Multivector(self.space)
-        if a != 0.0:
-            c = {t: a * v for t, v in self._c.items()}
-            if not math.isfinite(sum(c.values())):
-                _raise_non_finite(c)
-            out._c.update(c)
-        return out
+        return Multivector._of(self.space, {t: a * v for t, v in self._c.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -235,28 +244,12 @@ def blade_product(a: Multivector, b: Multivector) -> Multivector:
     """Geometric product of two multivectors of the same space."""
     if a.space != b.space:
         raise DimensionError("multivectors live in different spaces")
-    c: dict[Blade, float] = {}
+    c: dict[int, float] = {}
     for ta, va in a._c.items():
         for tb, vb in b._c.items():
             t, s = _mul_blades(ta, tb)
             c[t] = c.get(t, 0.0) + s * va * vb
-    if not math.isfinite(sum(c.values())):
-        _raise_non_finite(c)
-    out = Multivector(a.space)
-    out._c.update({t: v for t, v in c.items() if v != 0.0})
-    return out
-
-
-def _raise_non_finite(c: dict[Blade, float]) -> None:
-    """Raise DomainError for the first non-finite coefficient of c.
-
-    Arithmetic calls this only when the sum of c's values is not finite,
-    which every NaN or overflowed value makes it; the sum of finite values
-    can overflow too, and then nothing is raised.
-    """
-    for t, v in c.items():
-        if not math.isfinite(v):
-            raise DomainError(f"coefficient of blade {t} is not finite: {v}")
+    return Multivector._of(a.space, c)
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
@@ -269,9 +262,9 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _signed_permutations(m: int) -> tuple[dict[Blade, int], np.ndarray, np.ndarray]:
-    """Row of each blade (its bit mask, bit i-1 for gamma_i), and each blade
-    image as a signed permutation: row b maps e_c to signs[b, c] e_(c ^ x[b]).
+def _signed_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each blade image as a signed permutation, one row per blade mask b:
+    the image of b maps e_c to signs[b, c] e_(c ^ x[b]).
 
     gamma_k is the Pauli string X^gx[k] Z^gz[k] of the doubling
     gamma_k -> X (x) gamma_k, gamma_m = Z (x) 1 from (Z) at m = 1 and (X, Z)
@@ -291,8 +284,7 @@ def _signed_permutations(m: int) -> tuple[dict[Blade, int], np.ndarray, np.ndarr
         signs[hi] = signs[lo][:, cols ^ gx[k]] * np.where(cols & gz[k], -1.0, 1.0)
     x.setflags(write=False)
     signs.setflags(write=False)
-    rows = {t: sum(1 << (i - 1) for i in t) for t in _blade_tuple(m)}
-    return rows, x, signs
+    return x, signs
 
 
 def matrix_rep(space: CliffordSpace) -> tuple[np.ndarray, ...]:
@@ -322,7 +314,7 @@ def multivector_matrix(a) -> np.ndarray:
     that share an X mask share positions, and at most two blades share a
     mask, so each entry is a sum of at most two nonzero terms and does not
     depend on term order.  An empty sequence or one mixing spaces raises
-    DimensionError.
+    DimensionError; an entry that overflows raises DomainError.
     """
     mvs = [a] if isinstance(a, Multivector) else list(a)
     if not mvs:
@@ -330,9 +322,9 @@ def multivector_matrix(a) -> np.ndarray:
     # spaces are equal when their m are; reading m avoids dataclass __eq__
     if len({mv.space.m for mv in mvs}) > 1:
         raise DimensionError("multivectors live in different spaces")
-    rows, x, signs = _signed_permutations(mvs[0].space.m)
+    x, signs = _signed_permutations(mvs[0].space.m)
     d = signs.shape[1]
-    at = np.array([rows[t] for mv in mvs for t in mv._c], dtype=np.intp)
+    at = np.array([t for mv in mvs for t in mv._c], dtype=np.intp)
     coeffs = np.array([v for mv in mvs for v in mv._c.values()])
     image = np.repeat(np.arange(len(mvs)) * (d * d), [len(mv._c) for mv in mvs])
     cols = np.arange(d)
@@ -340,6 +332,8 @@ def multivector_matrix(a) -> np.ndarray:
     out = np.bincount(flat.ravel(), (coeffs[:, None] * signs[at]).ravel(), len(mvs) * d * d)
     # with no terms at all, bincount counts in integers
     out = out.astype(float, copy=False).reshape(len(mvs), d, d)
+    if not np.isfinite(out).all():
+        raise DomainError(f"matrix image entry is not finite: {out[~np.isfinite(out)][0]}")
     return out[0] if isinstance(a, Multivector) else out
 
 

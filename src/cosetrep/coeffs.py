@@ -44,6 +44,15 @@ class CoeffTable:
         return self.values[n - 1]
 
 
+def _count(N, least: int) -> int:
+    """N as an int; DomainError unless N is an integer (bools excluded) >= least."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise DomainError(f"table length must be an integer, got {N!r}")
+    if N < least:
+        raise DomainError(f"need N >= {least}, got {N}")
+    return int(N)
+
+
 @lru_cache(maxsize=None, typed=True)
 def l_coeffs(N: int) -> CoeffTable:
     """Solve the recursion for l_1 .. l_N exactly.
@@ -69,11 +78,7 @@ def l_coeffs(N: int) -> CoeffTable:
     DomainError
         N is not an integer (bools included) or N < 1.
     """
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise DomainError(f"table length must be an integer, got {N!r}")
-    if N < 1:
-        raise DomainError(f"need N >= 1, got {N}")
-    N = int(N)
+    N = _count(N, 1)
     D = math.lcm(*range(1, N + 2))
     a: list[int] = [D]
     for n in range(1, N + 1):
@@ -101,10 +106,10 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_N with B_1 = +1/2, by Akiyama-Tanigawa.
 
     Independent of l_coeffs: works row-wise on the sequence 1/(j+1) and never
-    touches the triangular recursion above.
+    touches the triangular recursion above.  N that is not an integer
+    (bools included) or is negative raises DomainError.
     """
-    if N < 0:
-        raise ValueError(f"need N >= 0, got {N}")
+    N = _count(N, 0)
     out: list[Fraction] = []
     row: list[Fraction] = []
     for n in range(N + 1):

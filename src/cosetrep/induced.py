@@ -148,8 +148,12 @@ class HRepresentation:
         The defining representation on R^m returns rho itself.  Any other
         exponentiates the plane-angle coordinates of rho, which raises
         BranchError for a plane rotated by pi.  rho is not checked for
-        orthogonality.
+        orthogonality; rho that is not a square matrix or a stack of them
+        raises DimensionError.
         """
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+            raise DimensionError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
         m = rho.shape[-1]
         if m * (m - 1) // 2 != self.algebra.dim_h:
             raise DimensionError(

@@ -234,14 +234,12 @@ def _random_pairs(rng, space: CliffordSpace, n_pairs: int, n_terms: int = 4):
     vals = rng.uniform(-2.0, 2.0, (2 * n_pairs, n_terms))
 
     def build(row_p, row_v):
-        # the blades are valid by construction, a repeated one sums in draw
-        # order, and blade_product sums in dict order
+        # the blade masks are valid by construction, a repeated one sums in
+        # draw order, and blade_product sums in dict order
         data = {}
         for p, v in zip(row_p.tolist(), row_v.tolist()):
             data[blades[p]] = data.get(blades[p], 0.0) + v
-        out = Multivector(space)
-        out._c.update((t, v) for t, v in data.items() if v != 0.0)
-        return out
+        return Multivector._of(space, data)
 
     mvs = map(build, picks, vals)
     return zip(mvs, mvs)

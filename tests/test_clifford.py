@@ -283,7 +283,7 @@ def _reference_multivector_matrix(a):
     fam = kron_gammas(a.space.m)
     n = fam[0].shape[0]
     out = np.zeros((n, n))
-    for t, v in a._c.items():
+    for t, v in a.items():
         P = np.eye(n)
         for i in t:
             P = P @ fam[i - 1]
@@ -305,11 +305,32 @@ def _reference_random_pairs(rng, space, n_pairs, n_terms=4):
     return list(zip(mvs[::2], mvs[1::2]))
 
 
+def _bits(t):
+    """Bit mask of an index tuple, bit i-1 for gamma_i."""
+    return sum(1 << (i - 1) for i in t)
+
+
 def test_blade_products_match_uncached_reference():
     blades = _all_blades(6)
     for ea in blades:
         for eb in blades:
-            assert _mul_blades(ea, eb) == _reference_mul_blades(ea, eb)
+            t, s = _reference_mul_blades(ea, eb)
+            assert _mul_blades(_bits(ea), _bits(eb)) == (_bits(t), s)
+
+
+def test_blade_product_never_reads_the_matrix_table(monkeypatch):
+    """The symbolic product and the signed-permutation table stay two
+    algorithms, so the matrix oracle checks the product independently."""
+
+    def table(m):
+        raise AssertionError("blade_product read the signed-permutation table")
+
+    monkeypatch.setattr("cosetrep.clifford._signed_permutations", table)
+    sp = CliffordSpace(5)
+    gens = [Multivector.blade(sp, t, 1.0 + len(t)) for t in sp.blades()]
+    for a in gens:
+        for b in gens:
+            assert len(list(blade_product(a, b).items())) == 1
 
 
 def test_blades_in_grade_lex_order():
@@ -364,7 +385,7 @@ def test_verify_pair_draw_matches_validated_reference():
 def test_verify_oracle_catches_a_wrong_product(monkeypatch):
     def wrong(ea, eb):
         t, s = _mul_blades(ea, eb)
-        return t, -s if (ea, eb) == ((1,), (2,)) else s
+        return t, -s if (ea, eb) == (0b1, 0b10) else s
 
     monkeypatch.setattr("cosetrep.clifford._mul_blades", wrong)
     rows = {r.name: r for r in suite_clifford(0)}
@@ -468,3 +489,25 @@ def test_large_finite_arithmetic_still_passes():
     assert a.coeff(()) == a.coeff((1,)) == a.coeff((2,)) == 1e308
     b = a * Multivector.scalar(sp, 1.5)
     assert b.coeff((1,)) == 1.5e308
+
+
+def test_underflowing_scale_drops_the_entry():
+    """A product that underflows to 0.0 is dropped like any other 0.0 entry."""
+    tiny = Multivector.blade(CliffordSpace(2), (1,), 1e-200).scale(1e-200)
+    assert not tiny
+    assert tiny.grades() == set()
+    assert list(tiny.items()) == []
+    assert repr(tiny) == "Multivector(0)"
+
+
+def test_overflowing_matrix_image_raises():
+    """The blades () and (2,) of Cl(2) share an X mask, so their terms add in
+    one entry; 1e308 + 1e308 overflows and raises instead of returning inf."""
+    sp = CliffordSpace(2)
+    a = Multivector(sp, {(): 1e308, (2,): 1e308})
+    with pytest.raises(DomainError, match="not finite: inf"):
+        multivector_matrix(a)
+    with pytest.raises(DomainError, match="not finite: inf"):
+        multivector_matrix([Multivector.scalar(sp, 1.0), a])
+    near = Multivector(sp, {(): 8e307, (2,): 8e307})
+    assert multivector_matrix(near).tolist() == [[1.6e308, 0.0], [0.0, 0.0]]

@@ -102,5 +102,16 @@ def test_rejects_non_integer_length(bad):
         l_coeffs(bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, -1, "4", None])
+def test_bernoulli_numbers_reject_non_counts(bad):
+    with pytest.raises(DomainError):
+        bernoulli_numbers(bad)
+
+
+def test_bernoulli_numbers_accept_numpy_integer_and_zero():
+    assert bernoulli_numbers(np.int64(4)) == bernoulli_numbers(4)
+    assert bernoulli_numbers(0) == [1]
+
+
 def test_accepts_numpy_integer_length():
     assert l_coeffs(np.int64(7)).values == l_coeffs(7).values

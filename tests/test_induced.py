@@ -508,6 +508,17 @@ def test_half_turn_moves_vectors_but_has_no_spinor_lift():
         induced_action(g, point, np.ones(4), spinor_hrep(3))
 
 
+def test_lift_takes_nested_lists_and_rejects_non_square_input():
+    rho = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    for hrep in (vector_hrep(3), spinor_hrep(3)):
+        np.testing.assert_array_equal(hrep.lift(rho), hrep.lift(np.array(rho)))
+        for bad in (1.0, [1.0, 0.0, 0.0], np.eye(3)[:2], np.zeros((2, 3, 2))):
+            with pytest.raises(DimensionError, match="square"):
+                hrep.lift(bad)
+        with pytest.raises(DimensionError, match="no image"):
+            hrep.lift(np.eye(4))
+
+
 def test_induced_action_composes_in_both_reps():
     rng = np.random.default_rng(21)
     m = 3
