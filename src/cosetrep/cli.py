@@ -28,6 +28,7 @@ import numpy as np
 from .coeffs import l_coeffs
 from .errors import ClosureError, DimensionError, DomainError
 from .induced import (
+    _check_vector,
     _compensator_action,
     factor_boost_rotation,
     flow_section,
@@ -220,6 +221,7 @@ def _cmd_realize(args) -> int:
             raise _UsageError(
                 f"v must have {hrep.d} entries for the {args.rep} representation, got shape {v.shape}"
             )
+        v = _check_vector(v, hrep.d)
         payload["d_v"] = _compensator_action(hrep, act.dI[None], v[None])[0].tolist()
         payload["rep"] = args.rep
 

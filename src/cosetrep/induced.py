@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import multivector_matrix
+from .clifford import CliffordSpace, Multivector, multivector_matrix
 from .errors import (
     BranchError,
     ClosureError,
@@ -43,11 +43,11 @@ from .lie import (
     CosetPoint,
     ReductiveAlgebra,
     _closure_residual,
-    _so1m_basis,
+    _plane_index,
+    _so1m_blades,
     defining_rep_so1m,
     expm,
     generator_coords,
-    h_pairs,
     reject_non_numbers,
     so1m_algebra,
 )
@@ -174,7 +174,9 @@ def vector_hrep(m: int) -> HRepresentation:
 def spinor_hrep(m: int) -> HRepresentation:
     """SO(m) on the spinor space of Cl(m): the matrix images of the rotation
     generators (1/4)[gamma_k, gamma_i] that so1m_algebra is built from."""
-    return HRepresentation(so1m_algebra(m), multivector_matrix(_so1m_basis(m)[0]))
+    sp = CliffordSpace(m)
+    rotations = [Multivector._of(sp, {t: v}) for t, v in _so1m_blades(m)[0]]
+    return HRepresentation(so1m_algebra(m), multivector_matrix(rotations))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +409,6 @@ def _log_coords(r: np.ndarray) -> np.ndarray:
     return w[..., k, i]
 
 
-@lru_cache(maxsize=None)
-def _plane_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (i, k) of the rotation planes of R^m, in generator order."""
-    pairs = np.array(h_pairs(m), dtype=int).reshape(-1, 2) - 1
-    return pairs[:, 0], pairs[:, 1]
-
-
 # ---------------------------------------------------------------------------
 # the induced action
 # ---------------------------------------------------------------------------
@@ -447,9 +442,7 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
     else:
         if g.ndim != 2:
             raise DimensionError(f"one point takes one matrix, got shape {g.shape}")
-        vs = np.asarray(v, dtype=float)
-        if vs.shape != (hrep.d,):
-            raise DimensionError(f"vector must have shape ({hrep.d},), got {vs.shape}")
+        vs = _check_vector(v, hrep.d)
     m = _check_form(g).shape[-1] - 1
     if m != point.m:
         raise DimensionError(f"matrix acts on m={m} but the point has m={point.m}")
@@ -463,6 +456,17 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
     if isinstance(point, CompositeSection):
         return CompositeSection(sigma, moved)
     return CosetPoint(sigma), moved
+
+
+def _check_vector(v, d: int) -> np.ndarray:
+    """v as a float vector of shape (d,); a wrong shape or a non-finite entry
+    raises DimensionError, as a section's vectors do."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise DimensionError(f"vector must have shape ({d},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise DimensionError("vector has non-finite entries")
+    return v
 
 
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -500,9 +504,7 @@ def infinitesimal_action(
     compensator in the given stabilizer representation.
     """
     act = realize(alg, xi, point, order)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (hrep.d,):
-        raise DimensionError(f"vector must have shape ({hrep.d},), got {v.shape}")
+    v = _check_vector(v, hrep.d)
     return act.dF, _compensator_action(hrep, act.dI[None], v[None])[0]
 
 

@@ -8,9 +8,10 @@ split with [h,h] in h, [f,f] in h and [f,h] in f:
     [F_al, H_b]    = c_fh[al,b,be] F_be
 
 The so(1,m) family is built from the Clifford embedding F_k = gamma_k,
-H_(i,k) = (1/4)[gamma_k, gamma_i] (pairs ordered lexicographically, i < k),
-and :func:`defining_rep_so1m` provides (m+1)x(m+1) matrices with the same
-structure constants for cross-checks.
+H_(i,k) = (1/4)[gamma_k, gamma_i] (pairs ordered lexicographically, i < k):
+each generator is one blade of Cl(m), so the structure constants come from
+one blade product per ordered basis pair.  :func:`defining_rep_so1m` provides
+(m+1)x(m+1) matrices with the same structure constants for cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .clifford import CliffordSpace, Multivector, commutator
+from .clifford import _mul_blades
 from .errors import ClosureError, DimensionError, DomainError
 
 __all__ = [
@@ -265,6 +266,19 @@ def h_pairs(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, k) for i in range(1, m + 1) for k in range(i + 1, m + 1))
 
 
+def _plane_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, k) of the rotation planes of R^m, in generator order."""
+    return _pair_index(m)[1:]
+
+
+def _check_m(m, least: int) -> None:
+    """DimensionError unless m is an integer (not a bool) of at least `least`."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise DimensionError(f"m must be an integer, got {m!r}")
+    if m < least:
+        raise DimensionError(f"need m >= {least}, got {m}")
+
+
 # values np.asarray(..., dtype=float) reads as numbers although a document
 # holding them is malformed: "0.5" becomes 0.5 and true becomes 1.0
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
@@ -304,8 +318,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     is a sequence of (i, k, theta) with 1 <= i < k <= m, and angles on a
     repeated plane add up.  Every entry must be finite.
     """
-    if m < 2:
-        raise DimensionError(f"need m >= 2, got {m}")
+    _check_m(m, 2)
     f = np.zeros(m)
     if boost is not None:
         reject_non_numbers([boost], "boost")
@@ -341,50 +354,47 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     return h, f
 
 
-def _so1m_basis(m: int) -> tuple[list[Multivector], list[Multivector]]:
-    sp = CliffordSpace(m)
-    gammas = [Multivector.blade(sp, (k,)) for k in range(1, m + 1)]
-    f_basis = gammas
-    h_basis = [
-        0.25 * commutator(gammas[k - 1], gammas[i - 1]) for (i, k) in h_pairs(m)
-    ]
-    return h_basis, f_basis
+def _so1m_blades(m: int) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
+    """(mask, coefficient) of each rotation and each boost generator, one
+    blade each: H_(i,k) = (1/4)[gamma_k, gamma_i] = (1/2) gamma_k gamma_i,
+    since distinct gammas anticommute, and F_k = gamma_k."""
+    i, k = _plane_index(m)
+    rotations = [_mul_blades(1 << b, 1 << a) for a, b in zip(i.tolist(), k.tolist())]
+    return [(t, 0.5 * s) for t, s in rotations], [(1 << a, 1.0) for a in range(m)]
 
 
-def _blade_index(basis: list[Multivector]) -> dict:
-    """blade -> (index, coefficient) for a basis of single-blade multivectors."""
-    return {t: (j, v) for j, b in enumerate(basis) for t, v in b.items()}
+def _brackets(left, right, target) -> np.ndarray:
+    """Coordinates in the basis `target` of [x, y] for x in `left` and y in
+    `right`, three bases of single blades given as (mask, coefficient).
 
-
-def _expand(mv: Multivector, index: dict) -> np.ndarray:
-    """Coordinates of mv in the basis that `index` (from _blade_index) describes."""
-    out = np.zeros(len(index))
-    for t, c in mv.items():
-        if t in index:
-            j, v = index[t]
-            out[j] = c / v
-        elif abs(c) > 1e-12:
-            raise ClosureError(f"element does not close on the expected span: {mv!r}")
+    Blades A, B of grades p, q sharing r gammas have BA = (-1)^(pq + r) AB,
+    so [A, B] is 2AB when pq + r is odd and 0 otherwise.  A bracket off the
+    span of `target` raises ClosureError.
+    """
+    index = {t: (j, v) for j, (t, v) in enumerate(target)}
+    out = np.zeros((len(left), len(right), len(target)))
+    for x, (a, va) in enumerate(left):
+        for y, (b, vb) in enumerate(right):
+            if (a.bit_count() * b.bit_count() + (a & b).bit_count()) & 1:
+                t, s = _mul_blades(a, b)
+                if t not in index:
+                    raise ClosureError(f"bracket of blades {a:#b} and {b:#b} is off the expected span")
+                j, v = index[t]
+                out[x, y, j] = 2.0 * s * va * vb / v
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def so1m_algebra(m: int) -> ReductiveAlgebra:
     """so(1,m) with boosts F_k = gamma_k and rotations H_(i,k) = (1/4)[gamma_k, gamma_i].
 
-    All structure constants are computed from Clifford commutators of the
-    embedded generators; closure on the right grades is enforced.  With this
-    normalization [F_i, F_k] = -4 H_(i,k) and [F_j, H_(i,k)] = d_jk F_i - d_ji F_k.
+    Each structure constant comes from one blade product per ordered basis
+    pair; closure on the right grades is enforced.  With this normalization
+    [F_i, F_k] = -4 H_(i,k) and [F_j, H_(i,k)] = d_jk F_i - d_ji F_k.
     """
-    if m < 2:
-        raise DimensionError(f"need m >= 2 for a nontrivial rotation part, got {m}")
-    hb, fb = _so1m_basis(m)
-    h_index, f_index = _blade_index(hb), _blade_index(fb)
-
-    def table(left, right, index) -> np.ndarray:
-        return np.array([[_expand(commutator(x, y), index) for y in right] for x in left])
-
-    return ReductiveAlgebra(table(hb, hb, h_index), table(fb, fb, h_index), table(fb, hb, f_index))
+    _check_m(m, 2)
+    hb, fb = _so1m_blades(m)
+    return ReductiveAlgebra(_brackets(hb, hb, hb), _brackets(fb, fb, hb), _brackets(fb, hb, fb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +417,7 @@ class DefiningRep:
         return np.tensordot(x, gens, axes=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def defining_rep_so1m(m: int) -> DefiningRep:
     """Defining representation matching the Clifford structure constants.
 
@@ -415,15 +425,14 @@ def defining_rep_so1m(m: int) -> DefiningRep:
     the usual generator: rep(F_k) = 2 (E_0k + E_k0), so exp(s rep(F_1)) is a
     boost of rapidity 2s.  Rotations are rep(H_(i,k)) = E_ki - E_ik.
     """
-    pairs = h_pairs(m)
-    h_gens = np.zeros((len(pairs), m + 1, m + 1))
-    for a, (i, k) in enumerate(pairs):
-        h_gens[a, k, i] = 1.0
-        h_gens[a, i, k] = -1.0
+    _check_m(m, 1)
+    i, k = _plane_index(m)
+    a = np.arange(len(i))
+    h_gens = np.zeros((len(i), m + 1, m + 1))
+    h_gens[a, k + 1, i + 1] = 1.0
+    h_gens[a, i + 1, k + 1] = -1.0
     f_gens = np.zeros((m, m + 1, m + 1))
-    for k in range(1, m + 1):
-        f_gens[k - 1, 0, k] = 2.0
-        f_gens[k - 1, k, 0] = 2.0
+    f_gens[:, 0, 1:] = f_gens[:, 1:, 0] = 2.0 * np.eye(m)
     eta = np.diag([1.0] + [-1.0] * m)
     for arr in (h_gens, f_gens, eta):
         arr.setflags(write=False)

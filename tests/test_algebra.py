@@ -1,11 +1,16 @@
 """Structure constants of so(1,m) and the generic reductive-split container."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import cosetrep
 from cosetrep.clifford import CliffordSpace, Multivector, commutator, multivector_matrix
 from cosetrep.errors import ClosureError, DimensionError, DomainError
 from cosetrep import lie
@@ -203,6 +208,65 @@ def test_structure_constants_from_clifford_match_matrices():
                 np.testing.assert_allclose(comm, lin, atol=1e-12)
 
 
+def _reference_so1m_tables(m):
+    """so(1,m)'s three tables from Multivector commutators of the embedded
+    generators, read back blade by blade, as the package once built them."""
+    sp = CliffordSpace(m)
+    fb = [Multivector.blade(sp, (k,)) for k in range(1, m + 1)]
+    hb = [0.25 * commutator(fb[k - 1], fb[i - 1]) for (i, k) in h_pairs(m)]
+
+    def table(left, right, basis):
+        index = {t: (j, v) for j, b in enumerate(basis) for t, v in b.items()}
+        out = np.zeros((len(left), len(right), len(basis)))
+        for p, x in enumerate(left):
+            for q, y in enumerate(right):
+                for t, c in commutator(x, y).items():
+                    j, v = index[t]
+                    out[p, q, j] = c / v
+        return out
+
+    return table(hb, hb, hb), table(fb, fb, hb), table(fb, hb, fb)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_so1m_tables_equal_the_commutator_reference(m):
+    """One blade product per ordered pair gives the Multivector commutators'
+    tables byte for byte."""
+    alg = so1m_algebra(m)
+    for got, want in zip((alg.c_hh, alg.c_ff, alg.c_fh), _reference_so1m_tables(m)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_brackets_off_the_span_raise():
+    """[gamma_1, gamma_2] is a bivector, off the span of the gammas."""
+    gammas = [(0b01, 1.0), (0b10, 1.0)]
+    with pytest.raises(ClosureError, match="off the expected span"):
+        lie._brackets(gammas, gammas, gammas)
+    assert not lie._brackets(gammas[:1], gammas[:1], gammas).any()
+
+
+def test_cold_builds_run_no_multivector_product():
+    """Cold builds of so(1,m) and of its spinor rep take no Clifford product
+    of Multivectors: a fresh process, since clearing the caches here would
+    give other tests new algebra objects."""
+    probe = (
+        "import cosetrep.clifford as clifford\n"
+        "from cosetrep.induced import spinor_hrep\n"
+        "from cosetrep.lie import so1m_algebra\n"
+        "calls = []\n"
+        "clifford.blade_product = lambda *a: calls.append(a)\n"
+        "for m in range(2, 9):\n"
+        "    spinor_hrep(m)\n"
+        "print(so1m_algebra.cache_info().misses, len(calls))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cosetrep.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["7", "0"]
+
+
 def test_defining_rep_matches_algebra():
     """Brackets of the (m+1)x(m+1) matrices reproduce every structure constant."""
     for m in (2, 3, 4):
@@ -218,6 +282,23 @@ def test_defining_rep_matches_algebra():
                 x = bracket(basis[a], basis[b])
                 want = rep.matrix(np.concatenate([x.h, x.f]))
                 np.testing.assert_allclose(comm, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_defining_rep_equals_the_plane_loop(m):
+    """The generators filled by index equal the plane-by-plane loop byte for
+    byte."""
+    h_gens = np.zeros((len(h_pairs(m)), m + 1, m + 1))
+    for a, (i, k) in enumerate(h_pairs(m)):
+        h_gens[a, k, i] = 1.0
+        h_gens[a, i, k] = -1.0
+    f_gens = np.zeros((m, m + 1, m + 1))
+    for k in range(1, m + 1):
+        f_gens[k - 1, 0, k] = 2.0
+        f_gens[k - 1, k, 0] = 2.0
+    rep = defining_rep_so1m(m)
+    assert rep.h_gens.tobytes() == h_gens.tobytes()
+    assert rep.f_gens.tobytes() == f_gens.tobytes()
 
 
 def test_defining_rep_matrix_takes_section_coordinates():
@@ -313,6 +394,22 @@ def test_coset_point_validation():
 def test_so1m_needs_rotations():
     with pytest.raises(DimensionError):
         so1m_algebra(1)
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [(so1m_algebra, m) for m in (-1, 2.5, 3.0, True, "3", None)]
+    + [(defining_rep_so1m, m) for m in (0, -1, 2.0, True, "3", None)]
+    + [(generator_coords, m) for m in (1, 2.0, True, "3")],
+)
+def test_m_must_be_an_integer_in_range(build, m):
+    """so(1,m) and its generator coordinates need an integer m >= 2, the
+    defining rep one >= 1 (2x2 matrices are checked with m = 1).  A float
+    equal to a cached numpy integer must not reach that integer's cache
+    entry."""
+    build(np.int64(3))
+    with pytest.raises(DimensionError):
+        build(m)
 
 
 def test_algebra_json_round_trip():

@@ -58,6 +58,19 @@ def test_realize_report(tmp_path, capsys):
     np.testing.assert_allclose(doc["d_sigma"]["series"], doc["d_sigma"]["oracle"], atol=1e-8)
 
 
+@pytest.mark.parametrize("field", ["sigma", "v"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_realize_rejects_non_finite_sigma_and_v(tmp_path, capsys, field, bad):
+    """json reads NaN and Infinity: a non-finite v exits 2 as a non-finite
+    sigma does, instead of printing a NaN d_v."""
+    doc = {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1.0, 0.0, 0.0]}, "v": [1.0, 0.0, 0.0]}
+    doc[field] = [bad, 0.0, 0.0]
+    path = _write(tmp_path, "gen.json", doc)
+    assert main(["realize", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cosetrep: ") and "non-finite" in err
+
+
 def test_realize_csv(tmp_path, capsys):
     path = _write(
         tmp_path, "gen.json", {"m": 2, "sigma": [0.1, 0.2], "xi": {"boost": [1.0, 0.0]}}

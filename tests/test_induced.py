@@ -35,8 +35,9 @@ from cosetrep.induced import (
     spinor_hrep,
     vector_hrep,
 )
-from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
+from cosetrep.lie import CosetPoint, defining_rep_so1m, h_pairs, so1m_algebra
 
+from test_algebra import _rotated_h_basis
 from test_clifford import kron_gammas
 
 
@@ -399,14 +400,6 @@ def _reference_closure_residual(gens, c_hh):
     return worst
 
 
-def _rotated_h_basis(alg, q):
-    """alg with its h basis H'_a = q[a, b] H_b, q orthogonal: c_hh is dense."""
-    c_hh = np.einsum("ai,bj,ijk,ck->abc", q, q, alg.c_hh, q)
-    c_ff = np.einsum("abk,ck->abc", alg.c_ff, q)
-    c_fh = np.einsum("bj,ajc->abc", q, alg.c_fh)
-    return ReductiveAlgebra(c_hh, c_ff, c_fh)
-
-
 def _closure_cases():
     """(generators, c_hh, one term per pair) of the vector and spinor reps,
     of dense similar copies of them, of the vector rep in a rotated h basis,
@@ -587,6 +580,23 @@ def test_stacked_induced_action_equals_point_calls(kind, m):
         p, w = induced_action(g[0], section.point(i), section.v[i], hrep)
         np.testing.assert_allclose(shared.sigma[i], p.sigma, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(shared.v[i], w, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_form_rejects_a_non_finite_vector(bad):
+    """A non-finite v raises DimensionError in both point forms, as a
+    section's vectors do; it used to come back as NaN, and an inf one
+    overflowed the compensator GEMM with a RuntimeWarning."""
+    m = 3
+    alg, hrep = so1m_algebra(m), spinor_hrep(m)
+    point = CosetPoint(np.array([0.2, -0.1, 0.15]))
+    v = np.array([0.7, bad, 0.2, 1.1])
+    with pytest.raises(DimensionError, match="non-finite"):
+        induced_action(group_from_spec(m, boost=[0.1, 0.0, 0.0]), point, v, hrep)
+    with pytest.raises(DimensionError, match="non-finite"):
+        infinitesimal_action(alg, alg.element(f=[1.0, 0.0, 0.0]), point, v, hrep)
+    with pytest.raises(DimensionError, match="non-finite"):
+        CompositeSection(point.sigma[None], v[None])
 
 
 def test_infinitesimal_action_derivative_of_finite():
