@@ -109,6 +109,8 @@ class HRepresentation:
             raise DimensionError(
                 f"expected generator stack of shape ({nh}, d, d), got {gens.shape}"
             )
+        if gens.shape[1] < 1:
+            raise DimensionError("a representation space needs d >= 1")
         if not np.isfinite(gens).all():
             raise ClosureError("generators have non-finite entries")
         worst = _closure_residual(gens, self.algebra.c_hh)
@@ -486,7 +488,8 @@ def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) ->
     x = np.zeros((nh + d, max(n, 2)))
     x[:nh, :n] = dI.T
     x[nh:, :n] = v.T
-    gv = (hrep.generators.reshape(nh * d, d) @ x[nh:]).reshape(nh, d, -1)
+    # the node count, not -1: the product is empty when dim_h is 0
+    gv = (hrep.generators.reshape(nh * d, d) @ x[nh:]).reshape(nh, d, x.shape[1])
     return np.ascontiguousarray(np.einsum("aen,an->en", gv, x[:nh])[:, :n].T)
 
 

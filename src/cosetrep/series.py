@@ -232,11 +232,13 @@ def _series(
     sig_t, xh_t, xf_t = x[:nf], x[nf : nf + nh], x[nf + nh :]
     blocks = table @ sig_t
     split = nh * nf, (nh + width) * nf
-    to_h = blocks[: split[0]].reshape(nh, nf, -1)
-    to_f = blocks[split[0] : split[1]].reshape(width, nf, -1)
+    # the node count, not -1: a block is empty when dim_h or width is 0
+    nodes = x.shape[1]
+    to_h = blocks[: split[0]].reshape(nh, nf, nodes)
+    to_f = blocks[split[0] : split[1]].reshape(width, nf, nodes)
     # S = ad_F^2 restricted to f, summed over the structural slots; its
     # spectral radius is rho(ad_F)^2
-    s = np.einsum("jdn,jden->den", to_f, blocks[split[1] :].reshape(width, nf, nf, -1))
+    s = np.einsum("jdn,jden->den", to_f, blocks[split[1] :].reshape(width, nf, nf, nodes))
     # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
     # needed only at moving nodes where that bound reaches pi^2, and only
     # when some row of some node reaches it at all (or is NaN).  A huge

@@ -125,6 +125,35 @@ def test_jacobi_residual_matches_the_dense_tensor(monkeypatch, chunk):
     assert min(residuals[-3:]) >= 0.25
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_slot_arm_gives_the_dense_jacobi_residual(monkeypatch, chunk):
+    """Forced onto every table, the slot arm reads the adjoint matrices'
+    slots from the structure tensor and gives the dense tensor's residual
+    bit for bit on every case with one term per right-hand side."""
+    cases = [alg for alg, exact in _jacobi_cases() if exact]
+    assert len(cases) == 13
+    monkeypatch.setattr(lie, "_SLOT_COST", 0)
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    for alg in cases:
+        assert jacobi_residual(alg) == _reference_jacobi_residual(alg)
+
+
+def test_cold_so116_build_has_an_exact_jacobi_residual():
+    """A cold so(1,16), n = 136, builds in a fresh process; its dense Jacobi
+    check took 7 s, and the slot arm reads an exact 0.0."""
+    probe = (
+        "from cosetrep.lie import jacobi_residual, so1m_algebra\n"
+        "print(repr(jacobi_residual(so1m_algebra(16))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cosetrep.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0.0"
+
+
 def test_jacobi_residual_memory_is_bounded():
     """The dense tensor of so(1,8) peaked at 38.8 MiB (210.7 MiB for
     so(1,10)); the chunked check holds a few working arrays of 2 MB."""

@@ -1,6 +1,7 @@
-"""The series core and the compensator action give the same bytes under every
-OpenBLAS kernel family: their GEMMs have single-term entries and every sum
-runs in einsum's fixed order, so no BLAS rounding reaches the output."""
+"""The series core, the compensator action and the closure check's slot arm
+give the same bytes under every OpenBLAS kernel family: their GEMMs have
+single-term entries, every sum runs in a fixed order, and the slot arm makes
+no BLAS call, so no BLAS rounding reaches the output."""
 
 import os
 import platform
@@ -14,12 +15,16 @@ import cosetrep
 
 _KERNELS = ("Haswell", "Nehalem", "Sandybridge")
 
-# prints the sha256 of the outputs of _series on so(1,m) and of
-# _compensator_action in the vector and spinor reps
+# prints the sha256 of the outputs of _series on so(1,m), of
+# _compensator_action in the vector and spinor reps, and of the slot arm's
+# closure residuals on so(1,3) broken in one [F,H], [H,H] or [F,F] bracket
+# and on so(1,8) with one [F,H] bracket perturbed
 _PROBE = """
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
+from cosetrep import lie
 from cosetrep.induced import _compensator_action, spinor_hrep, vector_hrep
 from cosetrep.lie import so1m_algebra
 from cosetrep.series import _series, _weights
@@ -43,6 +48,25 @@ for m in (3, 5):
             dI = rng.uniform(-1.0, 1.0, (n, hrep.algebra.dim_h))
             v = rng.uniform(-1.0, 1.0, (n, hrep.d))
             digest.update(_compensator_action(hrep, dI, v).tobytes())
+
+
+def adjoint_residual(alg, *edits):
+    tables = {name: np.array(getattr(alg, name)) for name in ("c_hh", "c_ff", "c_fh")}
+    for name, index, delta in edits:
+        tables[name][index] += delta
+    c = lie._total_structure(SimpleNamespace(dim_h=alg.dim_h, dim_f=alg.dim_f, **tables))
+    return lie._closure_residual(c.transpose(0, 2, 1), c)
+
+
+lie._SLOT_COST = 0
+so13 = so1m_algebra(3)
+for edits in (
+    [("c_fh", (0, 0, 1), 0.5)],
+    [("c_hh", (0, 1, 2), 0.5), ("c_hh", (1, 0, 2), -0.5)],
+    [("c_ff", (0, 1, 0), 0.25), ("c_ff", (1, 0, 0), -0.25)],
+):
+    digest.update(np.float64(adjoint_residual(so13, *edits)).tobytes())
+digest.update(np.float64(adjoint_residual(so1m_algebra(8), ("c_fh", (0, 0, 1), 0.5))).tobytes())
 print(digest.hexdigest())
 """
 

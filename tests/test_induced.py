@@ -371,6 +371,13 @@ def test_hrep_construction_checks_brackets():
         good.matrix(np.zeros(2))
 
 
+def test_hrep_rejects_an_empty_representation_space():
+    """d = 0 used to reach the closure check and fail there with numpy's
+    bare ValueError on an empty reduction."""
+    with pytest.raises(DimensionError, match="d >= 1"):
+        HRepresentation(so1m_algebra(3), np.zeros((3, 0, 0)))
+
+
 def _reference_spinor_generators(m):
     """0.25 [G_k, G_i] of the tensor-doubled gammas, plane by plane."""
     gammas = kron_gammas(m)
@@ -443,6 +450,103 @@ def test_closure_residual_matches_the_per_a_loop(monkeypatch, chunk):
         residuals.append(want)
     assert max(residuals[:-3]) <= 1e-10
     assert residuals[-3:] == [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("nh", [0, 1])
+def test_gauge_step_on_degenerate_splits(nh):
+    """With every bracket zero (an abelian f, with dim_h = 0 or with a
+    central h) a gauge step moves sigma by eps X_f and leaves v; dim_h = 0
+    used to fail a reshape of the empty compensator product."""
+    alg = lie.ReductiveAlgebra(np.zeros((nh, nh, nh)), np.zeros((2, 2, nh)), np.zeros((2, nh, 2)))
+    hrep = HRepresentation(alg, np.zeros((nh, 2, 2)))
+    section = CompositeSection(np.array([[0.1, 0.2], [0.0, 0.3]]), np.array([[1.0, 0.0], [0.5, 0.5]]))
+    xi = np.tile(np.concatenate([np.full(nh, 0.7), [0.1, 0.2]]), (2, 1))
+    out = gauge_transform_section(alg, section, xi, 0.5, hrep)
+    assert out.sigma.tobytes() == (section.sigma + 0.5 * xi[:, nh:]).tobytes()
+    assert out.v.tobytes() == section.v.tobytes()
+
+
+def _width(gens):
+    """The most nonzeros in any column of the stack."""
+    return int((gens != 0.0).sum(axis=1).max(initial=0))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_slot_arm_matches_the_per_a_loop_on_every_width_one_case(monkeypatch, chunk):
+    """Forced onto every stack, the slot arm gives the per-a loop's residual
+    bit for bit on each exact case with one nonzero per column."""
+    cases = [(g, c_hh) for g, c_hh, exact in _closure_cases() if exact and _width(g) == 1]
+    assert len(cases) == 13
+    monkeypatch.setattr(lie, "_SLOT_COST", 0)
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    for g, c_hh in cases:
+        assert induced._closure_residual(g, c_hh) == _reference_closure_residual(g, c_hh)
+
+
+def _perturbed_so18():
+    """The adjoint stack and structure tensor of so(1,8) with [F_1, H_(1,2)]
+    = -F_2 changed to -F_2 / 2 in both orders: one term per pair still."""
+    alg = so1m_algebra(8)
+    c = lie._total_structure(alg)
+    nh = alg.dim_h
+    assert c[nh, 0, nh + 1] == -1.0 and c[0, nh, nh + 1] == 1.0
+    c[nh, 0, nh + 1] += 0.5
+    c[0, nh, nh + 1] -= 0.5
+    return c.transpose(0, 2, 1), c
+
+
+def test_slot_arm_matches_the_per_a_loop_past_m_6():
+    """The spinor rep of so(1,7), the adjoint matrices of so(1,10) and a
+    perturbed so(1,8) take the slot arm, and their residuals are the per-a
+    loop's bit for bit."""
+    c10 = lie._total_structure(so1m_algebra(10))
+    cases = [
+        (spinor_hrep(7).generators, so1m_algebra(7).c_hh),
+        (c10.transpose(0, 2, 1), c10),
+        _perturbed_so18(),
+    ]
+    got = []
+    for g, c in cases:
+        n, d = g.shape[:2]
+        assert _width(g) == 1
+        assert 3 * 3 * lie._SLOT_COST <= d * d + n * d
+        got.append(induced._closure_residual(g, c))
+        assert got[-1] == _reference_closure_residual(g, c)
+    assert got[:2] == [0.0, 0.0]
+    assert got[2] >= 0.5
+
+
+def _sparse_stack(rng, n, d, w, wc):
+    """Random generators with w nonzeros in every column and a random c with
+    wc nonzeros in every c[a, b, :]."""
+    gens = np.zeros((n, d, d))
+    for a in range(n):
+        for j in range(d):
+            gens[a, rng.choice(d, w, replace=False), j] = rng.uniform(-2.0, 2.0, w)
+    c = np.zeros((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            c[a, b, rng.choice(n, wc, replace=False)] = rng.uniform(-2.0, 2.0, wc)
+    return gens, c
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+@pytest.mark.parametrize("w, wc", [(2, 1), (2, 3), (3, 2)])
+def test_slot_arm_matches_the_per_a_loop_on_wider_sparse_stacks(monkeypatch, chunk, w, wc):
+    """Cells with several entries sum them in another order than a matrix
+    product, so the residuals agree to rounding."""
+    monkeypatch.setattr(lie, "_SLOT_COST", 0)
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    rng = np.random.default_rng(10 * w + wc)
+    for n, d in ((5, 7), (9, 12)):
+        g, c = _sparse_stack(rng, n, d, w, wc)
+        assert _width(g) == w
+        got = induced._closure_residual(g, c)
+        want = _reference_closure_residual(g, c)
+        assert want > 1.0
+        assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -225,6 +225,24 @@ def test_stabilizer_field_formula():
         np.testing.assert_allclose(act.dF, want, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(0, 2), (1, 2)],
+    ids=["abelian f, no h", "all brackets zero"],
+)
+def test_realize_on_degenerate_splits(dims):
+    """An abelian f with dim_h = 0 used to fail the antisymmetry check on an
+    empty table, and with c_fh = 0 the series table has width 0, which
+    failed a reshape.  Every bracket vanishes, so dF = X_f and dI = X_h."""
+    nh, nf = dims
+    alg = ReductiveAlgebra(np.zeros((nh, nh, nh)), np.zeros((nf, nf, nh)), np.zeros((nf, nh, nf)))
+    point = CosetPoint([0.3, 0.1])
+    for xi in (alg.f_basis(0), alg.element(h=np.full(nh, 0.7), f=[0.2, -0.5])):
+        act = realize(alg, xi, point)
+        assert act.dF.tobytes() == xi.f.tobytes()
+        assert act.dI.tobytes() == xi.h.tobytes()
+
+
 def test_realize_splits_by_grade():
     alg = so1m_algebra(3)
     point = CosetPoint(np.array([0.2, 0.1, -0.3]))
