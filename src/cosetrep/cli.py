@@ -217,10 +217,6 @@ def _cmd_realize(args) -> int:
     if "v" in doc:
         v = _numeric(doc, "v")
         hrep = (vector_hrep if args.rep == "vector" else spinor_hrep)(m)
-        if v.shape != (hrep.d,):
-            raise _UsageError(
-                f"v must have {hrep.d} entries for the {args.rep} representation, got shape {v.shape}"
-            )
         v = _check_vector(v, hrep.d)
         payload["d_v"] = _compensator_action(hrep, act.dI[None], v[None])[0].tolist()
         payload["rep"] = args.rep

@@ -471,6 +471,17 @@ def _check_vector(v, d: int) -> np.ndarray:
     return v
 
 
+def _check_real(x, what: str) -> float:
+    """x as a float if it is a finite real number, not a bool; else DomainError."""
+    try:
+        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be finite and real, got {x!r}")
+    return float(x)
+
+
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv = sum_a dI^a (G_a v) for N nodes: dI of shape (N, dim_h), v (N, d).
 
@@ -658,7 +669,8 @@ def gauge_transform_section(
     Each node moves independently: sigma_i += eps dF(xi_i, sigma_i) and
     v_i += eps (dI^a G_a) v_i.  No information crosses between nodes; the
     whole section goes through the bracket series in one batched call.
-    Non-finite xi or eps raise DomainError before any work.
+    Non-finite xi, or an eps that is not a finite real number, raise
+    DomainError before any work.
     """
     xi = np.asarray(xi, dtype=float)
     n_xi = alg.dim_h + alg.dim_f
@@ -668,8 +680,7 @@ def gauge_transform_section(
         )
     if not np.isfinite(xi).all():
         raise DomainError("generator field xi has non-finite entries")
-    if not np.isfinite(eps):
-        raise DomainError(f"step eps must be finite, got {eps!r}")
+    eps = _check_real(eps, "step eps")
     if section.m != alg.dim_f:
         raise DimensionError(
             f"section has m={section.m} but the algebra has dim_f={alg.dim_f}"
@@ -699,14 +710,13 @@ def flow_section(
     The generator coordinates xi stay attached to their nodes while the
     series is re-evaluated at each moved point, so the flow converges to
     the finite action of exp(t xi_i) at rate O(1/steps).  steps must be an
-    integer >= 1 and t finite, else DomainError.
+    integer >= 1 and t a finite real number, else DomainError.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise DomainError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if not np.isfinite(t):
-        raise DomainError(f"flow time t must be finite, got {t!r}")
+    t = _check_real(t, "flow time t")
     eps = t / steps
     out = section
     for _ in range(steps):

@@ -134,35 +134,24 @@ def jacobi_residual(alg: ReductiveAlgebra) -> float:
 # the closure check holds at most this many floats in each working array
 # (2^18 floats, 2 MB)
 _CLOSURE_CHUNK = 1 << 18
-# the slot arm runs where this times its entries per column, squared, is at
-# most d^2 + n d, a matrix product's work per column; each side's cost per
-# unit was measured at so(1,m) and its reps, one thread.  Every stack with
-# n, d <= 10 keeps the matrix products.
-_SLOT_COST = 96
 
 
 def _closure_residual(gens: np.ndarray, c: np.ndarray) -> float:
     """max |[G_a, G_b] - c[a,b,e] G_e| over every ordered pair (a, b): the
     package's one bracket-consistency check.
 
-    The stack is read in slot format: each column of each G_a is its w
-    nonzero (row, value) pairs in ascending row order, where w is the most
-    nonzeros in any column of the stack, and each c[a, b, :] is its wc
-    nonzero (e, value) pairs; a shorter line pads with +0.0 at index 0.
-    Column j of G_a G_b is then the w^2 entries (r, G_a[r, k] G_b[k, j])
-    over the slots k of column j of G_b and r of column k of G_a, and the
-    right-hand side's column is wc w entries.  Each cell of [G_a, G_b] -
-    c[a,b,e] G_e adds the entries on its row in a fixed order: those of
-    G_a G_b, then of -G_b G_a, then of the right-hand side.  This costs
-    O(d w^2) per pair and makes no BLAS call.  Where every line has one
-    nonzero (the adjoint matrices of so(1,m), the vector and spinor reps)
-    each entry is the one product that a matrix product rounds, so the
-    residual is the dense one bit for bit.
+    A monomial stack, where each column of each G_a and each c[a, b, :]
+    has at most one nonzero (the adjoint matrices of so(1,m), the defining,
+    vector and spinor reps), is read as one (row, value) slot per column
+    and per c[a, b, :], (0, 0.0) for an empty line.  Column j of an ordered
+    pair gives three entries, G_a G_b at row row[a, row[b, j]], -G_b G_a
+    and -c_ab G_e, and each of the three cells adds those on its row in
+    that order.  Each entry is the one nonzero product a matrix product
+    rounds, so the residual is the dense one bit for bit, with no BLAS call.
 
-    A stack whose columns are mostly full, where matrix products cost less
-    (see _SLOT_COST), multiplies its matrices instead: each ordered product
-    G_a G_b once (a pair a < b gives [G_a, G_b] = P_ab - P_ba, and
-    [G_b, G_a] is its exact negative), and the right-hand sides as one GEMM.
+    Any other stack multiplies its matrices: each ordered product G_a G_b
+    once (a pair a < b gives [G_a, G_b] = P_ab - P_ba, and [G_b, G_a] is its
+    exact negative), and the right-hand sides as one GEMM.
 
     Both arms run the pairs in a-major order, in chunks of at most
     _CLOSURE_CHUNK floats per working array, whatever n and d are.  A NaN
@@ -172,62 +161,30 @@ def _closure_residual(gens: np.ndarray, c: np.ndarray) -> float:
     n, d = gens.shape[:2]
     if not gens.size:
         return 0.0
-    # a column has two entries at least, so a stack that keeps the matrix
-    # products at width 2 does so without counting its widths
-    width = 2
-    if _SLOT_COST * width * width <= d * d + n * d:
-        cols = gens.transpose(0, 2, 1)
-        nz, cnz = cols != 0.0, c != 0.0
-        # one slot at least, so that a NaN in c meets an entry of a zero stack
-        w = int(nz.sum(axis=-1).max(initial=1))
-        wc = int(cnz.sum(axis=-1).max(initial=0))
-        width = 2 * w * w + wc * w
+    # the first nonzero of each column and of each c[a, b, :]; the stack is
+    # monomial when these picks hold every nonzero of both
+    row = (gens != 0.0).argmax(axis=1)
+    val = np.take_along_axis(gens, row[:, None], axis=1)[:, 0]
+    crow = (c != 0.0).argmax(axis=-1)
+    cval = np.take_along_axis(c, crow[..., None], axis=-1)[..., 0]
     parts = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        if _SLOT_COST * width * width <= d * d + n * d:
-            rows, vals = _slots(cols, nz, w)
-            crows, cvals = _slots(c, cnz, wc)
-            ia, ib = np.triu_indices(n)
-            # a dozen arrays of one value per cell are live at once, so the
-            # entries of a chunk take a quarter of the bound
-            step = max(1, _CLOSURE_CHUNK // (8 * d * width))
-            j = np.arange(d)
-            for lo in range(0, len(ia), step):
-                a, b = ia[lo : lo + step], ib[lo : lo + step]
-                # a cell per (ordered pair, column); the pairs (a, b) fill
-                # the first half and (b, a) the second, in the same order
-                x, y = np.concatenate((a, b)), np.concatenate((b, a))
-                half = len(a) * d
-                r = np.empty((width, 2 * half), dtype=np.int32)
-                v = np.empty((width, 2 * half))
-                xd = np.repeat(x * d, d)
-                yj = (y[:, None] * d + j).ravel()
-                q = 0
-                for s in range(w):
-                    k = xd + rows[s, yj]
-                    for t in range(w):
-                        r[q] = rows[t, k]
-                        np.multiply(vals[t, k], vals[s, yj], out=v[q])
-                        q += 1
-                # -G_b G_a: the products of the partner cell, negated
-                r[q : 2 * q, :half], r[q : 2 * q, half:] = r[:q, half:], r[:q, :half]
-                np.negative(v[:q, half:], out=v[q : 2 * q, :half])
-                np.negative(v[:q, :half], out=v[q : 2 * q, half:])
-                q *= 2
-                xy = x * n + y
-                for u in range(wc):
-                    ej = (crows[u, xy][:, None] * d + j).ravel()
-                    cv = np.repeat(cvals[u, xy], d)
-                    for s in range(w):
-                        r[q] = rows[s, ej]
-                        np.negative(cv * vals[s, ej], out=v[q])
-                        q += 1
-                # the sum of each entry's cell, at that entry
-                for t in range(width):
-                    cell = np.zeros(2 * half)
-                    for q in range(width):
-                        np.add(cell, v[q], out=cell, where=r[q] == r[t])
-                    parts.append(abs(cell).max())
+        if np.count_nonzero(val) + np.count_nonzero(cval) == np.count_nonzero(gens) + np.count_nonzero(c):
+            # a cell per (a, b, column) for a chunk of a and every b; about
+            # 16 arrays of one value per cell are live at once
+            step = max(1, _CLOSURE_CHUNK // (16 * n * d))
+            b, j = np.arange(n)[:, None], np.arange(d)
+            for lo in range(0, n, step):
+                a = np.arange(lo, min(lo + step, n))
+                ra, va, e = row[a, None], val[a, None], crow[a][..., None]
+                r1, p1 = row[a[:, None, None], row], val[a[:, None, None], row] * val
+                r2, p2 = row[b, ra], val[b, ra] * va
+                r3, q = row[e, j], cval[a][..., None] * val[e, j]
+                same2, same3 = r2 == r1, r3 == r1
+                cell1 = p1 - np.where(same2, p2, 0.0) - np.where(same3, q, 0.0)
+                cell2 = np.where(same2, 0.0, -p2 - np.where(r3 == r2, q, 0.0))
+                cell3 = np.where(same3 | (r3 == r2), 0.0, q)
+                parts += [abs(cell).max() for cell in (cell1, cell2, cell3)]
             return float(np.max(parts))
         flat = gens.reshape(n, d * d)
         diag, ia, ib = _pair_index(n)
@@ -240,20 +197,6 @@ def _closure_residual(gens: np.ndarray, c: np.ndarray) -> float:
             rhs = c[np.concatenate((a, b)), np.concatenate((b, a))] @ flat
             parts += [abs(lhs - rhs[: len(a)]).max(), abs(lhs + rhs[len(a) :]).max()]
     return float(np.max(parts))
-
-
-def _slots(x: np.ndarray, nz: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros nz of each line x[a, b, :] as w slots of (index, value),
-    ascending, in two (w, lines) arrays; a shorter line pads with index 0
-    and +0.0."""
-    count = nz.sum(axis=-1).ravel()
-    line, index = np.divmod(np.flatnonzero(nz), x.shape[-1])
-    slot = np.arange(len(line)) - (np.cumsum(count) - count)[line]
-    rows = np.zeros((w, len(count)), dtype=np.intp)
-    vals = np.zeros((w, len(count)))
-    rows[slot, line] = index
-    vals[slot, line] = x[nz]
-    return rows, vals
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,10 @@ _KERNELS = ("Haswell", "Nehalem", "Sandybridge")
 
 # prints the sha256 of the outputs of _series on so(1,m), of
 # _compensator_action in the vector and spinor reps, and of the slot arm's
-# closure residuals on so(1,3) broken in one [F,H], [H,H] or [F,F] bracket
-# and on so(1,8) with one [F,H] bracket perturbed
+# closure residuals: on the adjoint matrices of so(1,3) broken in one
+# [F,H], [H,H] or [F,F] bracket and of so(1,8) with one [F,H] bracket
+# perturbed, on the vector and spinor reps at m = 3 and 5 with one c_hh
+# entry perturbed, and on the defining reps at m = 2, 3, 4
 _PROBE = """
 import hashlib
 from types import SimpleNamespace
@@ -58,7 +60,6 @@ def adjoint_residual(alg, *edits):
     return lie._closure_residual(c.transpose(0, 2, 1), c)
 
 
-lie._SLOT_COST = 0
 so13 = so1m_algebra(3)
 for edits in (
     [("c_fh", (0, 0, 1), 0.5)],
@@ -67,6 +68,16 @@ for edits in (
 ):
     digest.update(np.float64(adjoint_residual(so13, *edits)).tobytes())
 digest.update(np.float64(adjoint_residual(so1m_algebra(8), ("c_fh", (0, 0, 1), 0.5))).tobytes())
+for m in (3, 5):
+    c_hh = np.array(so1m_algebra(m).c_hh)
+    c_hh[0, 1, np.flatnonzero(c_hh[0, 1])[0]] += 0.5
+    for hrep in (vector_hrep(m), spinor_hrep(m)):
+        digest.update(np.float64(lie._closure_residual(hrep.generators, c_hh)).tobytes())
+for m in (2, 3, 4):
+    rep = lie.defining_rep_so1m(m)
+    stack = np.concatenate([rep.h_gens, rep.f_gens])
+    residual = lie._closure_residual(stack, lie._total_structure(so1m_algebra(m)))
+    digest.update(np.float64(residual).tobytes())
 print(digest.hexdigest())
 """
 

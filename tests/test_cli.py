@@ -71,6 +71,14 @@ def test_realize_rejects_non_finite_sigma_and_v(tmp_path, capsys, field, bad):
     assert err.startswith("cosetrep: ") and "non-finite" in err
 
 
+@pytest.mark.parametrize("rep, v", [("vector", [1.0, 0.0]), ("spinor", [1.0, 0.0, 0.0])])
+def test_realize_rejects_a_v_of_the_wrong_length(tmp_path, capsys, rep, v):
+    doc = {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1.0, 0.0, 0.0]}, "v": v}
+    path = _write(tmp_path, "gen.json", doc)
+    assert main(["realize", "--in", path, "--rep", rep]) == 2
+    assert "vector must have shape" in capsys.readouterr().err
+
+
 def test_realize_csv(tmp_path, capsys):
     path = _write(
         tmp_path, "gen.json", {"m": 2, "sigma": [0.1, 0.2], "xi": {"boost": [1.0, 0.0]}}

@@ -2,6 +2,7 @@
 gauge flow of sections."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -471,17 +472,90 @@ def _width(gens):
     return int((gens != 0.0).sum(axis=1).max(initial=0))
 
 
+def _monomial(gens, c):
+    """Each column of each G_a and each c[a, b, :] has at most one nonzero."""
+    return _width(gens) <= 1 and int((c != 0.0).sum(axis=-1).max(initial=0)) <= 1
+
+
+def _matrix_arm_calls(monkeypatch):
+    """A list that gains an entry each time the closure check takes its
+    matrix arm, the one caller of lie._pair_index there."""
+    calls, pair_index = [], lie._pair_index
+    monkeypatch.setattr(lie, "_pair_index", lambda n: calls.append(n) or pair_index(n))
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 64])
 def test_slot_arm_matches_the_per_a_loop_on_every_width_one_case(monkeypatch, chunk):
-    """Forced onto every stack, the slot arm gives the per-a loop's residual
-    bit for bit on each exact case with one nonzero per column."""
+    """Each exact case with one nonzero per column is monomial and takes the
+    slot arm, which gives the per-a loop's residual bit for bit."""
     cases = [(g, c_hh) for g, c_hh, exact in _closure_cases() if exact and _width(g) == 1]
     assert len(cases) == 13
-    monkeypatch.setattr(lie, "_SLOT_COST", 0)
     if chunk is not None:
         monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    matrix = _matrix_arm_calls(monkeypatch)
     for g, c_hh in cases:
+        assert _monomial(g, c_hh)
         assert induced._closure_residual(g, c_hh) == _reference_closure_residual(g, c_hh)
+    assert matrix == []
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_slot_arm_matches_the_per_a_loop_on_random_monomial_stacks(monkeypatch, chunk):
+    """Random values at random rows, with some columns and some c[a, b, :]
+    empty: the three entries of a column often share a row, and their sums
+    round, so the slot arm adds them in the matrix products' order or
+    misses the per-a loop's bits."""
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    rng = np.random.default_rng(19)
+    for n, d in ((4, 2), (5, 3), (7, 6)):
+        g = np.zeros((n, d, d))
+        a, j = np.indices((n, d))
+        g[a, rng.integers(0, d, (n, d)), j] = rng.uniform(-2.0, 2.0, (n, d)) * (rng.random((n, d)) < 0.8)
+        c = np.zeros((n, n, n))
+        a, b = np.indices((n, n))
+        c[a, b, rng.integers(0, n, (n, n))] = rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.8)
+        assert _monomial(g, c)
+        want = _reference_closure_residual(g, c)
+        assert want > 1.0
+        assert induced._closure_residual(g, c) == want
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_a_second_nonzero_in_a_line_takes_the_matrix_arm(monkeypatch, chunk):
+    """The vector rep of so(1,4) with one column of a generator, or one
+    c[a, b, :], given a second nonzero is not monomial: it multiplies its
+    matrices and gives the per-a loop's residual to rounding."""
+    if chunk is not None:
+        monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
+    g, c = np.array(vector_hrep(4).generators), np.array(so1m_algebra(4).c_hh)
+    assert _monomial(g, c)
+    g[0, 3, 0] = 0.5
+    c2 = np.array(c)
+    c2[0, 1, 0] = 0.5
+    matrix = _matrix_arm_calls(monkeypatch)
+    for g, c in ((g, c), (vector_hrep(4).generators, c2)):
+        assert not _monomial(g, c)
+        got, want = induced._closure_residual(g, c), _reference_closure_residual(g, c)
+        assert want >= 0.5
+        assert abs(got - want) <= 1e-15 * want
+    assert len(matrix) == 2
+
+
+def test_a_nan_gives_a_nan_residual_on_the_slot_arm(monkeypatch):
+    """An all-zero stack with a NaN in c, and the vector rep of so(1,3) with
+    one entry NaN, are monomial: each NaN meets a cell, an empty column's
+    (0, 0.0) slot included."""
+    c = np.zeros((3, 3, 3))
+    c[1, 2, 0] = np.nan
+    g = np.array(vector_hrep(3).generators)
+    g[1, 0, 2] = np.nan
+    matrix = _matrix_arm_calls(monkeypatch)
+    for g, c in ((np.zeros((3, 4, 4)), c), (g, so1m_algebra(3).c_hh)):
+        assert _monomial(g, c)
+        assert math.isnan(induced._closure_residual(g, c))
+    assert matrix == []
 
 
 def _perturbed_so18():
@@ -508,9 +582,8 @@ def test_slot_arm_matches_the_per_a_loop_past_m_6():
     ]
     got = []
     for g, c in cases:
-        n, d = g.shape[:2]
         assert _width(g) == 1
-        assert 3 * 3 * lie._SLOT_COST <= d * d + n * d
+        assert _monomial(g, c)
         got.append(induced._closure_residual(g, c))
         assert got[-1] == _reference_closure_residual(g, c)
     assert got[:2] == [0.0, 0.0]
@@ -533,10 +606,10 @@ def _sparse_stack(rng, n, d, w, wc):
 
 @pytest.mark.parametrize("chunk", [None, 1, 64])
 @pytest.mark.parametrize("w, wc", [(2, 1), (2, 3), (3, 2)])
-def test_slot_arm_matches_the_per_a_loop_on_wider_sparse_stacks(monkeypatch, chunk, w, wc):
-    """Cells with several entries sum them in another order than a matrix
-    product, so the residuals agree to rounding."""
-    monkeypatch.setattr(lie, "_SLOT_COST", 0)
+def test_matrix_arm_matches_the_per_a_loop_on_wider_sparse_stacks(monkeypatch, chunk, w, wc):
+    """Stacks with w > 1 nonzeros in each column are not monomial and take
+    the matrix arm, whose products are formed in another order than the
+    per-a loop's, so the residuals agree to rounding."""
     if chunk is not None:
         monkeypatch.setattr(lie, "_CLOSURE_CHUNK", chunk)
     rng = np.random.default_rng(10 * w + wc)
@@ -904,6 +977,30 @@ def test_gauge_rejects_non_finite_generators_and_times(bad):
         flow_section(alg, section, xi, bad, 2, hrep)
     with pytest.raises(DomainError, match="eps must be finite"):
         gauge_transform_section(alg, section, xi, bad, hrep)
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, np.bool_(True), np.array([0.1, 0.2]), np.array(0.1), 1j, 10**400])
+def test_flow_time_and_step_must_be_real_numbers(bad):
+    """A string or None used to raise numpy's bare TypeError from isfinite,
+    and an array t an ambiguous-truth ValueError."""
+    alg = so1m_algebra(2)
+    section = CompositeSection(np.zeros((1, 2)), np.ones((1, 2)))
+    xi = np.zeros((1, 3))
+    with pytest.raises(DomainError, match="t must be finite and real"):
+        flow_section(alg, section, xi, bad, 2, vector_hrep(2))
+    with pytest.raises(DomainError, match="eps must be finite and real"):
+        gauge_transform_section(alg, section, xi, bad, vector_hrep(2))
+
+
+def test_flow_time_and_step_accept_real_scalars():
+    alg = so1m_algebra(2)
+    section = CompositeSection(np.full((1, 2), 0.1), np.ones((1, 2)))
+    xi = np.full((1, 3), 0.2)
+    want = flow_section(alg, section, xi, 0.5, 2, vector_hrep(2))
+    for t in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        got = flow_section(alg, section, xi, t, 2, vector_hrep(2))
+        assert got.sigma.tobytes() == want.sigma.tobytes() and got.v.tobytes() == want.v.tobytes()
+    assert flow_section(alg, section, xi, 1, 2, vector_hrep(2)).v.shape == (1, 2)
 
 
 @pytest.mark.parametrize("steps", [True, 2.5, 2.0, "2", None])
