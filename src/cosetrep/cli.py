@@ -26,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import l_coeffs
-from .errors import ClosureError, DimensionError, DomainError
+from .errors import (
+    ClosureError,
+    DimensionError,
+    DomainError,
+    _check_finite,
+    _check_int,
+    reject_non_numbers,
+)
 from .induced import (
     _check_vector,
     _compensator_action,
@@ -43,7 +50,6 @@ from .lie import (
     CosetPoint,
     algebra_from_json_dict,
     generator_coords,
-    reject_non_numbers,
     so1m_algebra,
 )
 from .series import DEFAULT_ORDER, realize
@@ -122,11 +128,8 @@ def _numeric(doc: dict, key: str) -> np.ndarray:
 
 
 def _integer(doc: dict, key: str, default: int | None) -> int | None:
-    """doc[key], or default when the key is absent; a present value must be an integer."""
-    value = doc.get(key, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise _UsageError(f"{key} must be an integer, got {value!r}")
-    return value
+    """doc[key], or default when the key is absent; a present value must be an integer >= 1."""
+    return _check_int(doc[key], 1, key, _UsageError) if key in doc else default
 
 
 def _element_from_doc(alg, doc) -> "object":
@@ -144,6 +147,7 @@ def _matrix_from_doc(doc, m_flag: int | None) -> np.ndarray:
         g = _numeric(doc, "matrix")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise _UsageError(f"matrix must be square, got shape {g.shape}")
+        _check_finite(g, "matrix entries must be finite", _UsageError)
         if m_flag is not None and g.shape[0] != m_flag + 1:
             raise _UsageError(f"matrix is {g.shape[0]}x{g.shape[0]} but --m {m_flag} was given")
         return g

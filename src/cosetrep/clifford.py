@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _check_finite, _check_int
 
 __all__ = [
     "CliffordSpace",
@@ -58,10 +58,7 @@ class CliffordSpace:
     m: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
-            raise DimensionError(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise DimensionError(f"need m >= 1, got {self.m}")
+        _check_int(self.m, 1, "m", DimensionError)
 
     @property
     def dim(self) -> int:
@@ -353,8 +350,7 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (space.m,):
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
-    if not np.isfinite(sigma).all():
-        raise DomainError(f"sigma has non-finite entries: {sigma}")
+    _check_finite(sigma, "sigma has non-finite entries", DomainError)
     # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
     size = math.hypot(*sigma)
     if size > _MAX_NORM:

@@ -18,12 +18,11 @@ process and the frozen instance is shared.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 
 __all__ = ["CoeffTable", "l_coeffs", "bernoulli_numbers", "recursion_residuals"]
 
@@ -42,15 +41,6 @@ class CoeffTable:
         if not 1 <= n <= len(self.values):
             raise IndexError(f"l_{n} not tabulated (have 1..{len(self.values)})")
         return self.values[n - 1]
-
-
-def _count(N, least: int) -> int:
-    """N as an int; DomainError unless N is an integer (bools excluded) >= least."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise DomainError(f"table length must be an integer, got {N!r}")
-    if N < least:
-        raise DomainError(f"need N >= {least}, got {N}")
-    return int(N)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -78,7 +68,7 @@ def l_coeffs(N: int) -> CoeffTable:
     DomainError
         N is not an integer (bools included) or N < 1.
     """
-    N = _count(N, 1)
+    N = _check_int(N, 1, "N", DomainError)
     D = math.lcm(*range(1, N + 2))
     a: list[int] = [D]
     for n in range(1, N + 1):
@@ -109,7 +99,7 @@ def bernoulli_numbers(N: int) -> list[Fraction]:
     touches the triangular recursion above.  N that is not an integer
     (bools included) or is negative raises DomainError.
     """
-    N = _count(N, 0)
+    N = _check_int(N, 0, "N", DomainError)
     out: list[Fraction] = []
     row: list[Fraction] = []
     for n in range(N + 1):

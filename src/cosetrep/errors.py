@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules that raise them.
+
+Each input rule has one owner here.  A caller names its argument and, where
+sites differ, passes the error class, so every site keeps its class.
+"""
+
+import math
+import numbers
+from itertools import chain
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -19,3 +29,68 @@ class BranchError(DomainError):
 
 class ClosureError(ValueError):
     """Structure constants violate the reductive split or the Jacobi identity."""
+
+
+def _check_int(x, least: int, what: str, error: type[Exception]) -> int:
+    """x as an int if it is an integer (not a bool) of at least `least`, else error."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise error(f"{what} must be an integer, got {x!r}")
+    if x < least:
+        raise error(f"need {what} >= {least}, got {x}")
+    return int(x)
+
+
+def _check_real(x, what: str) -> float:
+    """x as a float if it is a finite real number (not a bool), else DomainError."""
+    try:
+        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be finite and real, got {x!r}")
+    return float(x)
+
+
+def _check_finite(x: np.ndarray, message: str, error: type[Exception]) -> None:
+    """Raise error(message) unless every entry of the array x is finite."""
+    if not np.isfinite(x).all():
+        raise error(message)
+
+
+def _frozen(x) -> np.ndarray:
+    """A read-only float copy of x, which no caller can write through."""
+    out = np.array(x, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+# values np.asarray(..., dtype=float) reads as numbers although a document
+# holding them is malformed: "0.5" becomes 0.5 and true becomes 1.0
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def reject_non_numbers(fields, what: str) -> None:
+    """Raise DomainError when a string or a boolean sits anywhere in `fields`,
+    a sequence of numeric values: numbers, or lists, tuples and arrays of
+    them nested to any depth.
+
+    The check runs one pass of map(type) per nesting level, so the fields of
+    every node of a large section are checked together at C speed.
+    """
+    level = list(fields)
+    while level:
+        kinds = set(map(type, level))
+        if any(issubclass(k, _NOT_NUMBERS) for k in kinds):
+            raise DomainError(f"{what} must hold numbers, not strings or booleans")
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+        elif any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
+            nested = []
+            for x in level:
+                if isinstance(x, (list, tuple)):
+                    nested.extend(x)
+                elif isinstance(x, np.ndarray) and x.dtype.kind not in "iuf":
+                    nested.append(x.tolist())
+            level = nested
+        else:
+            return

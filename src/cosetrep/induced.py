@@ -25,7 +25,6 @@ the flow is vertical, acting on every node independently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,6 +37,11 @@ from .errors import (
     DimensionError,
     DomainError,
     OrthochronousError,
+    _check_finite,
+    _check_int,
+    _check_real,
+    _frozen,
+    reject_non_numbers,
 )
 from .lie import (
     CosetPoint,
@@ -48,7 +52,6 @@ from .lie import (
     defining_rep_so1m,
     expm,
     generator_coords,
-    reject_non_numbers,
     so1m_algebra,
 )
 from .series import DEFAULT_ORDER, _series, _weights, realize
@@ -111,16 +114,13 @@ class HRepresentation:
             )
         if gens.shape[1] < 1:
             raise DimensionError("a representation space needs d >= 1")
-        if not np.isfinite(gens).all():
-            raise ClosureError("generators have non-finite entries")
+        _check_finite(gens, "generators have non-finite entries", ClosureError)
         worst = _closure_residual(gens, self.algebra.c_hh)
         if not worst <= _TOL:
             raise ClosureError(
                 f"generators do not satisfy the stabilizer brackets (residual {worst:.3e})"
             )
-        gens = gens.copy()
-        gens.setflags(write=False)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", _frozen(gens))
         d = gens.shape[-1]
         planes = nh == d * (d - 1) // 2 and np.array_equal(
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
@@ -137,6 +137,7 @@ class HRepresentation:
         nh, d = self.generators.shape[:2]
         if h.ndim < 1 or h.shape[-1] != nh:
             raise DimensionError(f"expected {nh} coordinates, got {h.shape}")
+        _check_finite(h, "h coordinates have non-finite entries", DomainError)
         # one (rows, dim_h) x (dim_h, d^2) product, also for a single vector
         return (h.reshape(-1, nh) @ self.generators.reshape(nh, -1)).reshape(h.shape[:-1] + (d, d))
 
@@ -151,7 +152,7 @@ class HRepresentation:
         exponentiates the plane-angle coordinates of rho, which raises
         BranchError for a plane rotated by pi.  rho is not checked for
         orthogonality; rho that is not a square matrix or a stack of them
-        raises DimensionError.
+        raises DimensionError, and a non-finite entry DomainError.
         """
         rho = np.asarray(rho, dtype=float)
         if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -161,6 +162,7 @@ class HRepresentation:
             raise DimensionError(
                 f"a rotation of R^{m} has no image in a representation of dim_h={self.algebra.dim_h}"
             )
+        _check_finite(rho, "rho has non-finite entries", DomainError)
         if self._planes:
             return rho
         return self.exp(_log_coords(rho))
@@ -218,8 +220,8 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     if n.ndim < 1 or n.shape[-1] != m:
         raise DimensionError(f"axis must have shape (..., {m}), got {n.shape}")
     zeta = np.asarray(zeta, dtype=float)
-    if not (np.isfinite(zeta).all() and np.isfinite(n).all()):
-        raise DomainError("boost rapidity and axis must be finite")
+    _check_finite(zeta, "boost rapidity must be finite", DomainError)
+    _check_finite(n, "boost axis must be finite", DomainError)
     size = float(np.abs(zeta).max(initial=0.0))
     if size > _MAX_RAPIDITY:
         raise DomainError(
@@ -286,12 +288,12 @@ def exp_coset(point: CosetPoint) -> np.ndarray:
 def _check_form(g) -> np.ndarray:
     """g (or a stack) as a float array preserving the form forward in time.
 
-    Raises DimensionError for a bad shape, DomainError when g does not
-    preserve the form diag(+1, -1, ..., -1), and OrthochronousError when it
-    reverses time.  The form is compared entrywise against
-    1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding bound of the
-    product g^T eta g, so the tolerance grows with the entries of a large
-    boost while an error in a small entry is still caught.
+    Raises DimensionError for a bad shape, DomainError when g has a
+    non-finite entry or does not preserve the form diag(+1, -1, ..., -1),
+    and OrthochronousError when it reverses time.  The form is compared
+    entrywise against 1e-10 max(1, (|g|^T |g|)_ij), the first-order rounding
+    bound of the product g^T eta g, so the tolerance grows with the entries
+    of a large boost while an error in a small entry is still caught.
 
     The orientation is left to :func:`_check_orientation` on the rho of a
     split: det(g) = det(rho), but g's entries grow like cosh(zeta) while
@@ -303,8 +305,12 @@ def _check_form(g) -> np.ndarray:
         raise DimensionError(f"expected square matrices of size >= 2, got shape {g.shape}")
     eta = defining_rep_so1m(g.shape[-1] - 1).eta
     gt, a = g.swapaxes(-1, -2), np.abs(g)
-    within = np.abs(gt @ eta @ g - eta) <= _TOL * np.maximum(1.0, a.swapaxes(-1, -2) @ a)
-    if np.count_nonzero(within) != within.size:
+    # a non-finite or overflowing g makes an excess NaN (inf - inf), which
+    # fails the gate; finiteness is looked at only then
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = np.abs(gt @ eta @ g - eta) - _TOL * np.maximum(1.0, a.swapaxes(-1, -2) @ a)
+    if np.count_nonzero(excess <= 0.0) != excess.size:
+        _check_finite(g, "matrix has non-finite entries", DomainError)
         raise DomainError("matrix does not preserve the indefinite form")
     if np.count_nonzero(g[..., :1, 0] < 0.0):
         raise OrthochronousError("transformation reverses time orientation")
@@ -332,9 +338,7 @@ class FactoredPair:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rho, dtype=float).copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "rho", _frozen(self.rho))
 
 
 def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,20 +470,8 @@ def _check_vector(v, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):
         raise DimensionError(f"vector must have shape ({d},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise DimensionError("vector has non-finite entries")
+    _check_finite(v, "vector has non-finite entries", DimensionError)
     return v
-
-
-def _check_real(x, what: str) -> float:
-    """x as a float if it is a finite real number, not a bool; else DomainError."""
-    try:
-        ok = not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise DomainError(f"{what} must be finite and real, got {x!r}")
-    return float(x)
 
 
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -555,8 +547,7 @@ class CompositeSection:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.sigma, dtype=float)
-        w = np.asarray(self.v, dtype=float)
+        s, w = _frozen(self.sigma), _frozen(self.v)
         if s.ndim != 2 or w.ndim != 2:
             raise DimensionError(
                 f"sigma and v must be 2-D, got shapes {s.shape} and {w.shape}"
@@ -565,11 +556,8 @@ class CompositeSection:
             raise DimensionError(
                 f"node counts differ: {s.shape[0]} points, {w.shape[0]} vectors"
             )
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(w))):
-            raise DimensionError("section has non-finite entries")
-        s, w = s.copy(), w.copy()
-        s.setflags(write=False)
-        w.setflags(write=False)
+        for x in (s, w):
+            _check_finite(x, "section has non-finite entries", DimensionError)
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "v", w)
 
@@ -642,10 +630,10 @@ def section_from_json_dict(data) -> tuple[CompositeSection, np.ndarray | None]:
         m, d, nodes = data["m"], data["d"], data["nodes"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"section document needs keys m, d, nodes: {exc}") from exc
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (m, d)):
-        raise DomainError(f"section m and d must be integers, got {m!r} and {d!r}")
-    if m < 1 or d < 1 or not isinstance(nodes, list) or not nodes:
-        raise DomainError("section document must have m >= 1, d >= 1 and a nonempty node list")
+    m = _check_int(m, 1, "section m", DomainError)
+    d = _check_int(d, 1, "section d", DomainError)
+    if not isinstance(nodes, list) or not nodes:
+        raise DomainError("section document must have a nonempty node list")
     n_xi = m * (m - 1) // 2 + m
     sigma = _node_rows(nodes, "sigma", m)
     v = _node_rows(nodes, "v", d)
@@ -678,8 +666,7 @@ def gauge_transform_section(
         raise DimensionError(
             f"xi must have shape ({section.n_nodes}, {n_xi}), got {xi.shape}"
         )
-    if not np.isfinite(xi).all():
-        raise DomainError("generator field xi has non-finite entries")
+    _check_finite(xi, "generator field xi has non-finite entries", DomainError)
     eps = _check_real(eps, "step eps")
     if section.m != alg.dim_f:
         raise DimensionError(
@@ -712,10 +699,7 @@ def flow_section(
     the finite action of exp(t xi_i) at rate O(1/steps).  steps must be an
     integer >= 1 and t a finite real number, else DomainError.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise DomainError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    steps = _check_int(steps, 1, "steps", DomainError)
     t = _check_real(t, "flow time t")
     eps = t / steps
     out = section

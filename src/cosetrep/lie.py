@@ -19,12 +19,20 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .clifford import _mul_blades
-from .errors import ClosureError, DimensionError, DomainError
+from .errors import (
+    ClosureError,
+    DimensionError,
+    DomainError,
+    _check_finite,
+    _check_int,
+    _check_real,
+    _frozen,
+    reject_non_numbers,
+)
 
 __all__ = [
     "ReductiveAlgebra",
@@ -53,10 +61,11 @@ class ReductiveAlgebra:
     c_fh: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("c_hh", "c_ff", "c_fh"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # the checks read the caller's tables and the record keeps copies,
+        # made last, so that no table is held twice while the checks run
+        names = ("c_hh", "c_ff", "c_fh")
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         nh = self.c_hh.shape[0]
         nf = self.c_ff.shape[0]
         if self.c_hh.shape != (nh, nh, nh):
@@ -65,16 +74,19 @@ class ReductiveAlgebra:
             raise ClosureError(f"c_ff must be (f,f,h), got {self.c_ff.shape}")
         if self.c_fh.shape != (nf, nh, nf):
             raise ClosureError(f"c_fh must be (f,h,f), got {self.c_fh.shape}")
-        for name, arr in (("c_hh", self.c_hh), ("c_ff", self.c_ff), ("c_fh", self.c_fh)):
-            if not np.all(np.isfinite(arr)):
-                raise ClosureError(f"{name} has non-finite entries")
-        anti_hh = np.abs(self.c_hh + np.swapaxes(self.c_hh, 0, 1)).max(initial=0.0)
-        anti_ff = np.abs(self.c_ff + np.swapaxes(self.c_ff, 0, 1)).max(initial=0.0)
-        if max(anti_hh, anti_ff) > _JACOBI_TOL:
-            raise ClosureError("bracket tables are not antisymmetric")
+        for name in names:
+            _check_finite(getattr(self, name), f"{name} has non-finite entries", ClosureError)
+        for c in (self.c_hh, self.c_ff):
+            # one table-sized temporary: the sum, made absolute in place
+            anti = c + np.swapaxes(c, 0, 1)
+            if np.abs(anti, out=anti).max(initial=0.0) > _JACOBI_TOL:
+                raise ClosureError("bracket tables are not antisymmetric")
+            del anti
         r = jacobi_residual(self)
         if not r <= _JACOBI_TOL:
             raise ClosureError(f"Jacobi identity violated: residual {r:.3e}")
+        for name in names:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def dim_h(self) -> int:
@@ -102,9 +114,9 @@ class ReductiveAlgebra:
         return AlgebraElement(self, np.zeros(self.dim_h), f)
 
     def element(self, h=None, f=None) -> "AlgebraElement":
-        hv = np.zeros(self.dim_h) if h is None else np.asarray(h, dtype=float)
-        fv = np.zeros(self.dim_f) if f is None else np.asarray(f, dtype=float)
-        return AlgebraElement(self, hv, fv)
+        h = np.zeros(self.dim_h) if h is None else h
+        f = np.zeros(self.dim_f) if f is None else f
+        return AlgebraElement(self, h, f)
 
 
 def _total_structure(alg: ReductiveAlgebra) -> np.ndarray:
@@ -217,14 +229,11 @@ class AlgebraElement:
     f: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float)
-        f = np.asarray(self.f, dtype=float)
+        h, f = _frozen(self.h), _frozen(self.f)
         if h.shape != (self.algebra.dim_h,) or f.shape != (self.algebra.dim_f,):
             raise DimensionError(
                 f"element needs shapes ({self.algebra.dim_h},), ({self.algebra.dim_f},)"
             )
-        h.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
 
@@ -275,13 +284,10 @@ class CosetPoint:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.sigma, dtype=float)
+        s = _frozen(self.sigma)
         if s.ndim != 1:
             raise DimensionError(f"sigma must be a vector, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise DimensionError("sigma has non-finite entries")
-        s = s.copy()
-        s.setflags(write=False)
+        _check_finite(s, "sigma has non-finite entries", DimensionError)
         object.__setattr__(self, "sigma", s)
 
     @property
@@ -307,46 +313,6 @@ def _plane_index(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _pair_index(m)[1:]
 
 
-def _check_m(m, least: int) -> None:
-    """DimensionError unless m is an integer (not a bool) of at least `least`."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise DimensionError(f"m must be an integer, got {m!r}")
-    if m < least:
-        raise DimensionError(f"need m >= {least}, got {m}")
-
-
-# values np.asarray(..., dtype=float) reads as numbers although a document
-# holding them is malformed: "0.5" becomes 0.5 and true becomes 1.0
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
-
-
-def reject_non_numbers(fields, what: str) -> None:
-    """Raise DomainError when a string or a boolean sits anywhere in `fields`,
-    a sequence of numeric values: numbers, or lists, tuples and arrays of
-    them nested to any depth.
-
-    The check runs one pass of map(type) per nesting level, so the fields of
-    every node of a large section are checked together at C speed.
-    """
-    level = list(fields)
-    while level:
-        kinds = set(map(type, level))
-        if any(issubclass(k, _NOT_NUMBERS) for k in kinds):
-            raise DomainError(f"{what} must hold numbers, not strings or booleans")
-        if kinds == {list}:
-            level = list(chain.from_iterable(level))
-        elif any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
-            nested = []
-            for x in level:
-                if isinstance(x, (list, tuple)):
-                    nested.extend(x)
-                elif isinstance(x, np.ndarray) and x.dtype.kind not in "iuf":
-                    nested.append(x.tolist())
-            level = nested
-        else:
-            return
-
-
 def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.ndarray]:
     """(h, f) coordinates of so(1,m) from a boost vector and plane angles.
 
@@ -354,7 +320,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     is a sequence of (i, k, theta) with 1 <= i < k <= m, and angles on a
     repeated plane add up.  Every entry must be finite.
     """
-    _check_m(m, 2)
+    _check_int(m, 2, "m", DimensionError)
     f = np.zeros(m)
     if boost is not None:
         reject_non_numbers([boost], "boost")
@@ -364,8 +330,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
             raise DomainError(f"boost must be a numeric vector: {exc}") from exc
         if f.shape != (m,):
             raise DimensionError(f"boost must have {m} entries, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise DomainError("boost entries must be finite")
+        _check_finite(f, "boost entries must be finite", DomainError)
     try:
         entries = list(rotations)
     except TypeError as exc:
@@ -375,18 +340,15 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     for entry in entries:
         try:
             i, k, theta = entry
-            reject_non_numbers([theta], "rotation angle")
-            theta = float(theta)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise DomainError(f"rotation entries must be (i, k, theta), got {entry!r}: {exc}") from exc
+        reject_non_numbers([theta], "rotation angle")
         if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (i, k)):
             raise DomainError(f"rotation plane indices must be integers, got {entry!r}")
         i, k = int(i), int(k)
         if (i, k) not in index:
             raise DomainError(f"no rotation plane ({i}, {k}) for m={m}")
-        if not np.isfinite(theta):
-            raise DomainError("rotation angle must be finite")
-        h[index[(i, k)]] += theta
+        h[index[(i, k)]] += _check_real(theta, "rotation angle")
     return h, f
 
 
@@ -428,7 +390,7 @@ def so1m_algebra(m: int) -> ReductiveAlgebra:
     pair; closure on the right grades is enforced.  With this normalization
     [F_i, F_k] = -4 H_(i,k) and [F_j, H_(i,k)] = d_jk F_i - d_ji F_k.
     """
-    _check_m(m, 2)
+    _check_int(m, 2, "m", DimensionError)
     hb, fb = _so1m_blades(m)
     return ReductiveAlgebra(_brackets(hb, hb, hb), _brackets(fb, fb, hb), _brackets(fb, hb, fb))
 
@@ -461,7 +423,7 @@ def defining_rep_so1m(m: int) -> DefiningRep:
     the usual generator: rep(F_k) = 2 (E_0k + E_k0), so exp(s rep(F_1)) is a
     boost of rapidity 2s.  Rotations are rep(H_(i,k)) = E_ki - E_ik.
     """
-    _check_m(m, 1)
+    _check_int(m, 1, "m", DimensionError)
     i, k = _plane_index(m)
     a = np.arange(len(i))
     h_gens = np.zeros((len(i), m + 1, m + 1))
@@ -469,10 +431,7 @@ def defining_rep_so1m(m: int) -> DefiningRep:
     h_gens[a, i + 1, k + 1] = -1.0
     f_gens = np.zeros((m, m + 1, m + 1))
     f_gens[:, 0, 1:] = f_gens[:, 1:, 0] = 2.0 * np.eye(m)
-    eta = np.diag([1.0] + [-1.0] * m)
-    for arr in (h_gens, f_gens, eta):
-        arr.setflags(write=False)
-    return DefiningRep(m, h_gens, f_gens, eta)
+    return DefiningRep(m, _frozen(h_gens), _frozen(f_gens), _frozen(np.diag([1.0] + [-1.0] * m)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +537,8 @@ def algebra_to_json_dict(alg: ReductiveAlgebra) -> dict:
 
 def algebra_from_json_dict(data) -> ReductiveAlgebra:
     try:
-        nh, nf = data["dim_h"], data["dim_f"]
-        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in (nh, nf)):
-            raise TypeError(f"dim_h and dim_f must be integers, got {nh!r} and {nf!r}")
+        nh = _check_int(data["dim_h"], 0, "dim_h", TypeError)
+        nf = _check_int(data["dim_f"], 0, "dim_f", TypeError)
         tables = [data["c_hh"], data["c_ff"], data["c_fh"]]
         reject_non_numbers(tables, "the structure constants")
         c_hh, c_ff, c_fh = (np.asarray(t, dtype=float) for t in tables)

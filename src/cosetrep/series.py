@@ -62,7 +62,6 @@ For so(1,m) the resummed field has the closed form of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import l_coeffs
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _check_finite, _check_int, _frozen
 from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, defining_rep_so1m
 
 __all__ = [
@@ -100,9 +99,7 @@ class InfinitesimalAction:
 
     def __post_init__(self) -> None:
         for name in ("dF", "dI"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
@@ -110,19 +107,12 @@ def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
         raise DimensionError(f"point has {point.m} coordinates, algebra dim_f {alg.dim_f}")
 
 
-def _check_order(order: int) -> None:
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
-        raise DomainError(f"truncation order must be an integer, got {order!r}")
-    if order < 1:
-        raise DomainError(f"truncation order must be >= 1, got {order}")
-
-
 def even_bracket_weights(order: int) -> list[tuple[int, float]]:
     """Pairs (2k, w) with w = 4^k l_{2k} for all 2k <= order.
 
     These are the coefficients of z coth z - 1 = sum_k 4^k l_{2k} z^{2k}.
     """
-    _check_order(order)
+    _check_int(order, 1, "truncation order", DomainError)
     table = l_coeffs(order + 1)
     return [
         (2 * k, float(Fraction(4**k) * table.l(2 * k)))
@@ -135,7 +125,7 @@ def odd_bracket_weights(order: int) -> list[tuple[int, float]]:
 
     These are the coefficients of tanh(z/2) = sum_k 2 (4^k - 1) l_{2k} z^{2k-1}.
     """
-    _check_order(order)
+    _check_int(order, 1, "truncation order", DomainError)
     table = l_coeffs(order + 1)
     return [
         (2 * k - 1, float(Fraction(2 * (4**k - 1)) * table.l(2 * k)))
@@ -293,8 +283,8 @@ def realize(
     if xi.algebra is not alg:
         raise DimensionError("generator belongs to a different algebra")
     _check_point(alg, point)
-    if not (np.isfinite(xi.h).all() and np.isfinite(xi.f).all()):
-        raise DomainError("generator xi has non-finite entries")
+    for x in (xi.h, xi.f):
+        _check_finite(x, "generator xi has non-finite entries", DomainError)
     dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], _weights(order))
     return InfinitesimalAction(dF=dF[0], dI=dI[0])
 

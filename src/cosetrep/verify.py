@@ -131,15 +131,17 @@ def _info(name, measured, detail="") -> PropertyResult:
 # finite-difference oracle for the infinitesimal action
 # ---------------------------------------------------------------------------
 
-# the four steps t = s h of the extrapolated central difference
+# the step h of the finite-difference oracle, and the four steps t = s h of
+# its extrapolated central difference
+_FD_H = 1e-3
 _STEPS = np.array([1.0, -1.0, 0.5, -0.5])
 
 
-def _richardson(values: np.ndarray, h: float) -> np.ndarray:
+def _richardson(values: np.ndarray) -> np.ndarray:
     """Richardson-extrapolated central difference at t=0 from the values
-    values[j] at t = _STEPS[j] h."""
-    d1 = (values[0] - values[1]) / (2.0 * h)
-    d2 = (values[2] - values[3]) / (2.0 * (h / 2.0))
+    values[j] at t = _STEPS[j] _FD_H."""
+    d1 = (values[0] - values[1]) / (2.0 * _FD_H)
+    d2 = (values[2] - values[3]) / (2.0 * (_FD_H / 2.0))
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -150,21 +152,20 @@ def _exp_defining(m: int, t, coords: np.ndarray) -> np.ndarray:
 
 
 def _fd_action(
-    alg: ReductiveAlgebra, coords: np.ndarray, sigma: np.ndarray, h: float
+    alg: ReductiveAlgebra, coords: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """fd_action_derivative of every node in one stacked call: generator
     coordinates coords (N, dim) at points sigma (N, dim_f), or one node as
     coords (dim,) and sigma (dim_f,)."""
-    g = _exp_defining(alg.dim_f, h * _STEPS, coords) @ _coset_matrix(sigma)
+    g = _exp_defining(alg.dim_f, _FD_H * _STEPS, coords) @ _coset_matrix(sigma)
     sigma_t, rho = _factor(g)
-    return _richardson(sigma_t, h), _richardson(rotation_log_coords(rho), h)
+    return _richardson(sigma_t), _richardson(rotation_log_coords(rho))
 
 
 def fd_action_derivative(
     alg: ReductiveAlgebra,
     xi: AlgebraElement,
     point: CosetPoint,
-    h: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Richardson-extrapolated central difference of the finite action at t=0.
 
@@ -172,7 +173,7 @@ def fd_action_derivative(
     matrices, returning (d sigma, d theta) with d theta in plane-angle
     coordinates.  Entirely independent of the bracket series.
     """
-    return _fd_action(alg, np.concatenate([xi.h, xi.f]), point.sigma, h)
+    return _fd_action(alg, np.concatenate([xi.h, xi.f]), point.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def suite_series(seed: int = 0) -> list[PropertyResult]:
         alg = so1m_algebra(m)
         sig, coords = _ball_cases(rng, m, 6, (0.0, 0.35), alg.dim)
         ds, di = _series(alg, sig, coords[:, : alg.dim_h], coords[:, alg.dim_h :], _weights(19))
-        fd_s, fd_t = _fd_action(alg, coords, sig, 1e-3)
+        fd_s, fd_t = _fd_action(alg, coords, sig)
         worst = max(worst, float(abs(ds - fd_s).max()), float(abs(di - fd_t).max()))
     out.append(
         _row(
@@ -705,17 +706,16 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
     # action, all cases of a representation in one stacked call
     worst = 0.0
     alg = so1m_algebra(m)
-    h = 1e-3
     steps = len(_STEPS)
     for hrep_i in (vector_hrep(m), spinor_hrep(m)):
         sig, coords, vv = _ball_cases(rng, m, 10, (0.0, 0.35), alg.dim, hrep_i.d)
         ds, di = _series(alg, sig, coords[:, : alg.dim_h], coords[:, alg.dim_h :], _weights(19))
         dv = _compensator_action(hrep_i, di, vv)
-        g = _exp_defining(m, h * _STEPS, coords)
+        g = _exp_defining(m, _FD_H * _STEPS, coords)
         nodes = CompositeSection(np.tile(sig, (steps, 1)), np.tile(vv, (steps, 1)))
         moved = induced_action(g.reshape(-1, m + 1, m + 1), nodes, hrep=hrep_i)
-        fd_s = _richardson(moved.sigma.reshape(steps, -1, m), h)
-        fd_w = _richardson(moved.v.reshape(steps, -1, hrep_i.d), h)
+        fd_s = _richardson(moved.sigma.reshape(steps, -1, m))
+        fd_w = _richardson(moved.v.reshape(steps, -1, hrep_i.d))
         worst = max(worst, float(abs(ds - fd_s).max()), float(abs(dv - fd_w).max()))
     out.append(
         _row(

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 import cosetrep
 from cosetrep.clifford import CliffordSpace, Multivector, commutator, multivector_matrix
-from cosetrep.errors import ClosureError, DimensionError, DomainError
+from cosetrep.errors import ClosureError, DimensionError, DomainError, reject_non_numbers
 from cosetrep import lie
 from cosetrep.lie import expm as lie_expm
 from cosetrep.lie import (
@@ -27,7 +27,6 @@ from cosetrep.lie import (
     generator_coords,
     h_pairs,
     jacobi_residual,
-    reject_non_numbers,
     so1m_algebra,
 )
 
@@ -166,6 +165,22 @@ def test_jacobi_residual_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_antisymmetry_check_holds_one_table_sized_temporary():
+    """|c + c^T| allocated two temporaries the size of c (26.4 MiB for the
+    c_hh of so(1,16)); the sum made absolute in place is one.  A c_hh that
+    is not antisymmetric stops the constructor there, before the Jacobi
+    check and before the record copies its tables."""
+    c_hh = np.random.default_rng(5).standard_normal((60, 60, 60))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureError, match="antisymmetric"):
+            ReductiveAlgebra(c_hh, np.zeros((0, 0, 60)), np.zeros((0, 60, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * c_hh.nbytes
 
 
 def test_constructor_rejects_a_nan_jacobi_residual():

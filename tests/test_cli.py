@@ -368,6 +368,10 @@ def _overflowing_so13_document():
         ("verify algebra", _so12_document(dim_h=1.7)),
         # a NaN Jacobi residual must reject the table, not pass it
         ("verify algebra", _overflowing_so13_document()),
+        # a non-finite entry exits 2 as a non-finite boost does, not 1 as a
+        # matrix that does not preserve the form
+        ("factor", {"matrix": [[float("nan"), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+        ("factor", {"matrix": [[float("inf"), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):

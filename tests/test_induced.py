@@ -19,6 +19,7 @@ from cosetrep.errors import (
 from cosetrep import induced, lie
 from cosetrep.induced import (
     CompositeSection,
+    FactoredPair,
     HRepresentation,
     boost_matrix,
     exp_coset,
@@ -36,7 +37,8 @@ from cosetrep.induced import (
     spinor_hrep,
     vector_hrep,
 )
-from cosetrep.lie import CosetPoint, defining_rep_so1m, h_pairs, so1m_algebra
+from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
+from cosetrep.series import InfinitesimalAction
 
 from test_algebra import _rotated_h_basis
 from test_clifford import kron_gammas
@@ -218,6 +220,19 @@ def test_form_check_rejects_one_corrupted_entry(m, zeta):
             bad[idx] += sign * delta
             with pytest.raises(DomainError):
                 factor_boost_rotation(bad)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"), (1e200, "preserve")])
+def test_form_check_rejects_non_finite_and_overflowing_g(bad, message):
+    """A NaN entry used to read as a matrix that does not preserve the form,
+    and an inf or overflowing one raised numpy's RuntimeWarning from the
+    form product."""
+    g = np.eye(4)
+    g[0, 0] = bad
+    with pytest.raises(DomainError, match=message):
+        factor_boost_rotation(g)
+    with pytest.raises(DomainError, match=message):
+        induced_action(np.stack([np.eye(4), g]), CompositeSection(np.zeros((2, 3)), np.ones((2, 3))), hrep=vector_hrep(3))
 
 
 def test_factor_identity_and_pure_boost():
@@ -632,6 +647,19 @@ def test_hrep_rejects_non_finite_generators(bad):
         HRepresentation(so1m_algebra(3), gens)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["vector", "spinor"])
+def test_hrep_maps_reject_non_finite_input(kind, bad):
+    """A NaN rho used to reach eigh and raise numpy's LinAlgError, and an
+    inf coordinate raised a RuntimeWarning from the GEMM of matrix."""
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(3)
+    rho = np.eye(3)
+    rho[0, 1] = bad
+    for call, arg in ((hrep.lift, np.full((3, 3), bad)), (hrep.lift, rho), (hrep.matrix, [bad, 0.0, 0.0]), (hrep.exp, [bad, 0.0, 0.0])):
+        with pytest.raises(DomainError, match="non-finite"):
+            call(arg)
+
+
 @pytest.mark.parametrize("kind, m", [("vector", m) for m in (2, 3, 4, 5)] + [("spinor", m) for m in (2, 3, 4, 5)])
 def test_compensator_action_is_the_matrix_action(kind, m):
     """sum_a dI^a (G_a v) equals (sum_a dI^a G_a) v to 1e-15, and every row
@@ -844,6 +872,29 @@ def test_section_construction_and_split():
         CompositeSection(np.zeros(4), np.ones((4, 2)))
     with pytest.raises(DimensionError):
         CompositeSection(np.full((2, 2), np.inf), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "build, caller",
+    [
+        (lambda a: so1m_algebra(3).element(h=a).h, np.zeros(3)),
+        (lambda a: ReductiveAlgebra(a, so1m_algebra(3).c_ff, so1m_algebra(3).c_fh).c_hh, np.array(so1m_algebra(3).c_hh)),
+        (lambda a: InfinitesimalAction(a, np.zeros(3)).dF, np.zeros(3)),
+        (lambda a: CosetPoint(a).sigma, np.zeros(3)),
+        (lambda a: CompositeSection(a, np.ones((2, 2))).sigma, np.zeros((2, 3))),
+        (lambda a: FactoredPair(CosetPoint(np.zeros(3)), a).rho, np.eye(3)),
+    ],
+    ids=["AlgebraElement", "ReductiveAlgebra", "InfinitesimalAction", "CosetPoint", "CompositeSection", "FactoredPair"],
+)
+def test_records_keep_read_only_copies(build, caller):
+    """A record holds its own read-only copy; the caller's float array stays
+    writeable and a write to it does not reach the record (the first three
+    used to freeze and alias it: "assignment destination is read-only")."""
+    before = caller.copy()
+    held = build(caller)
+    assert caller.flags.writeable and not held.flags.writeable
+    caller += 1.0
+    np.testing.assert_array_equal(held, before)
 
 
 def test_section_json_round_trip_and_errors():
