@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _check_finite, _check_int
+from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size
 
 __all__ = [
     "CliffordSpace",
@@ -352,11 +352,7 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
     _check_finite(sigma, "sigma has non-finite entries", DomainError)
     # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
-    size = math.hypot(*sigma)
-    if size > _MAX_NORM:
-        raise DomainError(
-            f"|sigma| = {size:.6g} exceeds {_MAX_NORM:g}, past which cosh(|sigma|) overflows"
-        )
+    _check_size(math.hypot(*sigma), _MAX_NORM, "|sigma|", "past which cosh(|sigma|) overflows")
     s = float(np.linalg.norm(sigma))
     if s < _SMALL_NORM:
         s2 = s * s

@@ -57,6 +57,12 @@ def _check_finite(x: np.ndarray, message: str, error: type[Exception]) -> None:
         raise error(message)
 
 
+def _check_size(size: float, bound: float, what: str, why: str) -> None:
+    """Raise DomainError unless size <= bound, so a NaN or inf size raises too."""
+    if not size <= bound:
+        raise DomainError(f"{what} = {size:.6g} exceeds {bound:g}, {why}")
+
+
 def _frozen(x) -> np.ndarray:
     """A read-only float copy of x, which no caller can write through."""
     out = np.array(x, dtype=float)

@@ -24,7 +24,6 @@ the flow is vertical, acting on every node independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +39,7 @@ from .errors import (
     _check_finite,
     _check_int,
     _check_real,
+    _check_size,
     _frozen,
     reject_non_numbers,
 )
@@ -47,6 +47,7 @@ from .lie import (
     CosetPoint,
     ReductiveAlgebra,
     _closure_residual,
+    _generator_sum,
     _plane_index,
     _so1m_blades,
     defining_rep_so1m,
@@ -82,9 +83,10 @@ _TOL = 1e-10
 _TINY = np.finfo(float).tiny
 # the rotation log raises BranchError for angles past this
 _BRANCH = np.pi - 1e-12
-# largest boost rapidity of group_from_spec: the form check's entries grow
-# like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
+# largest rapidity of a boost built or split here: the form check's entries
+# grow like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
 _MAX_RAPIDITY = 354.0
+_RAPIDITY_REASON = "the largest for which the matrix and its form check stay finite"
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +135,7 @@ class HRepresentation:
 
     def matrix(self, h_coords) -> np.ndarray:
         """Sum h^a G_a, for one coordinate vector or a stack (..., dim_h)."""
-        h = np.asarray(h_coords, dtype=float)
-        nh, d = self.generators.shape[:2]
-        if h.ndim < 1 or h.shape[-1] != nh:
-            raise DimensionError(f"expected {nh} coordinates, got {h.shape}")
-        _check_finite(h, "h coordinates have non-finite entries", DomainError)
-        # one (rows, dim_h) x (dim_h, d^2) product, also for a single vector
-        return (h.reshape(-1, nh) @ self.generators.reshape(nh, -1)).reshape(h.shape[:-1] + (d, d))
+        return _generator_sum(h_coords, self.generators, "h")
 
     def exp(self, h_coords) -> np.ndarray:
         """exp(sum h^a G_a), for one coordinate vector or a stack."""
@@ -197,7 +193,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _boost(zeta: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Boosts of rapidities zeta (..., 1) along unit axes n (..., m)."""
+    """Boosts of rapidities zeta (..., 1) along unit axes n (..., m); a |zeta|
+    above _MAX_RAPIDITY, NaN or inf raises DomainError."""
+    _check_size(np.abs(zeta).max(initial=0.0), _MAX_RAPIDITY, "boost rapidity |zeta|", _RAPIDITY_REASON)
     m = n.shape[-1]
     ch, sh = np.cosh(zeta), np.sinh(zeta)
     g = np.empty(n.shape[:-1] + (m + 1, m + 1))
@@ -222,12 +220,6 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     _check_finite(zeta, "boost rapidity must be finite", DomainError)
     _check_finite(n, "boost axis must be finite", DomainError)
-    size = float(np.abs(zeta).max(initial=0.0))
-    if size > _MAX_RAPIDITY:
-        raise DomainError(
-            f"boost rapidity |zeta| = {size:.6g} exceeds {_MAX_RAPIDITY:g}, the largest "
-            "for which the matrix and its form check stay finite"
-        )
     norm = _norm(n)
     if np.count_nonzero(norm == 0.0):
         raise DomainError("boost axis must be nonzero")
@@ -247,8 +239,7 @@ def _check_rotation(rho) -> np.ndarray:
         defect = np.abs(r.swapaxes(-1, -2) @ r - np.eye(r.shape[-1])).max(initial=0.0)
     if not defect <= _TOL:
         raise DomainError("rho is not orthogonal")
-    if not np.all(np.linalg.det(r) > 0.0):
-        raise DomainError("rho reverses orientation")
+    _check_orientation(r)
     return r
 
 
@@ -271,7 +262,9 @@ def rotation_embed(m: int, rho) -> np.ndarray:
 
 def _coset_matrix(sigma: np.ndarray) -> np.ndarray:
     """exp(sigma . F) for coordinates of shape (..., m): boosts of rapidity 2|sigma|."""
-    s = _norm(sigma)
+    # a norm that overflows reads as inf, which _boost rejects
+    with np.errstate(over="ignore"):
+        s = _norm(sigma)
     return _boost(2.0 * s, sigma / np.maximum(s, _TINY))
 
 
@@ -280,7 +273,8 @@ def exp_coset(point: CosetPoint) -> np.ndarray:
 
     With rep(F_k) = 2 (E_0k + E_k0) this is a boost of rapidity 2 |sigma|
     along sigma, evaluated in closed form.  A CompositeSection gives the
-    stack of its nodes' representatives.
+    stack of its nodes' representatives.  A rapidity above _MAX_RAPIDITY
+    raises DomainError.
     """
     return _coset_matrix(point.sigma)
 
@@ -348,7 +342,11 @@ def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With u = g e_0 = (cosh zeta, sinh zeta n), sigma' = zeta n / 2 and
     rho = g[1:, 1:] - u_s (x) g[0, 1:] / (1 + u_0); no product with the
     inverse boost is formed, so rho's rounding stays near eps cosh(zeta).
+    A rapidity above _MAX_RAPIDITY, read from |g[..., 0, 0]| before any norm
+    can overflow, raises DomainError.
     """
+    zeta = np.arccosh(np.abs(g[..., 0, 0]).max(initial=1.0))
+    _check_size(zeta, _MAX_RAPIDITY, "boost rapidity |zeta|", _RAPIDITY_REASON)
     us = g[..., 1:, 0]
     p = _norm(us)
     sigma = us * (0.5 * np.arcsinh(p) / np.maximum(p, _TINY))
@@ -524,15 +522,8 @@ def group_from_spec(m: int, boost=None, rotations=()) -> np.ndarray:
     DomainError.
     """
     h, f = generator_coords(m, boost, rotations)
-    # math.hypot scales its arguments, so a huge finite boost cannot overflow here
-    rapidity = 2.0 * math.hypot(*f)
-    if rapidity > _MAX_RAPIDITY:
-        raise DomainError(
-            f"boost rapidity 2|boost| = {rapidity:.6g} exceeds {_MAX_RAPIDITY:g}, the largest "
-            "for which the matrix and its form check stay finite"
-        )
-    rotation = expm(np.tensordot(h, defining_rep_so1m(m).h_gens, axes=1))
-    return _coset_matrix(f) @ rotation
+    # the boost goes first, so a bad rapidity raises before the rotation is built
+    return _coset_matrix(f) @ expm(np.tensordot(h, defining_rep_so1m(m).h_gens, axes=1))
 
 
 # ---------------------------------------------------------------------------

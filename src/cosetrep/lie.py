@@ -407,12 +407,24 @@ class DefiningRep:
     def matrix(self, coords) -> np.ndarray:
         """Sum x^a G_a over the generators [H_1..H_nh, F_1..F_m] for
         generator coordinates of shape (..., dim_h + dim_f), stabilizer part
-        first (the layout of a section's xi)."""
-        x = np.asarray(coords, dtype=float)
-        gens = np.concatenate([self.h_gens, self.f_gens])
-        if x.ndim < 1 or x.shape[-1] != len(gens):
-            raise DimensionError(f"expected {len(gens)} generator coordinates, got shape {x.shape}")
-        return np.tensordot(x, gens, axes=1)
+        first (the layout of a section's xi); a non-finite coordinate raises
+        DomainError."""
+        return _generator_sum(coords, np.concatenate([self.h_gens, self.f_gens]), "generator")
+
+
+def _generator_sum(coords, gens: np.ndarray, what: str) -> np.ndarray:
+    """sum_a x^a G_a for coordinates x of shape (..., n) and generators (n, d, d).
+
+    A last axis other than n raises DimensionError and a non-finite
+    coordinate DomainError.  The sum is one (rows, n) x (n, d^2) product,
+    also for a single vector.
+    """
+    x = np.asarray(coords, dtype=float)
+    n, d = gens.shape[:2]
+    if x.ndim < 1 or x.shape[-1] != n:
+        raise DimensionError(f"expected {n} {what} coordinates, got shape {x.shape}")
+    _check_finite(x, f"{what} coordinates have non-finite entries", DomainError)
+    return (x.reshape(-1, n) @ gens.reshape(n, -1)).reshape(x.shape[:-1] + (d, d))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -493,9 +505,13 @@ def expm(a) -> np.ndarray:
     1179-1193, Algorithm 2.3): each matrix gets the lowest Pade degree among
     3, 5, 7, 9 and 13 whose bound covers its 1-norm; past the degree-13
     bound it is scaled by 2^-s into range and the result squared s times.
-    Non-finite entries raise DomainError.
+    Complex or non-finite entries raise DomainError, and so does a result
+    that overflows.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise DomainError("matrix exponential of complex entries")
+    a = a.astype(float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected square matrices of shape (..., d, d), got {a.shape}")
     flat = a.reshape((-1,) + a.shape[-2:])
@@ -514,9 +530,12 @@ def expm(a) -> np.ndarray:
             raise DomainError("matrix exponential of non-finite entries")
         s = np.ceil(np.log2(norm[sel] / _PADE_THETA[-1])).astype(int)
         r = _pade(np.ldexp(flat[sel], -s[:, None, None]), _PADE[-1])
-        for k in range(int(s.max())):
-            more = s > k
-            r[more] = r[more] @ r[more]
+        # an overflow in a squaring leaves inf or NaN, checked once below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(int(s.max())):
+                more = s > k
+                r[more] = r[more] @ r[more]
+        _check_finite(r, "matrix exponential overflows", DomainError)
         out[sel] = r
     return out.reshape(a.shape)
 

@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import l_coeffs
-from .errors import DimensionError, DomainError, _check_finite, _check_int, _frozen
+from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size, _frozen
 from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, defining_rep_so1m
 
 __all__ = [
@@ -84,6 +84,9 @@ __all__ = [
 DEFAULT_ORDER = 11
 
 _SMALL = 1e-6
+# largest |sigma| of so1m_closed_field, which squares |sigma|; the factor 2
+# leaves room for the rounding of the norm's sum of squares
+_MAX_SQUARABLE = math.sqrt(np.finfo(float).max / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,12 +335,8 @@ def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
 
     A |sigma| whose square overflows raises DomainError.
     """
-    # math.hypot scales its arguments, so a huge finite sigma cannot
-    # overflow here; the form below squares |sigma|, and the factor 2
-    # leaves room for the rounding of the norm's sum of squares
-    size = math.hypot(*point.sigma)
-    if not 2.0 * size * size < math.inf:
-        raise DomainError(f"|sigma| = {size:.6g} is too large: its square overflows")
+    # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
+    _check_size(math.hypot(*point.sigma), _MAX_SQUARABLE, "|sigma|", "past which its square overflows")
     m = point.m
     s = point.norm
     a = _two_s_coth(s)

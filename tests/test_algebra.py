@@ -358,6 +358,11 @@ def test_defining_rep_matrix_takes_section_coordinates():
     for bad in (np.zeros(3), np.zeros((2, 7)), np.float64(1.0)):
         with pytest.raises(DimensionError):
             rep.matrix(bad)
+    # an inf coordinate used to raise numpy's warning from the product, and
+    # a NaN one came back as a NaN matrix
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="non-finite"):
+            rep.matrix([bad, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_defining_rep_preserves_form():
@@ -534,6 +539,23 @@ def test_expm_rejects_bad_input():
         lie_expm(np.full((2, 2), np.nan))
     with pytest.raises(DomainError):
         lie_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_expm_raises_on_overflow_and_complex_input():
+    """A squaring that overflows used to return inf with numpy's warning, and
+    complex input lost its imaginary part: exp([[0, i], [i, 0]]) came back
+    as the identity."""
+    for big in (800.0, 1e10, 1e300):
+        a = np.array([[0.0, big], [big, 0.0]])
+        with pytest.raises(DomainError, match="overflows"):
+            lie_expm(a)
+        with pytest.raises(DomainError, match="overflows"):
+            lie_expm(np.stack([np.eye(2), a]))
+    # a large norm alone is fine: a rotation by 800 radians stays bounded
+    rot = np.array([[0.0, 800.0], [-800.0, 0.0]])
+    np.testing.assert_allclose(lie_expm(rot), expm(rot), rtol=0.0, atol=1e-12)
+    with pytest.raises(DomainError, match="complex"):
+        lie_expm(np.array([[0.0, 1j], [1j, 0.0]]))
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,54 @@ def test_exp_coset_is_the_generator_exponential():
     assert g[0, 0] == pytest.approx(np.cosh(2 * s))
 
 
+@pytest.mark.parametrize("size", [178.0, 400.0, 1e200])
+def test_exp_coset_bounds_the_rapidity(size):
+    """A point of norm |sigma| is a boost of rapidity 2|sigma|.  Past 354 the
+    representative of a point or a section used to hold inf, with numpy's
+    overflow warning from cosh (or, at 1e200, from the norm)."""
+    with pytest.raises(DomainError, match="rapidity .* exceeds 354"):
+        exp_coset(CosetPoint(np.array([size, 0.0, 0.0])))
+    section = CompositeSection(np.array([[0.1, 0.0, 0.0], [0.0, -size, 0.0]]), np.ones((2, 3)))
+    with pytest.raises(DomainError, match="rapidity .* exceeds 354"):
+        exp_coset(section)
+
+
+def test_induced_action_bounds_every_rapidity():
+    """The identity on a point of |sigma| = 178 used to overflow in the
+    split's norm; a product of two boosts of rapidity 354 has rapidity 708,
+    which the split reads from g[0, 0] and rejects, and so does
+    factor_boost_rotation for a matrix of rapidity 354.5."""
+    hrep = vector_hrep(3)
+    with pytest.raises(DomainError, match="rapidity .* exceeds 354"):
+        induced_action(np.eye(4), CosetPoint(np.array([178.0, 0.0, 0.0])), np.ones(3), hrep)
+    g = group_from_spec(3, boost=[177.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match=r"rapidity \|zeta\| = 708 exceeds 354"):
+        induced_action(g, CosetPoint(np.array([177.0, 0.0, 0.0])), np.ones(3), hrep)
+    section = CompositeSection(np.array([[0.0, 0.0, 0.0], [177.0, 0.0, 0.0]]), np.ones((2, 3)))
+    with pytest.raises(DomainError, match="= 708 exceeds 354"):
+        induced_action(g, section, hrep=hrep)
+    with pytest.raises(DomainError, match="= 354.5 exceeds 354"):
+        factor_boost_rotation(boost_matrix(3, 354.0, [1.0, 0.0, 0.0]) @ boost_matrix(3, 0.5, [1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", ["vector", "spinor"])
+def test_induced_action_at_the_rapidity_bound_is_finite(kind):
+    """At |sigma| = 177 (rapidity 354) the representative and the identity's
+    action are finite and raise no warning (pytest turns those into
+    errors).  The vector is not exact there: rho loses eps cosh(354)."""
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(3)
+    point = CosetPoint(np.array([177.0, 0.0, 0.0]))
+    assert np.isfinite(exp_coset(point)).all()
+    moved, w = induced_action(np.eye(4), point, np.ones(hrep.d), hrep)
+    np.testing.assert_allclose(moved.sigma, point.sigma, rtol=1e-14)
+    assert np.isfinite(w).all()
+    section = CompositeSection(np.array([[177.0, 0.0, 0.0], [0.0, 0.0, -177.0]]), np.ones((2, hrep.d)))
+    assert np.isfinite(exp_coset(section)).all()
+    out = induced_action(np.eye(4), section, hrep=hrep)
+    np.testing.assert_allclose(out.sigma, section.sigma, rtol=1e-14)
+    assert np.isfinite(out.v).all()
+
+
 def test_rotation_embed_validation():
     rho = np.array([[0.0, -1.0], [1.0, 0.0]])
     g = rotation_embed(2, rho)
@@ -114,8 +162,11 @@ def test_rotation_embed_validation():
     np.testing.assert_array_equal(g[1:, 1:], rho)
     with pytest.raises(DomainError):
         rotation_embed(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(DomainError):
+    # a reflection raises the class factor_boost_rotation raises
+    with pytest.raises(OrthochronousError, match="spatial orientation"):
         rotation_embed(2, np.diag([1.0, -1.0]))
+    with pytest.raises(OrthochronousError):
+        rotation_embed(3, np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
     with pytest.raises(DimensionError):
         rotation_embed(3, rho)
 
@@ -359,7 +410,7 @@ def test_rotation_log_branch_and_validation():
         rotation_log_coords(np.diag([-1.0, -1.0, 1.0]))
     with pytest.raises(DomainError):
         rotation_log_coords(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(DomainError):
+    with pytest.raises(OrthochronousError, match="spatial orientation"):
         rotation_log_coords(np.diag([1.0, -1.0]))
     assert rotation_log_coords(np.eye(1)).size == 0
 
