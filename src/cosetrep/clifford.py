@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size
+from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size, _norm
 
 __all__ = [
     "CliffordSpace",
@@ -351,9 +351,9 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
     if sigma.shape != (space.m,):
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
     _check_finite(sigma, "sigma has non-finite entries", DomainError)
-    # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
-    _check_size(math.hypot(*sigma), _MAX_NORM, "|sigma|", "past which cosh(|sigma|) overflows")
-    s = float(np.linalg.norm(sigma))
+    with np.errstate(over="ignore"):
+        s = float(_norm(sigma)[0])
+    _check_size(s, _MAX_NORM, "|sigma|", "past which cosh(|sigma|) overflows")
     if s < _SMALL_NORM:
         s2 = s * s
         c = 1.0 + s2 / 2.0 + s2 * s2 / 24.0

@@ -63,6 +63,14 @@ def _check_size(size: float, bound: float, what: str, why: str) -> None:
         raise DomainError(f"{what} = {size:.6g} exceeds {bound:g}, {why}")
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, kept as an axis of length 1: a hypot
+    reduction, with no BLAS call and the same bits for a row in any stack.  It
+    overflows or underflows only where the norm does; a size check reads it
+    under np.errstate(over="ignore"), so that the inf fails the check."""
+    return np.hypot.reduce(x, axis=-1, keepdims=True, initial=0.0)
+
+
 def _frozen(x) -> np.ndarray:
     """A read-only float copy of x, which no caller can write through."""
     out = np.array(x, dtype=float)

@@ -41,6 +41,7 @@ from .errors import (
     _check_real,
     _check_size,
     _frozen,
+    _norm,
     reject_non_numbers,
 )
 from .lie import (
@@ -79,8 +80,6 @@ __all__ = [
 ]
 
 _TOL = 1e-10
-# divides a norm that may be 0 where the numerator then vanishes too
-_TINY = np.finfo(float).tiny
 # the rotation log raises BranchError for angles past this
 _BRANCH = np.pi - 1e-12
 # largest rapidity of a boost built or split here: the form check's entries
@@ -145,8 +144,9 @@ class HRepresentation:
         """The matrix of the rotation rho in SO(m), or of a stack (..., m, m).
 
         The defining representation on R^m returns rho itself.  Any other
-        exponentiates the plane-angle coordinates of rho, which raises
-        BranchError for a plane rotated by pi.  rho is not checked for
+        exponentiates the principal-branch plane angles of each rho on its
+        own (BranchError for a plane turned by pi), so in the spinor rep
+        lift(r1 r2) may be -lift(r1) lift(r2).  rho is not checked for
         orthogonality; rho that is not a square matrix or a stack of them
         raises DimensionError, and a non-finite entry DomainError.
         """
@@ -187,11 +187,6 @@ def spinor_hrep(m: int) -> HRepresentation:
 # (rapidities, norms, g[..., :1, 0]): a single matrix then yields arrays of
 # shape (1,) rather than 0-d ones, which numpy handles far faster.
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, kept as an axis of length 1."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-
-
 def _boost(zeta: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Boosts of rapidities zeta (..., 1) along unit axes n (..., m); a |zeta|
     above _MAX_RAPIDITY, NaN or inf raises DomainError."""
@@ -220,9 +215,10 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     _check_finite(zeta, "boost rapidity must be finite", DomainError)
     _check_finite(n, "boost axis must be finite", DomainError)
-    norm = _norm(n)
-    if np.count_nonzero(norm == 0.0):
-        raise DomainError("boost axis must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = _norm(n)
+    if np.count_nonzero((norm == 0.0) | (norm == np.inf)):
+        raise DomainError("boost axis must be nonzero, with a norm inside the float range")
     n = np.where(abs(norm - 1.0) <= 1e-12, n, n / norm)
     z, n = np.broadcast_arrays(zeta[..., None], n)
     return _boost(z[..., :1], n)
@@ -262,10 +258,10 @@ def rotation_embed(m: int, rho) -> np.ndarray:
 
 def _coset_matrix(sigma: np.ndarray) -> np.ndarray:
     """exp(sigma . F) for coordinates of shape (..., m): boosts of rapidity 2|sigma|."""
-    # a norm that overflows reads as inf, which _boost rejects
+    # a norm or a rapidity past the float range reads as inf, which _boost rejects
     with np.errstate(over="ignore"):
         s = _norm(sigma)
-    return _boost(2.0 * s, sigma / np.maximum(s, _TINY))
+        return _boost(2.0 * s, sigma / np.where(s == 0.0, 1.0, s))
 
 
 def exp_coset(point: CosetPoint) -> np.ndarray:
@@ -349,7 +345,7 @@ def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_size(zeta, _MAX_RAPIDITY, "boost rapidity |zeta|", _RAPIDITY_REASON)
     us = g[..., 1:, 0]
     p = _norm(us)
-    sigma = us * (0.5 * np.arcsinh(p) / np.maximum(p, _TINY))
+    sigma = us * (0.5 * np.arcsinh(p) / np.where(p == 0.0, 1.0, p))
     row = g[..., 0, 1:] / (1.0 + g[..., :1, 0])
     rho = g[..., 1:, 1:] - us[..., :, None] * row[..., None, :]
     return sigma, rho
@@ -402,13 +398,13 @@ def _log_coords(r: np.ndarray) -> np.ndarray:
     rt = r.swapaxes(-1, -2)
     c, q = np.linalg.eigh(0.5 * (r + rt))
     aq = 0.5 * ((r - rt) @ q)
-    s = np.sqrt(np.add.reduce(aq * aq, axis=-2))
+    s = _norm(aq.swapaxes(-1, -2))[..., 0]
     theta = np.arctan2(s, c)
     # a plane turned by pi within rounding: sin(theta) <= 1e-12, cos < 0
     if np.count_nonzero(theta > _BRANCH):
         raise BranchError("rotation by pi has no principal-branch logarithm")
     # where s = 0 the column of aq is 0 too, so the ratio there is moot
-    w = (aq * (theta / np.maximum(s, _TINY))[..., None, :]) @ q.swapaxes(-1, -2)
+    w = (aq * (theta / np.where(s == 0.0, 1.0, s))[..., None, :]) @ q.swapaxes(-1, -2)
     i, k = _plane_index(r.shape[-1])
     return w[..., k, i]
 
@@ -430,7 +426,8 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
       whose nodes carry their own vectors, and either one g for every node
       or a stack of shape (n_nodes, m+1, m+1), returns the moved section.
 
-    Both run the same stacked core; a single point is the one-node case.
+    Both run the same stacked core; a single point is the one-node case.  A
+    spinor rep's action composes only up to the vector's sign (see lift).
     """
     if hrep is None:
         raise TypeError("induced_action needs a stabilizer representation hrep")

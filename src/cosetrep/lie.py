@@ -31,6 +31,7 @@ from .errors import (
     _check_int,
     _check_real,
     _frozen,
+    _norm,
     reject_non_numbers,
 )
 
@@ -296,7 +297,7 @@ class CosetPoint:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.sigma))
+        return float(_norm(self.sigma)[0])
 
 
 # ---------------------------------------------------------------------------

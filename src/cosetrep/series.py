@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import l_coeffs
-from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size, _frozen
+from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size, _frozen, _norm
 from .lie import AlgebraElement, CosetPoint, ReductiveAlgebra, defining_rep_so1m
 
 __all__ = [
@@ -84,8 +84,7 @@ __all__ = [
 DEFAULT_ORDER = 11
 
 _SMALL = 1e-6
-# largest |sigma| of so1m_closed_field, which squares |sigma|; the factor 2
-# leaves room for the rounding of the norm's sum of squares
+# largest |sigma| of so1m_closed_field, whose square (with room to round) stays finite
 _MAX_SQUARABLE = math.sqrt(np.finfo(float).max / 2.0)
 
 
@@ -240,7 +239,8 @@ def _series(
     if not row_sums.max(initial=0.0) < math.pi**2:
         finite = np.isfinite(row_sums).all(axis=0)
         if not finite.all():
-            size = math.hypot(*sigma[np.argmin(finite)])
+            with np.errstate(over="ignore"):
+                size = _norm(sigma[np.argmin(finite)])[0]
             raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
         moving = np.abs(xf_t).max(axis=0, initial=0.0) > 0.0
         near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
@@ -335,10 +335,10 @@ def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
 
     A |sigma| whose square overflows raises DomainError.
     """
-    # math.hypot scales its arguments, so a huge finite sigma cannot overflow here
-    _check_size(math.hypot(*point.sigma), _MAX_SQUARABLE, "|sigma|", "past which its square overflows")
+    with np.errstate(over="ignore"):
+        s = float(_norm(point.sigma)[0])
+    _check_size(s, _MAX_SQUARABLE, "|sigma|", "past which its square overflows")
     m = point.m
-    s = point.norm
     a = _two_s_coth(s)
     U = a * np.eye(m)
     if s > 0.0:

@@ -435,6 +435,9 @@ def test_coset_point_validation():
     p = CosetPoint(np.array([0.3, -0.1]))
     assert p.m == 2
     assert p.norm == pytest.approx(np.hypot(0.3, 0.1))
+    # a hypot reduction: the norm of a huge point used to overflow in a dot
+    huge = CosetPoint(np.array([1e200, 1e200, 0.0])).norm
+    assert abs(huge - 1.4142135623730951e200) <= np.spacing(huge)
     with pytest.raises(DimensionError):
         CosetPoint(np.zeros((2, 2)))
     with pytest.raises(DimensionError):

@@ -1,7 +1,9 @@
-"""The series core, the compensator action and the closure check's slot arm
-give the same bytes under every OpenBLAS kernel family: their GEMMs have
-single-term entries, every sum runs in a fixed order, and the slot arm makes
-no BLAS call, so no BLAS rounding reaches the output."""
+"""The series core, the compensator action, the closure check's slot arm,
+the closed field, exp_vector and the norm of a coset point give the same
+bytes under the default OpenBLAS kernel and every pinned kernel family: their
+GEMMs have single-term entries, every sum runs in a fixed order, and the slot
+arm and the hypot norm make no BLAS call, so no BLAS rounding reaches the
+output."""
 
 import os
 import platform
@@ -13,23 +15,27 @@ import pytest
 
 import cosetrep
 
-_KERNELS = ("Haswell", "Nehalem", "Sandybridge")
+# None leaves OPENBLAS_CORETYPE unset, so OpenBLAS picks the CPU's kernel
+_KERNELS = (None, "Haswell", "Nehalem", "Sandybridge")
 
 # prints the sha256 of the outputs of _series on so(1,m), of
 # _compensator_action in the vector and spinor reps, and of the slot arm's
 # closure residuals: on the adjoint matrices of so(1,3) broken in one
 # [F,H], [H,H] or [F,F] bracket and of so(1,8) with one [F,H] bracket
 # perturbed, on the vector and spinor reps at m = 3 and 5 with one c_hh
-# entry perturbed, and on the defining reps at m = 2, 3, 4
+# entry perturbed, and on the defining reps at m = 2, 3, 4; then of the
+# norm, the closed field and exp_vector at 200 seeded points for each of
+# m = 2, 3, 5, 8
 _PROBE = """
 import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 from cosetrep import lie
+from cosetrep.clifford import CliffordSpace, exp_vector
 from cosetrep.induced import _compensator_action, spinor_hrep, vector_hrep
-from cosetrep.lie import so1m_algebra
-from cosetrep.series import _series, _weights
+from cosetrep.lie import CosetPoint, so1m_algebra
+from cosetrep.series import _series, _weights, so1m_closed_field
 
 digest = hashlib.sha256()
 for m in (3, 5, 8, 9, 10):
@@ -78,6 +84,17 @@ for m in (2, 3, 4):
     stack = np.concatenate([rep.h_gens, rep.f_gens])
     residual = lie._closure_residual(stack, lie._total_structure(so1m_algebra(m)))
     digest.update(np.float64(residual).tobytes())
+for m in (2, 3, 5, 8):
+    rng = np.random.default_rng(200 + m)
+    space = CliffordSpace(m)
+    for sigma in rng.uniform(-1.0, 1.0, (200, m)):
+        point = CosetPoint(sigma)
+        digest.update(np.float64(point.norm).tobytes())
+        for out in so1m_closed_field(point):
+            digest.update(out.tobytes())
+        e = exp_vector(space, sigma)
+        digest.update(np.float64(e.coeff(())).tobytes())
+        digest.update(e.vector_part().tobytes())
 print(digest.hexdigest())
 """
 
@@ -90,7 +107,10 @@ def test_outputs_do_not_depend_on_the_blas_kernel():
     src = str(Path(cosetrep.__file__).resolve().parents[1])
     digests = set()
     for kernel in _KERNELS:
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel}
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
         run = subprocess.run(
             [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=300
         )

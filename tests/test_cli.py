@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cosetrep.cli import main
+from cosetrep.verify import SUITES
 
 
 def _write(tmp_path, name, payload):
@@ -201,7 +202,7 @@ def test_gauge_rep_dimension_mismatch(tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("coeffs", "algebra", "gauge"):
+    for suite in SUITES:
         assert main(["verify", suite]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True

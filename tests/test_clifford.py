@@ -456,7 +456,7 @@ def test_exp_vector_past_the_overflow_limit_names_the_size():
     no RuntimeWarning comes out (pytest makes one an error) and the message
     names |sigma| rather than a blade coefficient."""
     sp = CliffordSpace(3)
-    for sigma in ([800.0, 0.0, 0.0], [600.0, 600.0, 0.0], [1e300, -1e300, 1e300]):
+    for sigma in ([800.0, 0.0, 0.0], [600.0, 600.0, 0.0], [1e300, -1e300, 1e300], [1.7e308, 1.7e308, 0.0]):
         with pytest.raises(DomainError, match=r"\|sigma\| = .* exceeds 710"):
             exp_vector(sp, sigma)
     near = exp_vector(sp, [709.0, 0.0, 0.0])

@@ -39,6 +39,7 @@ from cosetrep.induced import (
 )
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
 from cosetrep.series import InfinitesimalAction
+from cosetrep.verify import _haar_rotations
 
 from test_algebra import _rotated_h_basis
 from test_clifford import kron_gammas
@@ -55,6 +56,11 @@ def test_boost_matrix_entries():
     assert g[1, 0] == pytest.approx(np.sinh(0.7))
     assert g[2, 2] == 1.0 and g[3, 3] == 1.0
     np.testing.assert_allclose(g.T @ _eta(3) @ g, _eta(3), atol=1e-14)
+    # the axis norm is a hypot reduction: a huge axis used to overflow in its
+    # sum of squares, and a tiny one to underflow to 0 and raise
+    np.testing.assert_array_equal(boost_matrix(3, 0.5, [1e200, 0.0, 0.0]), boost_matrix(3, 0.5, [1.0, 0.0, 0.0]))
+    diagonal = boost_matrix(3, 0.5, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
+    np.testing.assert_allclose(boost_matrix(3, 0.5, [1e-200, 1e-200, 0.0]), diagonal, rtol=0, atol=1e-15)
 
 
 def test_boost_matrix_inverse():
@@ -68,6 +74,9 @@ def test_boost_axis_validation():
         boost_matrix(2, 0.5, np.zeros(2))
     with pytest.raises(DimensionError):
         boost_matrix(2, 0.5, np.ones(3))
+    # a norm past the float range gives no unit axis
+    with pytest.raises(DomainError, match="norm inside the float range"):
+        boost_matrix(2, 0.5, [1.7e308, 1.7e308])
 
 
 @pytest.mark.parametrize(
@@ -107,11 +116,12 @@ def test_exp_coset_is_the_generator_exponential():
     assert g[0, 0] == pytest.approx(np.cosh(2 * s))
 
 
-@pytest.mark.parametrize("size", [178.0, 400.0, 1e200])
+@pytest.mark.parametrize("size", [178.0, 400.0, 1e200, 1e308])
 def test_exp_coset_bounds_the_rapidity(size):
     """A point of norm |sigma| is a boost of rapidity 2|sigma|.  Past 354 the
     representative of a point or a section used to hold inf, with numpy's
-    overflow warning from cosh (or, at 1e200, from the norm)."""
+    overflow warning from cosh (or, at 1e200, from the norm).  At 1e308 the
+    norm is finite and the rapidity past the float range reads as inf."""
     with pytest.raises(DomainError, match="rapidity .* exceeds 354"):
         exp_coset(CosetPoint(np.array([size, 0.0, 0.0])))
     section = CompositeSection(np.array([[0.1, 0.0, 0.0], [0.0, -size, 0.0]]), np.ones((2, 3)))
@@ -295,6 +305,13 @@ def test_factor_identity_and_pure_boost():
     pair = factor_boost_rotation(exp_coset(CosetPoint(sig)))
     np.testing.assert_allclose(pair.f_prime.sigma, sig, atol=1e-14)
     np.testing.assert_allclose(pair.rho, np.eye(3), atol=1e-14)
+    # a quotient by a norm divides by the norm unless it is 0: a floor at
+    # the smallest normal float used to take a point of size 1e-300, or a
+    # subnormal one, to a representative and a split of 0
+    for s in (1e-300, 1e-310):
+        g = exp_coset(CosetPoint(np.array([s, 0.0, 0.0])))
+        assert g[1, 0] == math.sinh(2.0 * s)
+        np.testing.assert_allclose(factor_boost_rotation(g).f_prime.sigma, [s, 0.0, 0.0], rtol=1e-15, atol=0)
 
 
 def test_factor_strips_the_rotation():
@@ -338,6 +355,10 @@ def test_rotation_log_single_plane():
     )
     coords = rotation_log_coords(rho)
     np.testing.assert_allclose(coords, [theta, 0.0, 0.0], atol=1e-12)
+    # the sine of a subnormal angle used to underflow in its sum of squares
+    rho = np.eye(3)
+    rho[1, 0], rho[0, 1] = 1e-310, -1e-310
+    np.testing.assert_array_equal(rotation_log_coords(rho), [1e-310, 0.0, 0.0])
 
 
 def _schur_log_coords(r):
@@ -789,6 +810,27 @@ def test_induced_action_composes_in_both_reps():
             p1, v1 = induced_action(g1, p2, v2, hrep)
             np.testing.assert_allclose(p12.sigma, p1.sigma, atol=1e-8)
             np.testing.assert_allclose(v12, v1, atol=1e-8)
+    # Haar-random rotations and rapidity <= 2: lift takes each rho's principal
+    # branch on its own, so the spinor action composes only up to the sign of
+    # each node's vector, while the vector rep composes exactly
+    n = 200
+    sig = rng.uniform(-1.0, 1.0, (n, m))
+    sig *= rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(sig, axis=1, keepdims=True)
+    g1, g2 = (
+        boost_matrix(m, rng.uniform(0.0, 2.0, n), rng.normal(size=(n, m)))
+        @ rotation_embed(m, _haar_rotations(rng.normal(size=(n, m, m))))
+        for _ in range(2)
+    )
+    for hrep in (vector_hrep(m), spinor_hrep(m)):
+        section = CompositeSection(sig, rng.uniform(-1.0, 1.0, (n, hrep.d)))
+        both = induced_action(g1 @ g2, section, hrep=hrep)
+        after = induced_action(g1, induced_action(g2, section, hrep=hrep), hrep=hrep)
+        np.testing.assert_allclose(both.sigma, after.sigma, rtol=0, atol=1e-10)
+        same, flipped = (abs(both.v - sign * after.v).max(axis=1) for sign in (1.0, -1.0))
+        if hrep is vector_hrep(m):
+            assert same.max() <= 1e-10
+        else:
+            assert np.minimum(same, flipped).max() <= 1e-10
 
 
 def test_induced_action_validation():

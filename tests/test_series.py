@@ -122,6 +122,9 @@ def test_huge_sigma_raises_a_domain_error():
     for sig in ([1e160, 0.0, 0.0], [1e160, 1e160, 0.0]):
         with pytest.raises(DomainError, match=r"\|sigma\| = 1\.?\d*e\+160"):
             so1m_closed_field(CosetPoint(np.array(sig)))
+    # a norm past the float range reads as inf, with no overflow warning
+    with pytest.raises(DomainError, match=r"\|sigma\| = inf"):
+        so1m_closed_field(CosetPoint(np.array([1.7e308, 1.7e308, 0.0])))
     # in a section the node that overflows is named
     sigma = np.zeros((3, 3))
     sigma[1] = [3e159, 4e159, 0.0]
