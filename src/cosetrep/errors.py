@@ -72,8 +72,8 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _frozen(x) -> np.ndarray:
-    """A read-only float copy of x, which no caller can write through."""
-    out = np.array(x, dtype=float)
+    """A read-only C-ordered float copy of x, which no caller can write through."""
+    out = np.array(x, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -19,7 +19,8 @@ a single point is the one-node case of the same code.
 
 Sections (arrays of coset points with one attached vector each) and their
 gauge flow under a node-wise generator field live at the bottom of the module;
-the flow is vertical, acting on every node independently.
+the flow is vertical, acting on every node independently, and runs all its
+Euler steps in one node-last loop over fixed node blocks.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .lie import (
     generator_coords,
     so1m_algebra,
 )
-from .series import DEFAULT_ORDER, _series, _weights, realize
+from .series import DEFAULT_ORDER, _check_radius, _series_core, _weights, realize
 
 __all__ = [
     "HRepresentation",
@@ -86,6 +87,10 @@ _BRANCH = np.pi - 1e-12
 # grow like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
 _MAX_RAPIDITY = 354.0
 _RAPIDITY_REASON = "the largest for which the matrix and its form check stay finite"
+# nodes per block of the gauge flow: a step's temporaries hold about 60
+# floats per node of a block at m=3 and 800 at m=8 (13 MB), so past its
+# node-last buffer a flow's memory does not grow with the section
+_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +220,16 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     _check_finite(zeta, "boost rapidity must be finite", DomainError)
     _check_finite(n, "boost axis must be finite", DomainError)
+    # scaling by the power of two at the largest |entry| is exact, so a
+    # subnormal axis keeps full precision and the quotient keeps its bits
+    exp = np.frexp(np.abs(n).max(axis=-1, keepdims=True, initial=0.0))[1]
+    scaled = np.ldexp(n, -exp)
+    scaled_norm = _norm(scaled)
     with np.errstate(over="ignore"):
-        norm = _norm(n)
+        norm = np.ldexp(scaled_norm, exp)
     if np.count_nonzero((norm == 0.0) | (norm == np.inf)):
         raise DomainError("boost axis must be nonzero, with a norm inside the float range")
-    n = np.where(abs(norm - 1.0) <= 1e-12, n, n / norm)
+    n = np.where(abs(norm - 1.0) <= 1e-12, n, scaled / scaled_norm)
     z, n = np.broadcast_arrays(zeta[..., None], n)
     return _boost(z[..., :1], n)
 
@@ -469,26 +479,41 @@ def _check_vector(v, d: int) -> np.ndarray:
     return v
 
 
+def _check_compensator(hrep: HRepresentation, nh: int) -> None:
+    """Raise DimensionError unless hrep takes nh compensator coordinates."""
+    if nh != hrep.algebra.dim_h:
+        raise DimensionError(f"expected {hrep.algebra.dim_h} compensator coordinates, got {nh}")
+
+
+def _compensator_core(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dv = sum_a dI^a (G_a v), node-last: dI (dim_h, n), v (d, n), n >= 2.
+
+    Every G_a v_n comes from one GEMM of the generator stack, read as a
+    (dim_h d, d) view, against v; for the vector and spinor reps each of its
+    entries is a single signed term, so it is exact whatever the BLAS
+    kernel.  The sum over a is one einsum with the node index last, as in
+    :func:`cosetrep.series._series_core`: ascending a from +0.0 for every
+    node, so a node's dv depends neither on n nor on its neighbours.
+    """
+    nh, d = hrep.algebra.dim_h, hrep.d
+    # the node count, not -1: the product is empty when dim_h is 0
+    gv = (hrep.generators.reshape(nh * d, d) @ v).reshape(nh, d, v.shape[1])
+    return np.einsum("aen,an->en", gv, dI)
+
+
 def _compensator_action(hrep: HRepresentation, dI: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dv = sum_a dI^a (G_a v) for N nodes: dI of shape (N, dim_h), v (N, d).
 
-    Every G_a v_n comes from one GEMM of the generator stack, read as a
-    (dim_h d, d) view, against v transposed; for the vector and spinor reps
-    each of its entries is a single signed term, so it is exact whatever the
-    BLAS kernel.  The sum over a is one einsum with the node index last and
-    max(N, 2) wide, as in :func:`cosetrep.series._series`: ascending a from
-    +0.0 for every node, so a node's dv does not depend on N.
+    The rows are packed node-last into one buffer max(N, 2) wide and run
+    through :func:`_compensator_core`.
     """
-    nh = hrep.algebra.dim_h
-    if dI.shape[-1] != nh:
-        raise DimensionError(f"expected {nh} compensator coordinates, got {dI.shape[-1]}")
+    nh = dI.shape[-1]
+    _check_compensator(hrep, nh)
     n, d = v.shape
     x = np.zeros((nh + d, max(n, 2)))
     x[:nh, :n] = dI.T
     x[nh:, :n] = v.T
-    # the node count, not -1: the product is empty when dim_h is 0
-    gv = (hrep.generators.reshape(nh * d, d) @ x[nh:]).reshape(nh, d, x.shape[1])
-    return np.ascontiguousarray(np.einsum("aen,an->en", gv, x[:nh])[:, :n].T)
+    return np.ascontiguousarray(_compensator_core(hrep, x[:nh], x[nh:])[:, :n].T)
 
 
 def infinitesimal_action(
@@ -643,32 +668,12 @@ def gauge_transform_section(
     """One explicit Euler step of size eps of the node-wise generator field.
 
     Each node moves independently: sigma_i += eps dF(xi_i, sigma_i) and
-    v_i += eps (dI^a G_a) v_i.  No information crosses between nodes; the
-    whole section goes through the bracket series in one batched call.
-    Non-finite xi, or an eps that is not a finite real number, raise
-    DomainError before any work.
+    v_i += eps (dI^a G_a) v_i.  No information crosses between nodes.  This
+    is the one-step case of :func:`flow_section`'s loop.  Non-finite xi, or
+    an eps that is not a finite real number, raise DomainError before any
+    work.
     """
-    xi = np.asarray(xi, dtype=float)
-    n_xi = alg.dim_h + alg.dim_f
-    if xi.shape != (section.n_nodes, n_xi):
-        raise DimensionError(
-            f"xi must have shape ({section.n_nodes}, {n_xi}), got {xi.shape}"
-        )
-    _check_finite(xi, "generator field xi has non-finite entries", DomainError)
-    eps = _check_real(eps, "step eps")
-    if section.m != alg.dim_f:
-        raise DimensionError(
-            f"section has m={section.m} but the algebra has dim_f={alg.dim_f}"
-        )
-    if section.d != hrep.d:
-        raise DimensionError(
-            f"section vectors have d={section.d} but the representation has d={hrep.d}"
-        )
-    dF, dI = _series(
-        alg, section.sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], _weights(order)
-    )
-    dv = _compensator_action(hrep, dI, section.v)
-    return CompositeSection(section.sigma + eps * dF, section.v + eps * dv)
+    return _euler(alg, section, xi, eps, 1, hrep, order)
 
 
 def flow_section(
@@ -685,12 +690,70 @@ def flow_section(
     The generator coordinates xi stay attached to their nodes while the
     series is re-evaluated at each moved point, so the flow converges to
     the finite action of exp(t xi_i) at rate O(1/steps).  steps must be an
-    integer >= 1 and t a finite real number, else DomainError.
+    integer >= 1 and t a finite real number, else DomainError.  Each step
+    is bit for bit a :func:`gauge_transform_section` step of size t/steps.
     """
     steps = _check_int(steps, 1, "steps", DomainError)
     t = _check_real(t, "flow time t")
-    eps = t / steps
-    out = section
-    for _ in range(steps):
-        out = gauge_transform_section(alg, out, xi, eps, hrep, order)
-    return out
+    return _euler(alg, section, xi, t / steps, steps, hrep, order)
+
+
+def _euler(
+    alg: ReductiveAlgebra,
+    section: CompositeSection,
+    xi,
+    eps,
+    steps: int,
+    hrep: HRepresentation,
+    order: int,
+) -> CompositeSection:
+    """`steps` Euler steps of size eps, on one node-last buffer.
+
+    The inputs are checked once.  xi, sigma and v are rows of one buffer
+    whose last index is the node; each step runs the series core and the
+    compensator core on fixed blocks of _BLOCK nodes and updates sigma and
+    v in place, so the temporaries are bounded by the block.  Every node
+    takes a step before any node takes the next, and a step raises only
+    once all its blocks are done, with the error the whole section would
+    give: an overflowing ad_F^2 at the first such node, then an f actor past
+    the series radius with the largest rho(ad_F) of the step, then a
+    non-finite section (DimensionError).  A one-node tail block rides with
+    a zero node, so every block is at least two nodes wide.
+    """
+    xi = np.asarray(xi, dtype=float)
+    nh, nf, n = alg.dim_h, alg.dim_f, section.n_nodes
+    if xi.shape != (n, nh + nf):
+        raise DimensionError(f"xi must have shape ({n}, {nh + nf}), got {xi.shape}")
+    _check_finite(xi, "generator field xi has non-finite entries", DomainError)
+    eps = _check_real(eps, "step eps")
+    if section.m != nf:
+        raise DimensionError(f"section has m={section.m} but the algebra has dim_f={nf}")
+    if section.d != hrep.d:
+        raise DimensionError(
+            f"section vectors have d={section.d} but the representation has d={hrep.d}"
+        )
+    rows = _weights(order)
+    _check_compensator(hrep, nh)
+    # rows: xi_h, xi_f, then the state sigma and v, which the steps update
+    x = np.zeros((nh + 2 * nf + hrep.d, n + (n % _BLOCK == 1)))
+    np.concatenate((xi.T, section.sigma.T, section.v.T), out=x[:, :n])
+    state = nh + nf
+    # an overflowing update reads as a non-finite section below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            rho, finite = 0.0, True
+            for lo in range(0, x.shape[1], _BLOCK):
+                block = x[:, lo : lo + _BLOCK]
+                sig, v = block[state : state + nf], block[state + nf :]
+                dF, dI, r = _series_core(alg, sig, block[:nh], block[nh:state], rows)
+                dv = _compensator_core(hrep, dI, v)
+                dF *= eps
+                sig += dF
+                dv *= eps
+                v += dv
+                rho = max(rho, r)
+                finite = finite and bool(np.isfinite(block[state:]).all())
+            _check_radius(rho)
+            if not finite:
+                raise DimensionError("section has non-finite entries")
+    return CompositeSection(x[state : state + nf, :n].T, x[state + nf :, :n].T)

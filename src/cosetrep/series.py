@@ -26,7 +26,7 @@ the node index is the last axis of every array, the interleaved layout of
 batched BLAS for tiny matrices (J. Dongarra et al., "The Design and
 Performance of Batched BLAS on Modern High-Performance Computing Systems",
 ICCS 2017), so every per-node contraction runs across nodes.  The map
-x -> [x, F] sends f to h and h to f; one GEMM of a per-algebra table against
+x -> [x, F] sends f to h and h to f; the product of a per-algebra table with
 sigma^T gives its f -> h block to_h, its h -> f block to_f at the structural
 slots (the b whose column c_fh[:, b, d] is not identically zero, m - 1 of
 the m(m-1)/2 for so(1,m)), and the rows of to_h that the product
@@ -36,23 +36,25 @@ core writes u_k = S^k X for k <= order/2 into one stack, contracts that
 stack in one pass with the even weights into dF and with the odd ones into
 a sum in f, and maps that sum to h once (N. J. Higham, Functions of
 Matrices, SIAM 2008, ch. 4, on polynomials in a matrix argument).  The stack holds
-(order/2 + 1) N dim_f floats: 74 MB at order 61 for 10^5 nodes of so(1,3).
+(order/2 + 1) N dim_f floats for N nodes, so the gauge flow runs the core
+on node blocks of fixed size.
 The h actor's field [X_h, F] is summed over the structural slots.
 
 Summation order: S, each power of the tower, the weight contraction, the
 to_h map of the odd sum and the h field are each one einsum whose
 reduction index is never the contiguous axis.  Each of them sums, for every
 node, over its index in ascending order from +0.0, so an exact zero never
-comes out as -0.0.  The node axis is max(N, 2) wide, so a single node takes
+comes out as -0.0.  The node axis is at least 2 wide, so a single node takes
 the same einsum kernel as a batch, and a node's result is the same for every
-N.  For so(1,m) every entry of the GEMM is a single signed sigma^a, so no sum
-runs through a BLAS kernel: the result is the same under every OpenBLAS
-kernel.
+N and in every block of a larger buffer.  For so(1,m) every entry of that
+product is a single signed sigma^a, so no sum runs through a BLAS kernel: the
+result is the same under every OpenBLAS kernel.
 
 The series converges while rho(S) = rho(ad_F)^2 stays below pi^2; an f
 actor at or past that radius raises DomainError.  :func:`realize` is the
-single-point entry; the gauge flow of :mod:`cosetrep.induced` calls the core
-once per Euler step for a whole section, and the verify suite feeds it the
+single-point entry and :func:`_series` packs (N, dim) rows for the core;
+the gauge flow of :mod:`cosetrep.induced` calls the core on fixed node
+blocks of its own node-last buffer, and the verify suite feeds it the
 report-only plain-l profile.
 
 For so(1,m) the resummed field has the closed form of
@@ -197,6 +199,97 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return table, cols
 
 
+def _series_core(
+    alg: ReductiveAlgebra,
+    sig: np.ndarray,
+    xh: np.ndarray,
+    xf: np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(dF, dI, rho) of the actors xh + xf at the points sig, node-last.
+
+    sig and xf have shape (dim_f, n), xh (dim_h, n), with n >= 2; views of a
+    larger buffer do.  dF and dI are new (dim_f, n) and (dim_h, n) arrays.
+    rows are the (2, K) weight rows of :func:`_rows`, which fix the order.
+    Every contraction is one einsum that, for each node, sums over its index
+    in ascending order from +0.0; the entries of the table products are
+    single terms for so(1,m).  A node's result therefore depends neither on n nor on the
+    BLAS kernel.
+
+    rho is the spectral radius of ad_F at the moving nodes where the
+    max-row-sum bound of S reaches pi^2, or 0.0 where no node does: the
+    caller raises with :func:`_check_radius`, after the blocks of a step.
+    A |sigma| so large that ad_F^2 overflows raises DomainError here.
+    """
+    nf, nh = alg.dim_f, alg.dim_h
+    table, cols = _table(alg)
+    width = len(cols)
+    split = nh * nf, (nh + width) * nf
+    # the node count, not -1: a block is empty when dim_h or width is 0
+    nodes = sig.shape[1]
+    # a sigma near the float maximum overflows the products; the check on S
+    # below turns that into a DomainError.  The rows only S reads are
+    # multiplied apart, so their product is freed before the tower.
+    with np.errstate(over="ignore"):
+        blocks = table[: split[1]] @ sig
+        square = (table[split[1] :] @ sig).reshape(width, nf, nf, nodes)
+    to_h = blocks[: split[0]].reshape(nh, nf, nodes)
+    to_f = blocks[split[0] :].reshape(width, nf, nodes)
+    # S = ad_F^2 restricted to f, summed over the structural slots; its
+    # spectral radius is rho(ad_F)^2
+    s = np.einsum("jdn,jden->den", to_f, square)
+    del square
+    rho = _radius(s, sig, xf)
+    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers u_k = S^k X
+    # fill one stack, which one pass contracts with the even weights (with 1
+    # for u_0 = X) and the odd ones; a zero weight closing the odd row adds
+    # an exact zero.  The odd sum is mapped to h once.
+    u = np.empty((rows.shape[1],) + xf.shape)
+    u[0] = xf
+    for k in range(1, len(u)):
+        np.einsum("dan,an->dn", s, u[k - 1], out=u[k])
+    dF, odd = np.einsum("pk,kdn->pdn", rows, u)
+    dI = np.einsum("dan,an->dn", to_h, odd)
+    dI += xh
+    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
+    # [X, F] = to_f X, summed over the structural slots.  For so(1,m) every
+    # entry of to_f is one signed sigma^a and b runs in the order of a, so
+    # the sum is lie.bracket's term for term; a padded slot adds an exact
+    # zero, which leaves a sum started from +0.0 unchanged.
+    dF += np.einsum("jdn,jdn->dn", to_f, xh[cols])
+    return dF, dI, rho
+
+
+def _radius(s: np.ndarray, sig: np.ndarray, xf: np.ndarray) -> float:
+    """rho(ad_F) at the moving nodes that may lie past the series radius.
+
+    The max-row-sum norm bounds rho(S) from above, so eigenvalues are
+    needed only at moving nodes where that bound reaches pi^2, and only
+    when some row of some node reaches it at all (or is NaN).  A huge
+    |sigma| overflows S, whose tower would then multiply inf by 0: that
+    raises DomainError, naming the first such node.
+    """
+    row_sums = np.abs(s).sum(axis=1)
+    if row_sums.max(initial=0.0) < math.pi**2:
+        return 0.0
+    finite = np.isfinite(row_sums).all(axis=0)
+    if not finite.all():
+        with np.errstate(over="ignore"):
+            size = _norm(sig[:, np.argmin(finite)])[0]
+        raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
+    moving = np.abs(xf).max(axis=0, initial=0.0) > 0.0
+    near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
+    return math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
+
+
+def _check_radius(rho: float) -> None:
+    """Raise DomainError when an f actor lies at or past the series radius."""
+    if rho >= math.pi:
+        raise DomainError(
+            f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
+        )
+
+
 def _series(
     alg: ReductiveAlgebra,
     sigma: np.ndarray,
@@ -207,65 +300,16 @@ def _series(
     """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
-    have the shapes of xf and xh.  rows are the (2, K) weight rows of
-    :func:`_rows`, which fix the order.  Inside, the node index is the last
-    axis of every array, which is max(N, 2) wide: a single node rides with
-    a zero node.  Every contraction is then one einsum that, for each node,
-    sums over its index in ascending order from +0.0; the one GEMM's entries
-    are single terms for so(1,m).  A node's result therefore depends neither
-    on N nor on the BLAS kernel.
+    have the shapes of xf and xh.  The rows are packed node-last into one
+    buffer max(N, 2) wide, so a single node rides with a zero node, and run
+    through :func:`_series_core`; an f actor past the series radius raises
+    DomainError.
     """
     n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
-    table, cols = _table(alg)
-    width = len(cols)
-    # sigma, X_h and X_f as node-last rows of one buffer
-    x = np.zeros((2 * nf + nh, max(n, 2)))
-    np.concatenate((sigma.T, xh.T, xf.T), out=x[:, :n])
-    sig_t, xh_t, xf_t = x[:nf], x[nf : nf + nh], x[nf + nh :]
-    blocks = table @ sig_t
-    split = nh * nf, (nh + width) * nf
-    # the node count, not -1: a block is empty when dim_h or width is 0
-    nodes = x.shape[1]
-    to_h = blocks[: split[0]].reshape(nh, nf, nodes)
-    to_f = blocks[split[0] : split[1]].reshape(width, nf, nodes)
-    # S = ad_F^2 restricted to f, summed over the structural slots; its
-    # spectral radius is rho(ad_F)^2
-    s = np.einsum("jdn,jden->den", to_f, blocks[split[1] :].reshape(width, nf, nf, nodes))
-    # The max-row-sum norm bounds rho(S) from above, so eigenvalues are
-    # needed only at moving nodes where that bound reaches pi^2, and only
-    # when some row of some node reaches it at all (or is NaN).  A huge
-    # |sigma| overflows S, whose tower would then multiply inf by 0.
-    row_sums = np.abs(s).sum(axis=1)
-    if not row_sums.max(initial=0.0) < math.pi**2:
-        finite = np.isfinite(row_sums).all(axis=0)
-        if not finite.all():
-            with np.errstate(over="ignore"):
-                size = _norm(sigma[np.argmin(finite)])[0]
-            raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
-        moving = np.abs(xf_t).max(axis=0, initial=0.0) > 0.0
-        near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
-        rho = math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
-        if rho >= math.pi:
-            raise DomainError(
-                f"f actor past the series radius: rho(ad_F)/pi = {rho / math.pi:.3f} >= 1"
-            )
-    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers u_k = S^k X
-    # fill one stack, which one pass contracts with the even weights (with 1
-    # for u_0 = X) and the odd ones; a zero weight closing the odd row adds
-    # an exact zero.  The odd sum is mapped to h once.
-    u = np.empty((rows.shape[1],) + xf_t.shape)
-    u[0] = xf_t
-    for k in range(1, len(u)):
-        np.einsum("dan,an->dn", s, u[k - 1], out=u[k])
-    dF, odd = np.einsum("pk,kdn->pdn", rows, u)
-    dI = np.einsum("dan,an->dn", to_h, odd)
-    dI += xh_t
-    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
-    # [X, F] = to_f X, summed over the structural slots.  For so(1,m) every
-    # entry of to_f is one signed sigma^a and b runs in the order of a, so
-    # the sum is lie.bracket's term for term; a padded slot adds an exact
-    # zero, which leaves a sum started from +0.0 unchanged.
-    dF += np.einsum("jdn,jdn->dn", to_f, xh_t[cols])
+    x = np.zeros((nh + 2 * nf, max(n, 2)))
+    np.concatenate((xh.T, xf.T, sigma.T), out=x[:, :n])
+    dF, dI, rho = _series_core(alg, x[nh + nf :], x[:nh], x[nh : nh + nf], rows)
+    _check_radius(rho)
     return np.ascontiguousarray(dF[:, :n].T), np.ascontiguousarray(dI[:, :n].T)
 
 

@@ -1,9 +1,9 @@
-"""The series core, the compensator action, the closure check's slot arm,
-the closed field, exp_vector and the norm of a coset point give the same
-bytes under the default OpenBLAS kernel and every pinned kernel family: their
-GEMMs have single-term entries, every sum runs in a fixed order, and the slot
-arm and the hypot norm make no BLAS call, so no BLAS rounding reaches the
-output."""
+"""The series core, the compensator action, the gauge flow's loop over node
+blocks, the closure check's slot arm, the closed field, exp_vector and the
+norm of a coset point give the same bytes under the default OpenBLAS kernel
+and every pinned kernel family: their GEMMs have single-term entries, every
+sum runs in a fixed order, and the slot arm and the hypot norm make no BLAS
+call, so no BLAS rounding reaches the output."""
 
 import os
 import platform
@@ -19,7 +19,9 @@ import cosetrep
 _KERNELS = (None, "Haswell", "Nehalem", "Sandybridge")
 
 # prints the sha256 of the outputs of _series on so(1,m), of
-# _compensator_action in the vector and spinor reps, and of the slot arm's
+# _compensator_action in the vector and spinor reps, of flow_section on a
+# vector m=3 and a spinor m=5 section one block and three nodes long, and of
+# the slot arm's
 # closure residuals: on the adjoint matrices of so(1,3) broken in one
 # [F,H], [H,H] or [F,F] bracket and of so(1,8) with one [F,H] bracket
 # perturbed, on the vector and spinor reps at m = 3 and 5 with one c_hh
@@ -33,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 from cosetrep import lie
 from cosetrep.clifford import CliffordSpace, exp_vector
-from cosetrep.induced import _compensator_action, spinor_hrep, vector_hrep
+from cosetrep.induced import _BLOCK, CompositeSection, _compensator_action, flow_section, spinor_hrep, vector_hrep
 from cosetrep.lie import CosetPoint, so1m_algebra
 from cosetrep.series import _series, _weights, so1m_closed_field
 
@@ -56,6 +58,15 @@ for m in (3, 5):
             dI = rng.uniform(-1.0, 1.0, (n, hrep.algebra.dim_h))
             v = rng.uniform(-1.0, 1.0, (n, hrep.d))
             digest.update(_compensator_action(hrep, dI, v).tobytes())
+for m, hrep in ((3, vector_hrep(3)), (5, spinor_hrep(5))):
+    alg = so1m_algebra(m)
+    rng = np.random.default_rng(300 + m)
+    n = _BLOCK + 3
+    section = CompositeSection(rng.uniform(-0.2, 0.2, (n, m)), rng.uniform(-1.0, 1.0, (n, hrep.d)))
+    xi = rng.uniform(-0.5, 0.5, (n, alg.dim))
+    flowed = flow_section(alg, section, xi, 1.0, 2, hrep)
+    digest.update(flowed.sigma.tobytes())
+    digest.update(flowed.v.tobytes())
 
 
 def adjoint_residual(alg, *edits):

@@ -2,6 +2,7 @@
 gauge flow of sections."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from cosetrep.induced import (
     vector_hrep,
 )
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
-from cosetrep.series import InfinitesimalAction
+from cosetrep.series import InfinitesimalAction, _series, _weights
 from cosetrep.verify import _haar_rotations
 
 from test_algebra import _rotated_h_basis
@@ -57,10 +58,12 @@ def test_boost_matrix_entries():
     assert g[2, 2] == 1.0 and g[3, 3] == 1.0
     np.testing.assert_allclose(g.T @ _eta(3) @ g, _eta(3), atol=1e-14)
     # the axis norm is a hypot reduction: a huge axis used to overflow in its
-    # sum of squares, and a tiny one to underflow to 0 and raise
+    # sum of squares, and a tiny one to underflow to 0 and raise; a
+    # deep-subnormal one was normalized in subnormal precision, 4.7e-5 off
     np.testing.assert_array_equal(boost_matrix(3, 0.5, [1e200, 0.0, 0.0]), boost_matrix(3, 0.5, [1.0, 0.0, 0.0]))
     diagonal = boost_matrix(3, 0.5, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
-    np.testing.assert_allclose(boost_matrix(3, 0.5, [1e-200, 1e-200, 0.0]), diagonal, rtol=0, atol=1e-15)
+    for tiny in (1e-200, 1e-320, 5e-324):
+        np.testing.assert_allclose(boost_matrix(3, 0.5, [tiny, tiny, 0.0]), diagonal, rtol=0, atol=1e-15)
 
 
 def test_boost_matrix_inverse():
@@ -1201,6 +1204,109 @@ def test_gauge_flow_past_the_series_radius_raises():
     rotation[1, 0] = 0.5
     stepped = gauge_transform_section(alg, section, rotation, 0.1, hrep)
     np.testing.assert_array_equal(stepped.sigma[1], [2.0, 0.1, 0.0])
+
+
+def _flow_case(kind, m, n):
+    """An algebra, a rep, a section of n nodes and its generator field."""
+    rng = np.random.default_rng([m, n])
+    alg = so1m_algebra(m)
+    hrep = (vector_hrep if kind == "vector" else spinor_hrep)(m)
+    section = CompositeSection(rng.uniform(-0.4, 0.4, (n, m)) / math.sqrt(m), rng.uniform(-1.0, 1.0, (n, hrep.d)))
+    xi = rng.uniform(-0.5, 0.5, (n, alg.dim))
+    xi[::5, alg.dim_h :] = 0.0
+    return alg, hrep, section, xi
+
+
+@pytest.mark.parametrize("kind, m", [("vector", 3), ("spinor", 5)])
+def test_flow_is_successive_gauge_steps(kind, m):
+    """k flow steps are, bit for bit, k gauge steps of size t/k, on a
+    section that spans more than one block."""
+    alg, hrep, section, xi = _flow_case(kind, m, induced._BLOCK + 3)
+    flowed = flow_section(alg, section, xi, 0.9, 3, hrep)
+    for _ in range(3):
+        section = gauge_transform_section(alg, section, xi, 0.9 / 3, hrep)
+    assert flowed.sigma.tobytes() == section.sigma.tobytes()
+    assert flowed.v.tobytes() == section.v.tobytes()
+
+
+@pytest.mark.parametrize("n", [2 * induced._BLOCK + induced._BLOCK // 2, 2 * induced._BLOCK + 1])
+@pytest.mark.parametrize("kind, m", [("vector", 3), ("spinor", 5)])
+def test_flow_over_blocks_equals_each_block_alone(kind, m, n):
+    """A node's bits do not depend on its block: a section of about 2.5
+    blocks, or of two blocks and a one-node tail, flows as each of its
+    blocks flows alone."""
+    alg, hrep, section, xi = _flow_case(kind, m, n)
+    whole = flow_section(alg, section, xi, 1.0, 3, hrep)
+    size = induced._BLOCK
+    for lo in range(0, n, size):
+        cut = slice(lo, lo + size)
+        part = flow_section(alg, CompositeSection(section.sigma[cut], section.v[cut]), xi[cut], 1.0, 3, hrep)
+        assert part.sigma.tobytes() == whole.sigma[cut].tobytes()
+        assert part.v.tobytes() == whole.v[cut].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_step_whose_vectors_overflow_raises():
+    """An Euler update past the float range is a non-finite section, also
+    where numpy's add overflows (it used to warn under -W error): in one
+    step, and in the second block of a flow."""
+    alg, hrep, section, xi = _flow_case("vector", 3, induced._BLOCK + 5)
+    xi[:, : alg.dim_h] = 0.5
+    for big, rot in ((1.5e308, 0.5), (1e308, 10.0)):
+        v = np.array(section.v)
+        v[-2] = big
+        xi[-2, : alg.dim_h] = rot
+        moved = CompositeSection(section.sigma, v)
+        with pytest.raises(DimensionError, match="section has non-finite entries"):
+            flow_section(alg, moved, xi, 1.0, 2, hrep)
+        with pytest.raises(DimensionError, match="section has non-finite entries"):
+            gauge_transform_section(alg, moved, xi, 1.0, hrep)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_near_the_float_maximum_raises_the_overflow_check():
+    """A sigma near the float maximum overflows the series' table product,
+    which used to warn before the check on ad_F^2 raised DomainError."""
+    alg, hrep, section, xi = _flow_case("vector", 3, induced._BLOCK + 5)
+    sigma = np.array(section.sigma)
+    sigma[-2] = [1.7e308, 1.7e308, 0.0]
+    with pytest.raises(DomainError, match=r"\|sigma\| = inf is too large"):
+        flow_section(alg, CompositeSection(sigma, section.v), xi, 1.0, 2, hrep)
+
+
+def test_flow_raises_what_the_whole_section_would():
+    """A step raises once all its blocks are done, with the error of the
+    unblocked series on the whole section: the first overflowing node over
+    any radius, else the largest rho(ad_F) of the step."""
+    alg, hrep, section, xi = _flow_case("vector", 3, 2 * induced._BLOCK + 5)
+    xi[:, alg.dim_h] = 0.5
+    for radius, overflow in (((3, 1.7), (-3, 2.3)), ((3, 2.3), (-3, 1.7)), ((3, 1.7), (-4, 1e200))):
+        sigma = np.array(section.sigma)
+        sigma[radius[0], 0] = radius[1]
+        sigma[overflow[0], 0] = overflow[1]
+        with pytest.raises(DomainError) as want:
+            _series(alg, sigma, xi[:, : alg.dim_h], xi[:, alg.dim_h :], _weights(11))
+        with pytest.raises(DomainError) as got:
+            flow_section(alg, CompositeSection(sigma, section.v), xi, 1.0, 2, hrep)
+        assert str(got.value) == str(want.value)
+
+
+def test_flow_memory_is_bounded_by_the_block():
+    """Past its node-last buffer, which holds one copy of the inputs sigma,
+    v and xi, a flow's tracemalloc peak is the same on 2 and on 8 blocks:
+    every temporary of a step is sized by the block, and the output is built
+    after they are freed."""
+    extra = []
+    for n in (2 * induced._BLOCK, 8 * induced._BLOCK):
+        alg, hrep, section, xi = _flow_case("vector", 3, n)
+        tracemalloc.start()
+        try:
+            flow_section(alg, section, xi, 1.0, 2, hrep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - section.sigma.nbytes - section.v.nbytes - xi.nbytes)
+    assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
 
 
 def test_representation_of_another_algebra_raises():

@@ -109,16 +109,20 @@ def test_boost_past_the_series_radius_raises():
     np.testing.assert_array_equal(act.dI, [1.0, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_sigma_raises_a_domain_error():
     """At |sigma| = 1e160 S = ad_F^2 overflows.  The rotation actor's tower
     used to multiply inf by 0 and return NaN without a warning, the boost
     actor to fail in numpy's eigvals, and the closed form to overflow in its
-    norm."""
+    norm.  Near the float maximum the table product itself overflows, which
+    used to warn before the check on S could raise."""
     alg = so1m_algebra(3)
     point = CosetPoint(np.array([1e160, 0.0, 0.0]))
     for xi in (alg.h_basis(0), alg.f_basis(0)):
         with pytest.raises(DomainError, match=r"\|sigma\| = 1e\+160"):
             realize(alg, xi, point)
+    with pytest.raises(DomainError, match=r"\|sigma\| = inf is too large"):
+        realize(alg, alg.h_basis(0), CosetPoint(np.array([1.7e308, 1.7e308, 0.0])))
     for sig in ([1e160, 0.0, 0.0], [1e160, 1e160, 0.0]):
         with pytest.raises(DomainError, match=r"\|sigma\| = 1\.?\d*e\+160"):
             so1m_closed_field(CosetPoint(np.array(sig)))
