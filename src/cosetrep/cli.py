@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +32,9 @@ from .errors import (
     DomainError,
     _check_finite,
     _check_int,
-    reject_non_numbers,
+    _check_real,
+    _check_square,
+    _read_numbers,
 )
 from .induced import (
     _check_vector,
@@ -62,32 +64,27 @@ class _UsageError(Exception):
     """Bad flags or an unreadable/malformed input document (exit 2)."""
 
 
-def _int_from(low: int, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
+def _flag_number(text: str) -> int | float:
+    """The int, or else the float, that a flag's text spells."""
+    for kind in (int, float):
+        with suppress(ValueError):
+            return kind(text)
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
 def _positive_int(text: str) -> int:
-    return _int_from(1, text)
+    return _check_int(_flag_number(text), 1, "value", argparse.ArgumentTypeError)
 
 
 def _non_negative_int(text: str) -> int:
-    return _int_from(0, text)
+    return _check_int(_flag_number(text), 0, "value", argparse.ArgumentTypeError)
 
 
 def _finite_float(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+        return _check_real(_flag_number(text), "value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_json(path: str) -> dict:
@@ -120,11 +117,9 @@ def _json_text(payload) -> str:
 
 def _numeric(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array; a missing or non-numeric field is a usage error."""
-    try:
-        reject_non_numbers([doc[key]], key)
-        return np.asarray(doc[key], dtype=float)
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise _UsageError(f"document needs a numeric {key}: {exc}") from exc
+    if key not in doc:
+        raise _UsageError(f"document needs a numeric {key}")
+    return _read_numbers(doc[key], key, _UsageError)
 
 
 def _integer(doc: dict, key: str, default: int | None) -> int | None:
@@ -145,11 +140,10 @@ def _matrix_from_doc(doc, m_flag: int | None) -> np.ndarray:
     """Finite transformation from {"matrix": ...} or {"m", "boost", "rotations"}."""
     if "matrix" in doc:
         g = _numeric(doc, "matrix")
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise _UsageError(f"matrix must be square, got shape {g.shape}")
+        d = _check_square(g, 2, "matrix")
         _check_finite(g, "matrix entries must be finite", _UsageError)
-        if m_flag is not None and g.shape[0] != m_flag + 1:
-            raise _UsageError(f"matrix is {g.shape[0]}x{g.shape[0]} but --m {m_flag} was given")
+        if m_flag is not None and d != m_flag + 1:
+            raise _UsageError(f"matrix is {d}x{d} but --m {m_flag} was given")
         return g
     m = _integer(doc, "m", m_flag)
     if m is None:
@@ -205,10 +199,7 @@ def _cmd_realize(args) -> int:
 
     act = realize(alg, xi, point, order=args.order)
     fd_sigma, fd_comp = fd_action_derivative(alg, xi, point)
-    diff = max(
-        float(abs(act.dF - fd_sigma).max()) if act.dF.size else 0.0,
-        float(abs(act.dI - fd_comp).max()) if act.dI.size else 0.0,
-    )
+    diff = float(max(abs(act.dF - fd_sigma).max(initial=0.0), abs(act.dI - fd_comp).max(initial=0.0)))
 
     payload = {
         "m": m,

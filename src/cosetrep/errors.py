@@ -36,7 +36,7 @@ def _check_int(x, least: int, what: str, error: type[Exception]) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise error(f"{what} must be an integer, got {x!r}")
     if x < least:
-        raise error(f"need {what} >= {least}, got {x}")
+        raise error(f"{what} must be >= {least}, got {x}")
     return int(x)
 
 
@@ -52,9 +52,18 @@ def _check_real(x, what: str) -> float:
 
 
 def _check_finite(x: np.ndarray, message: str, error: type[Exception]) -> None:
-    """Raise error(message) unless every entry of the array x is finite."""
-    if not np.isfinite(x).all():
+    """Raise error(message) unless every entry of the array x is finite; a
+    count of the finite entries costs about half of .all() on a small array."""
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise error(message)
+
+
+def _check_square(x: np.ndarray, least: int, what: str) -> int:
+    """The size d of x, a square matrix or a stack of them (..., d, d) with
+    d >= least; any other shape raises DimensionError."""
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < least:
+        raise DimensionError(f"{what} must be square, of shape (..., d, d) with d >= {least}, got {x.shape}")
+    return x.shape[-1]
 
 
 def _check_size(size: float, bound: float, what: str, why: str) -> None:
@@ -108,3 +117,18 @@ def reject_non_numbers(fields, what: str) -> None:
             level = nested
         else:
             return
+
+
+def _read_numbers(value, what: str, error: type[Exception]) -> np.ndarray:
+    """value, a number or a rectangular nesting of them, as a float array.
+
+    A string or a boolean anywhere in value, or a value that numpy cannot
+    read as one float array, raises error naming `what`.
+    """
+    try:
+        reject_non_numbers([value], what)
+        return np.asarray(value, dtype=float)
+    except DomainError as exc:
+        raise error(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must hold numbers: {exc}") from exc

@@ -25,6 +25,8 @@ Euler steps in one node-last loop over fixed node blocks.
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,9 +43,10 @@ from .errors import (
     _check_int,
     _check_real,
     _check_size,
+    _check_square,
     _frozen,
     _norm,
-    reject_non_numbers,
+    _read_numbers,
 )
 from .lie import (
     CosetPoint,
@@ -87,6 +90,8 @@ _BRANCH = np.pi - 1e-12
 # grow like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
 _MAX_RAPIDITY = 354.0
 _RAPIDITY_REASON = "the largest for which the matrix and its form check stay finite"
+# log of the largest float: a |det rho| past it overflows
+_LOG_MAX = math.log(np.finfo(float).max)
 # nodes per block of the gauge flow: a step's temporaries hold about 60
 # floats per node of a block at m=3 and 800 at m=8 (13 MB), so past its
 # node-last buffer a flow's memory does not grow with the section
@@ -114,12 +119,9 @@ class HRepresentation:
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
         nh = self.algebra.dim_h
-        if gens.ndim != 3 or gens.shape[0] != nh or gens.shape[1] != gens.shape[2]:
-            raise DimensionError(
-                f"expected generator stack of shape ({nh}, d, d), got {gens.shape}"
-            )
-        if gens.shape[1] < 1:
-            raise DimensionError("a representation space needs d >= 1")
+        d = _check_square(gens, 1, "the generator stack")
+        if gens.shape[:-2] != (nh,):
+            raise DimensionError(f"expected generator stack of shape ({nh}, d, d), got {gens.shape}")
         _check_finite(gens, "generators have non-finite entries", ClosureError)
         worst = _closure_residual(gens, self.algebra.c_hh)
         if not worst <= _TOL:
@@ -127,7 +129,6 @@ class HRepresentation:
                 f"generators do not satisfy the stabilizer brackets (residual {worst:.3e})"
             )
         object.__setattr__(self, "generators", _frozen(gens))
-        d = gens.shape[-1]
         planes = nh == d * (d - 1) // 2 and np.array_equal(
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
         )
@@ -156,9 +157,7 @@ class HRepresentation:
         raises DimensionError, and a non-finite entry DomainError.
         """
         rho = np.asarray(rho, dtype=float)
-        if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-            raise DimensionError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
-        m = rho.shape[-1]
+        m = _check_square(rho, 0, "rho")
         if m * (m - 1) // 2 != self.algebra.dim_h:
             raise DimensionError(
                 f"a rotation of R^{m} has no image in a representation of dim_h={self.algebra.dim_h}"
@@ -237,8 +236,7 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
 def _check_rotation(rho) -> np.ndarray:
     """rho (or a stack) as a float array, validated as SO(m) to 1e-10."""
     r = np.asarray(rho, dtype=float)
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise DimensionError(f"rho must be square, got shape {r.shape}")
+    _check_square(r, 0, "rho")
     # a non-finite or overflowing rho makes the defect NaN or inf, which
     # fails the gate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,9 +299,7 @@ def _check_form(g) -> np.ndarray:
     rapidity.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] < 2:
-        raise DimensionError(f"expected square matrices of size >= 2, got shape {g.shape}")
-    eta = defining_rep_so1m(g.shape[-1] - 1).eta
+    eta = defining_rep_so1m(_check_square(g, 2, "g") - 1).eta
     gt, a = g.swapaxes(-1, -2), np.abs(g)
     # a non-finite or overflowing g makes an excess NaN (inf - inf), which
     # fails the gate; finiteness is looked at only then
@@ -318,16 +314,12 @@ def _check_form(g) -> np.ndarray:
 
 
 def _check_orientation(rho: np.ndarray) -> None:
-    if np.count_nonzero(np.linalg.det(rho) < 0.0):
+    """Raise OrthochronousError when some rho has det < 0, read by slogdet,
+    which cannot overflow; a |det rho| past the float range is a DomainError."""
+    sign, logdet = np.linalg.slogdet(rho)
+    if np.count_nonzero((sign < 0.0) | ~(logdet <= _LOG_MAX)):
+        _check_size(logdet.max(initial=-np.inf), _LOG_MAX, "log |det rho|", "past which det rho overflows")
         raise OrthochronousError("transformation reverses spatial orientation")
-
-
-def _factor(g) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma', rho) of a proper orthochronous matrix or stack g, after the
-    form check and the orientation check on rho."""
-    sigma, rho = _split(_check_form(g))
-    _check_orientation(rho)
-    return sigma, rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +341,9 @@ def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = g[1:, 1:] - u_s (x) g[0, 1:] / (1 + u_0); no product with the
     inverse boost is formed, so rho's rounding stays near eps cosh(zeta).
     A rapidity above _MAX_RAPIDITY, read from |g[..., 0, 0]| before any norm
-    can overflow, raises DomainError.
+    can overflow, raises DomainError.  exp(sigma' . F) has det 1, so rho
+    carries g's orientation, which :func:`_check_orientation` checks; rho is
+    orthogonal to about eps cosh(zeta) and not checked beyond that.
     """
     zeta = np.arccosh(np.abs(g[..., 0, 0]).max(initial=1.0))
     _check_size(zeta, _MAX_RAPIDITY, "boost rapidity |zeta|", _RAPIDITY_REASON)
@@ -358,6 +352,7 @@ def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = us * (0.5 * np.arcsinh(p) / np.where(p == 0.0, 1.0, p))
     row = g[..., 0, 1:] / (1.0 + g[..., :1, 0])
     rho = g[..., 1:, 1:] - us[..., :, None] * row[..., None, :]
+    _check_orientation(rho)
     return sigma, rho
 
 
@@ -371,7 +366,7 @@ def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
         raise DimensionError(f"expected one square matrix, got shape {g.shape}")
-    sigma, rho = _factor(g)
+    sigma, rho = _split(_check_form(g))
     return FactoredPair(CosetPoint(sigma), rho)
 
 
@@ -460,9 +455,6 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
     if vs.shape[-1] != hrep.d:
         raise DimensionError(f"vectors have d={vs.shape[-1]} but the representation has d={hrep.d}")
     sigma, rho = _split(g @ exp_coset(point))
-    # exp(sigma . F) has det 1, so rho carries g's orientation; it is
-    # orthogonal to about eps cosh(zeta) and not checked beyond that
-    _check_orientation(rho)
     moved = (hrep.lift(rho) @ vs[..., None])[..., 0]
     if isinstance(point, CompositeSection):
         return CompositeSection(sigma, moved)
@@ -615,19 +607,13 @@ def _node_rows(nodes: list, key: str, size: int) -> np.ndarray:
         raw = [node[key] for node in nodes]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"every node needs a numeric {key}: {exc}") from exc
-    reject_non_numbers(raw, f"node {key}")
-    try:
-        rows = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        rows = None
-    if rows is not None and rows.shape == (len(nodes), size):
-        return rows
+    with suppress(DomainError):
+        rows = _read_numbers(raw, f"node {key}", DomainError)
+        if rows.shape == (len(nodes), size):
+            return rows
     # name the first node whose entry is not `size` numbers
     for idx, entry in enumerate(raw):
-        try:
-            shape = np.asarray(entry, dtype=float).shape
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"node {idx} needs a numeric {key}: {exc}") from exc
+        shape = _read_numbers(entry, f"node {idx}: {key}", DomainError).shape
         if shape != (size,):
             raise DomainError(f"node {idx}: {key} must have {size} entries, got shape {shape}")
     raise DomainError(f"the nodes' {key} entries do not stack into a ({len(nodes)}, {size}) array")

@@ -16,6 +16,7 @@ one blade product per ordered basis pair.  :func:`defining_rep_so1m` provides
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,8 +31,10 @@ from .errors import (
     _check_finite,
     _check_int,
     _check_real,
+    _check_square,
     _frozen,
     _norm,
+    _read_numbers,
     reject_non_numbers,
 )
 
@@ -324,11 +327,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     _check_int(m, 2, "m", DimensionError)
     f = np.zeros(m)
     if boost is not None:
-        reject_non_numbers([boost], "boost")
-        try:
-            f = np.asarray(boost, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"boost must be a numeric vector: {exc}") from exc
+        f = _read_numbers(boost, "boost", DomainError)
         if f.shape != (m,):
             raise DimensionError(f"boost must have {m} entries, got shape {f.shape}")
         _check_finite(f, "boost entries must be finite", DomainError)
@@ -425,7 +424,7 @@ def _generator_sum(coords, gens: np.ndarray, what: str) -> np.ndarray:
     if x.ndim < 1 or x.shape[-1] != n:
         raise DimensionError(f"expected {n} {what} coordinates, got shape {x.shape}")
     _check_finite(x, f"{what} coordinates have non-finite entries", DomainError)
-    return (x.reshape(-1, n) @ gens.reshape(n, -1)).reshape(x.shape[:-1] + (d, d))
+    return (x.reshape(math.prod(x.shape[:-1]), n) @ gens.reshape(n, d * d)).reshape(x.shape[:-1] + (d, d))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -491,7 +490,7 @@ def _pade(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     powers[1] = a @ a
     for j in range(2, k):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
-    c = (rows @ powers.reshape(k, -1)).reshape((-1,) + a.shape)
+    c = (rows @ powers.reshape(k, a.size)).reshape((len(rows),) + a.shape)
     if len(c) == 4:
         u, v = a @ (powers[3] @ c[2] + c[0]), powers[3] @ c[3] + c[1]
     else:
@@ -513,9 +512,8 @@ def expm(a) -> np.ndarray:
     if a.dtype.kind == "c":
         raise DomainError("matrix exponential of complex entries")
     a = a.astype(float, copy=False)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expected square matrices of shape (..., d, d), got {a.shape}")
-    flat = a.reshape((-1,) + a.shape[-2:])
+    _check_square(a, 0, "the exponent")
+    flat = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
     norm = np.add.reduce(np.abs(flat), axis=-2).max(axis=-1, initial=0.0)
     # index of the lowest degree whose bound covers each norm; past the
     # last bound (and for inf or nan) it is len(_PADE)
@@ -560,13 +558,10 @@ def algebra_from_json_dict(data) -> ReductiveAlgebra:
         nh = _check_int(data["dim_h"], 0, "dim_h", TypeError)
         nf = _check_int(data["dim_f"], 0, "dim_f", TypeError)
         tables = [data["c_hh"], data["c_ff"], data["c_fh"]]
-        reject_non_numbers(tables, "the structure constants")
-        c_hh, c_ff, c_fh = (np.asarray(t, dtype=float) for t in tables)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise ClosureError(f"invalid algebra JSON: {e}") from None
+    c_hh, c_ff, c_fh = (_read_numbers(t, "the structure constants", ClosureError) for t in tables)
     if c_hh.shape != (nh, nh, nh) or c_ff.shape != (nf, nf, nh) or c_fh.shape != (nf, nh, nf):
-        raise ClosureError(
-            "algebra JSON shapes do not match dim_h/dim_f: "
-            f"{c_hh.shape}, {c_ff.shape}, {c_fh.shape}"
-        )
+        shapes = f"{c_hh.shape}, {c_ff.shape}, {c_fh.shape}"
+        raise ClosureError(f"algebra JSON shapes do not match dim_h/dim_f: {shapes}")
     return ReductiveAlgebra(c_hh, c_ff, c_fh)

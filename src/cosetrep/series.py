@@ -192,7 +192,7 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     to_f = -alg.c_fh[:, cols, np.arange(nf)].transpose(1, 2, 0)
     # adding +0.0 turns every -0.0 into +0.0
     table = 0.0 + np.concatenate(
-        (to_h.reshape(-1, nf), to_f.reshape(-1, nf), to_h[cols].reshape(-1, nf))
+        (to_h.reshape(nh * nf, nf), to_f.reshape(width * nf, nf), to_h[cols].reshape(width * nf * nf, nf))
     )
     for arr in (table, cols):
         arr.setflags(write=False)
@@ -303,13 +303,15 @@ def _series(
     have the shapes of xf and xh.  The rows are packed node-last into one
     buffer max(N, 2) wide, so a single node rides with a zero node, and run
     through :func:`_series_core`; an f actor past the series radius raises
-    DomainError.
+    DomainError, and so does a dF or dI that overflows.
     """
     n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
     x = np.zeros((nh + 2 * nf, max(n, 2)))
     np.concatenate((xh.T, xf.T, sigma.T), out=x[:, :n])
     dF, dI, rho = _series_core(alg, x[nh + nf :], x[:nh], x[nh : nh + nf], rows)
     _check_radius(rho)
+    _check_finite(dF, "the series overflows: dF has non-finite entries", DomainError)
+    _check_finite(dI, "the series overflows: dI has non-finite entries", DomainError)
     return np.ascontiguousarray(dF[:, :n].T), np.ascontiguousarray(dI[:, :n].T)
 
 

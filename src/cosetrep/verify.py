@@ -29,10 +29,11 @@ from .coeffs import bernoulli_numbers, l_coeffs, recursion_residuals
 from .errors import BranchError, OrthochronousError, _norm
 from .induced import (
     CompositeSection,
+    _check_form,
     _compensator_action,
     _coset_matrix,
     _embed,
-    _factor,
+    _split,
     boost_matrix,
     exp_coset,
     factor_boost_rotation,
@@ -158,7 +159,7 @@ def _fd_action(
     coordinates coords (N, dim) at points sigma (N, dim_f), or one node as
     coords (dim,) and sigma (dim_f,)."""
     g = _exp_defining(alg.dim_f, _FD_H * _STEPS, coords) @ _coset_matrix(sigma)
-    sigma_t, rho = _factor(g)
+    sigma_t, rho = _split(_check_form(g))
     return _richardson(sigma_t), _richardson(rotation_log_coords(rho))
 
 
@@ -428,7 +429,7 @@ def _ball_cases(rng, m: int, n: int, radius, *dims: int) -> tuple[np.ndarray, ..
     cases = []
     for _ in range(n):
         sig = rng.uniform(-1.0, 1.0, m)
-        sig *= rng.uniform(*radius) / max(_norm(sig)[0], 1e-12)
+        sig *= rng.uniform(*radius) / _norm(sig)[0]
         cases.append((sig, *(rng.uniform(-1.0, 1.0, d) for d in dims)))
     return tuple(np.array(x) for x in zip(*cases))
 
@@ -630,7 +631,7 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
     draws = [(rng.uniform(0.0, 2.0), rng.normal(size=m), rng.normal(size=(m, m))) for _ in range(1000)]
     zeta, axis, gauss = (np.array(x) for x in zip(*draws))
     g = boost_matrix(m, zeta, axis) @ rotation_embed(m, _haar_rotations(gauss))
-    sigma, rho = _factor(g)
+    sigma, rho = _split(_check_form(g))
     worst = float(abs(_coset_matrix(sigma) @ _embed(rho) - g).max())
     out.append(
         _row(
@@ -646,7 +647,7 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
         nodes, g1, g2 = [], [], []
         for _ in range(50):
             sig = rng.uniform(-1.0, 1.0, m)
-            sig *= rng.uniform(0.0, 1.0) / max(_norm(sig)[0], 1e-12)
+            sig *= rng.uniform(0.0, 1.0) / _norm(sig)[0]
             nodes.append((sig, rng.uniform(-1.0, 1.0, hrep.d)))
             g1.append(_small_group_draw(rng, m))
             g2.append(_small_group_draw(rng, m))

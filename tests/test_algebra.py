@@ -533,6 +533,14 @@ def test_expm_matches_scipy_over_the_norm_range():
     np.testing.assert_array_equal(lie_expm(np.zeros((3, 3))), np.eye(3))
 
 
+def test_expm_returns_an_empty_stack_unchanged():
+    """A stack of 0x0 matrices used to fail numpy's reshape with an inferred
+    size; every empty stack now comes back with its own shape."""
+    for shape in ((2, 0, 0), (0, 0), (0, 3, 3)):
+        a = np.zeros(shape)
+        assert lie_expm(a).shape == shape
+
+
 def test_expm_rejects_bad_input():
     with pytest.raises(DimensionError):
         lie_expm(np.zeros((2, 3)))

@@ -415,7 +415,7 @@ def test_realize_with_m_one_is_a_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "point.json", {"sigma": [0.1], "xi": {"boost": [0.2]}})
     assert main(["realize", "--in", path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "need m >= 2" in err[0]
+    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "m must be >= 2" in err[0]
 
 
 def test_gauge_with_m_one_is_a_usage_error(tmp_path, capsys):
@@ -426,7 +426,7 @@ def test_gauge_with_m_one_is_a_usage_error(tmp_path, capsys):
     )
     assert main(["gauge", "--in", path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "need m >= 2" in err[0]
+    assert len(err) == 1 and err[0].startswith("cosetrep: ") and "m must be >= 2" in err[0]
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -434,3 +434,52 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert main(["realize", "--in", path, "--out", str(tmp_path / "missing" / "out.json")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("cosetrep: ")
+
+
+_SECTION = {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, 0.2], "v": [1.0, 0.0], "xi": [0.3, 0.1, -0.2]}]}
+
+
+def test_gauge_reads_its_time_flag(tmp_path, capsys):
+    """--t 0.5 flows for half the time; text that spells no number is a
+    usage error."""
+    from cosetrep.induced import flow_section, section_from_json_dict, vector_hrep
+    from cosetrep.lie import so1m_algebra
+
+    path = _write(tmp_path, "section.json", _SECTION)
+    assert main(["gauge", "--in", path, "--t", "0.5"]) == 0
+    got, _ = section_from_json_dict(json.loads(capsys.readouterr().out))
+    section, xi = section_from_json_dict(_SECTION)
+    want = flow_section(so1m_algebra(2), section, xi, 0.5, 16, vector_hrep(2))
+    assert got.sigma.tobytes() == want.sigma.tobytes() and got.v.tobytes() == want.v.tobytes()
+    assert main(["gauge", "--in", path, "--t", "abc"]) == 2
+    assert "not a number: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0", "value must be >= 1, got 0"),
+    ("2.5", "value must be an integer, got 2.5"),
+    ("two", "not a number: 'two'"),
+], ids=["below-the-bound", "not-an-integer", "not-a-number"])
+def test_integer_flags_read_through_the_integer_rule(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "section.json", _SECTION)
+    assert main(["gauge", "--in", path, "--steps", text]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, flags, message", [
+    ({"matrix": np.eye(4).tolist()}, ["--m", "2"], "matrix is 4x4 but --m 2 was given"),
+    ({"m": 3, "boost": [0.1, 0.0, 0.0]}, ["--m", "2"], "document has m=3 but --m 2 was given"),
+    ({"boost": [0.1, 0.0]}, [], "document needs either a matrix or an m with boost/rotations"),
+    ({"matrix": np.eye(3)[:2].tolist()}, [], "matrix must be square, of shape (..., d, d) with d >= 2"),
+    ({"matrix": [[1.0]]}, ["--m", "2"], "matrix must be square"),
+], ids=["matrix-against-m", "recipe-against-m", "neither", "not-square", "too-small"])
+def test_factor_checks_its_document_against_m(tmp_path, capsys, payload, flags, message):
+    path = _write(tmp_path, "g.json", payload)
+    assert main(["factor", "--in", path, *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_realize_rejects_a_sigma_whose_length_is_not_m(tmp_path, capsys):
+    path = _write(tmp_path, "point.json", {"m": 3, "sigma": [0.1, 0.2], "xi": {"boost": [1.0, 0.0, 0.0]}})
+    assert main(["realize", "--in", path]) == 2
+    assert "sigma must have 3 entries, got shape (2,)" in capsys.readouterr().err

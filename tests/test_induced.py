@@ -3,6 +3,7 @@ gauge flow of sections."""
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from cosetrep.induced import (
     vector_hrep,
 )
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, defining_rep_so1m, h_pairs, so1m_algebra
-from cosetrep.series import InfinitesimalAction, _series, _weights
+from cosetrep.series import InfinitesimalAction, _series, _weights, realize
 from cosetrep.verify import _haar_rotations
 
 from test_algebra import _rotated_h_basis
@@ -1032,7 +1033,7 @@ def test_section_json_rejects_strings_and_booleans(key, value):
         CompositeSection(np.array([[0.1, 0.2], [0.3, 0.4]]), np.eye(2)), np.zeros((2, 3))
     )
     doc["nodes"][1][key] = value
-    with pytest.raises(DomainError, match=f"node {key} must hold numbers"):
+    with pytest.raises(DomainError, match=f"node 1: {key} must hold numbers"):
         section_from_json_dict(doc)
 
 
@@ -1042,10 +1043,10 @@ def test_section_json_names_the_node_with_a_bad_entry():
     with pytest.raises(DomainError, match="node 2: v must have 2 entries"):
         section_from_json_dict(doc)
     doc["nodes"][2]["v"] = [[1.0], [0.0, 0.0]]
-    with pytest.raises(DomainError, match="node 2 needs a numeric v"):
+    with pytest.raises(DomainError, match="node 2: v must hold numbers"):
         section_from_json_dict(doc)
     doc["nodes"][2]["v"] = {"a": 1}
-    with pytest.raises(DomainError, match="node 2 needs a numeric v"):
+    with pytest.raises(DomainError, match="node 2: v must hold numbers"):
         section_from_json_dict(doc)
     del doc["nodes"][1]["sigma"]
     with pytest.raises(DomainError, match="every node needs a numeric sigma"):
@@ -1318,3 +1319,129 @@ def test_representation_of_another_algebra_raises():
         gauge_transform_section(alg, section, np.full((2, alg.dim), 0.1), 0.1, vector_hrep(4))
     with pytest.raises(DimensionError, match="compensator coordinates"):
         infinitesimal_action(alg, alg.f_basis(0), CosetPoint(np.zeros(3)), np.ones(4), vector_hrep(4))
+
+
+def _split_without_h():
+    """An abelian f of dimension 2 and no h."""
+    return ReductiveAlgebra(np.zeros((0, 0, 0)), np.zeros((2, 2, 0)), np.zeros((2, 0, 2)))
+
+
+def _split_without_f():
+    """so(3) as the stabilizer alone: dim_h = 3, dim_f = 0."""
+    so3 = so1m_algebra(3)
+    return ReductiveAlgebra(so3.c_hh, np.zeros((0, 0, 3)), np.zeros((0, 3, 0)))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_hrep_maps_on_a_split_without_h(d):
+    """dim_h = 0: matrix is the zero matrix, exp and lift the identity.  All
+    three used to fail numpy's reshape with an inferred size on an empty
+    stack."""
+    hrep = HRepresentation(_split_without_h(), np.zeros((0, d, d)))
+    assert hrep.matrix(np.zeros(0)).tobytes() == np.zeros((d, d)).tobytes()
+    np.testing.assert_array_equal(hrep.exp(np.zeros(0)), np.eye(d))
+    np.testing.assert_array_equal(hrep.exp(np.zeros((4, 0))), np.broadcast_to(np.eye(d), (4, d, d)))
+    np.testing.assert_array_equal(hrep.lift(np.ones((1, 1))), np.eye(d))
+    np.testing.assert_array_equal(hrep.lift(np.ones((5, 1, 1))), np.broadcast_to(np.eye(d), (5, d, d)))
+
+
+def test_series_and_flow_on_a_split_without_f():
+    """dim_f = 0: realize returns dF = () and dI = xi_h, and a flow moves only
+    v, each of its steps by v += eps (xi_h^a G_a) v.  The series table used
+    to fail numpy's reshape with an inferred size."""
+    alg = _split_without_f()
+    hrep = HRepresentation(alg, vector_hrep(3).generators)
+    xh = np.array([0.1, 0.2, 0.3])
+    act = realize(alg, alg.element(h=xh), CosetPoint(np.zeros(0)))
+    assert act.dF.shape == (0,) and act.dI.tobytes() == xh.tobytes()
+    section = CompositeSection(np.zeros((2, 0)), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -2.0]]))
+    xi = np.tile(xh, (2, 1))
+    step = np.eye(3) + 0.25 * hrep.matrix(xh)
+    one = gauge_transform_section(alg, section, xi, 0.25, hrep)
+    flowed = flow_section(alg, section, xi, 1.0, 4, hrep)
+    for out, power in ((one, 1), (flowed, 4)):
+        assert out.sigma.shape == (2, 0)
+        want = section.v @ np.linalg.matrix_power(step, power).T
+        np.testing.assert_allclose(out.v, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)])
+def test_a_malformed_square_stack_raises_dimension_error_at_every_entry(shape):
+    """Every public entry that takes square matrices reads them through one
+    rule, which raises DimensionError and never numpy's bare ValueError.  A
+    single (4, 3) matrix reaches the rule everywhere; a stack or a vector
+    meets the one-matrix check of factor_boost_rotation and induced_action
+    first."""
+    bad = np.zeros(shape)
+    rule = r"must be square, of shape \(\.\.\., d, d\) with d >= \d, got \(" if shape == (4, 3) else None
+    point = CosetPoint(np.zeros(3))
+    calls = [
+        lie.expm,
+        lambda x: HRepresentation(so1m_algebra(3), x),
+        vector_hrep(3).lift,
+        spinor_hrep(3).lift,
+        lambda x: rotation_embed(3, x),
+        rotation_log_coords,
+        factor_boost_rotation,
+        lambda x: induced_action(x, point, np.ones(3), vector_hrep(3)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match=rule):
+            call(bad)
+
+
+def test_non_square_rotations_and_forms_name_the_rule():
+    with pytest.raises(DimensionError, match=r"rho must be square, of shape \(\.\.\., d, d\) with d >= 0"):
+        rotation_log_coords(np.eye(3)[:2])
+    with pytest.raises(DimensionError, match="rho must be square"):
+        rotation_embed(3, np.zeros((2, 3, 2)))
+    with pytest.raises(DimensionError, match=r"g must be square, of shape \(\.\.\., d, d\) with d >= 2"):
+        factor_boost_rotation(np.eye(4)[:3])
+    with pytest.raises(DimensionError, match="g must be square"):
+        factor_boost_rotation(np.eye(1))
+
+
+def test_factor_takes_one_matrix_and_hrep_one_generator_stack():
+    with pytest.raises(DimensionError, match="expected one square matrix"):
+        factor_boost_rotation(np.stack([np.eye(4)] * 2))
+    alg = so1m_algebra(3)
+    with pytest.raises(DimensionError, match=r"expected generator stack of shape \(3, d, d\)"):
+        HRepresentation(alg, np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionError, match=r"expected generator stack of shape \(3, d, d\)"):
+        HRepresentation(alg, np.zeros((3, 3)))
+    with pytest.raises(DimensionError, match="the generator stack must be square"):
+        HRepresentation(alg, np.zeros((3, 2, 3)))
+
+
+def test_infinitesimal_action_raises_where_the_series_overflows():
+    """A finite f actor near the float maximum used to return dF with an inf
+    entry, with no error and no warning."""
+    alg = so1m_algebra(3)
+    xi = alg.element(h=[0.0, 0.0, 0.0], f=[1.7e308, 1.7e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the series overflows"):
+            infinitesimal_action(alg, xi, CosetPoint([0.4, 0.3, 0.1]), np.ones(3), vector_hrep(3))
+
+
+def test_orientation_check_raises_where_det_rho_overflows():
+    """At rapidity 300 a split's rho is orthogonal only to about eps
+    cosh(300), and its determinant overflowed with numpy's warning.  The
+    sign now comes from slogdet, and a |det rho| past the float range raises
+    DomainError; a draw whose det is finite factors as before."""
+    rng = np.random.default_rng(0)
+    rotations, axes = _haar_rotations(rng.normal(size=(8, 3, 3))), rng.normal(size=(8, 3))
+    raised = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, n in zip(rotations, axes):
+            try:
+                pair = factor_boost_rotation(boost_matrix(3, 300.0, n) @ rotation_embed(3, r))
+            except DomainError as exc:
+                assert "det rho overflows" in str(exc)
+                raised += 1
+            else:
+                np.testing.assert_allclose(pair.f_prime.norm, 150.0, rtol=1e-12)
+        assert 0 < raised < len(axes)
+        with pytest.raises(DomainError, match=r"log \|det rho\| = .* exceeds .* det rho overflows"):
+            induced_action(np.eye(4), CosetPoint([111.1, 81.2, -59.8]), np.ones(3), vector_hrep(3))

@@ -2,6 +2,7 @@
 and its own resummed closed form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -618,3 +619,20 @@ def test_core_pads_rows_with_fewer_structural_nonzeros():
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
             _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, _profile(order))
+
+
+def test_realize_raises_where_the_series_overflows():
+    """A finite f actor near the float maximum used to return
+    dF = (1.66e308, inf, -1.49e307) with no error and no warning."""
+    alg = so1m_algebra(3)
+    xi = alg.element(h=[0.0, 0.0, 0.0], f=[1.7e308, 1.7e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the series overflows: dF has non-finite entries"):
+            realize(alg, xi, CosetPoint([0.4, 0.3, 0.1]))
+
+
+def test_realize_rejects_a_point_of_another_size():
+    alg = so1m_algebra(3)
+    with pytest.raises(DimensionError, match="point has 2 coordinates, algebra dim_f 3"):
+        realize(alg, alg.f_basis(0), CosetPoint([0.1, 0.2]))
