@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from contextlib import suppress
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +110,25 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _csv_field(x) -> str:
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _emit_report(args, payload: dict, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Write payload as JSON or, under --format csv, the rows as CSV: a header
+    of the columns, then each row's fields in that order, a float as its
+    repr, a bool as true or false and None as an empty field."""
+    if args.format == "csv":
+        lines = [columns, *([row[c] for c in columns] for row in rows)]
+        _emit("".join(",".join(map(_csv_field, line)) + "\n" for line in lines), args.out)
+    else:
+        _emit(_json_text(payload), args.out)
+
+
 # ---------------------------------------------------------------------------
 # input documents
 # ---------------------------------------------------------------------------
@@ -162,23 +180,12 @@ def _matrix_from_doc(doc, m_flag: int | None) -> np.ndarray:
 
 def _cmd_coeffs(args) -> int:
     table = l_coeffs(args.order)
-    if args.format == "csv":
-        lines = ["n,numerator,denominator,value"]
-        for n in range(1, args.order + 1):
-            c: Fraction = table.l(n)
-            lines.append(f"{n},{c.numerator},{c.denominator},{float(c)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
     rows = [
-        {
-            "n": n,
-            "numerator": table.l(n).numerator,
-            "denominator": table.l(n).denominator,
-            "value": float(table.l(n)),
-        }
-        for n in range(1, args.order + 1)
+        {"n": n, "numerator": c.numerator, "denominator": c.denominator, "value": float(c)}
+        for n, c in enumerate(map(table.l, range(1, args.order + 1)), start=1)
     ]
-    _emit(_json_text({"order": args.order, "coefficients": rows}), args.out)
+    payload = {"order": args.order, "coefficients": rows}
+    _emit_report(args, payload, ("n", "numerator", "denominator", "value"), rows)
     return 0
 
 
@@ -216,15 +223,12 @@ def _cmd_realize(args) -> int:
         payload["d_v"] = _compensator_action(hrep, act.dI[None], v[None])[0].tolist()
         payload["rep"] = args.rep
 
-    if args.format == "csv":
-        lines = ["part,index,series,oracle"]
-        for i, (s, o) in enumerate(zip(act.dF, fd_sigma)):
-            lines.append(f"sigma,{i},{float(s)!r},{float(o)!r}")
-        for i, (s, o) in enumerate(zip(act.dI, fd_comp)):
-            lines.append(f"compensator,{i},{float(s)!r},{float(o)!r}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    rows = [
+        {"part": part, "index": i, "series": s, "oracle": o}
+        for part, series, oracle in (("sigma", act.dF, fd_sigma), ("compensator", act.dI, fd_comp))
+        for i, (s, o) in enumerate(zip(series, oracle))
+    ]
+    _emit_report(args, payload, ("part", "index", "series", "oracle"), rows)
     return 0
 
 
@@ -284,16 +288,8 @@ def _cmd_verify(args) -> int:
         "n_failed": len(failures),
         "results": [r.as_dict() for r in results],
     }
-    if args.format == "csv":
-        lines = ["name,passed,measured,threshold,informational"]
-        for r in results:
-            thr = "" if r.threshold is None else repr(float(r.threshold))
-            lines.append(
-                f"{r.name},{str(r.passed).lower()},{float(r.measured)!r},{thr},{str(r.informational).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(payload), args.out)
+    columns = ("name", "passed", "measured", "threshold", "informational")
+    _emit_report(args, payload, columns, payload["results"])
     return 0 if not failures else 1
 
 

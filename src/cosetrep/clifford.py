@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _check_finite, _check_int, _check_size, _norm
+from .errors import DimensionError, DomainError, _array, _check_finite, _check_int, _check_size, _norm
 
 __all__ = [
     "CliffordSpace",
@@ -162,7 +162,7 @@ class Multivector:
     @classmethod
     def vector(cls, space: CliffordSpace, sigma) -> "Multivector":
         """The grade-1 element sigma^k gamma_k."""
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _array(sigma, "sigma")
         if sigma.shape != (space.m,):
             raise DimensionError(f"vector needs length {space.m}, got {sigma.shape}")
         return cls(space, {(k,): sigma[k - 1] for k in range(1, space.m + 1)})
@@ -347,7 +347,7 @@ def exp_vector(space: CliffordSpace, sigma) -> Multivector:
     non-finite sigma, or one with s > 710 where cosh(s) overflows, raises
     DomainError.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _array(sigma, "sigma")
     if sigma.shape != (space.m,):
         raise DimensionError(f"sigma needs length {space.m}, got {sigma.shape}")
     _check_finite(sigma, "sigma has non-finite entries", DomainError)

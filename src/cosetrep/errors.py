@@ -80,22 +80,31 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(x, axis=-1, keepdims=True, initial=0.0)
 
 
-def _frozen(x) -> np.ndarray:
+def _array(x, what: str, error: type[Exception] = DimensionError, dtype=float) -> np.ndarray:
+    """x as an array of dtype, not copied when it is one.  What numpy cannot
+    read as one such array, such as a ragged nesting, raises error naming `what`."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must hold numbers: {exc}") from exc
+
+
+def _frozen(x, what: str = "the array") -> np.ndarray:
     """A read-only C-ordered float copy of x, which no caller can write through."""
-    out = np.array(x, dtype=float, order="C")
+    out = np.array(_array(x, what), order="C")
     out.setflags(write=False)
     return out
 
 
 # values np.asarray(..., dtype=float) reads as numbers although a document
-# holding them is malformed: "0.5" becomes 0.5 and true becomes 1.0
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+# holding them is malformed: "0.5" becomes 0.5, true becomes 1.0 and null NaN
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 
 def reject_non_numbers(fields, what: str) -> None:
-    """Raise DomainError when a string or a boolean sits anywhere in `fields`,
-    a sequence of numeric values: numbers, or lists, tuples and arrays of
-    them nested to any depth.
+    """Raise DomainError when a string, a boolean or None sits anywhere in
+    `fields`, a sequence of numeric values: numbers, or lists, tuples and
+    arrays of them nested to any depth.
 
     The check runs one pass of map(type) per nesting level, so the fields of
     every node of a large section are checked together at C speed.
@@ -104,7 +113,7 @@ def reject_non_numbers(fields, what: str) -> None:
     while level:
         kinds = set(map(type, level))
         if any(issubclass(k, _NOT_NUMBERS) for k in kinds):
-            raise DomainError(f"{what} must hold numbers, not strings or booleans")
+            raise DomainError(f"{what} must hold numbers, not strings, booleans or null")
         if kinds == {list}:
             level = list(chain.from_iterable(level))
         elif any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
@@ -122,13 +131,11 @@ def reject_non_numbers(fields, what: str) -> None:
 def _read_numbers(value, what: str, error: type[Exception]) -> np.ndarray:
     """value, a number or a rectangular nesting of them, as a float array.
 
-    A string or a boolean anywhere in value, or a value that numpy cannot
-    read as one float array, raises error naming `what`.
+    A string, a boolean or None anywhere in value, or a value that numpy
+    cannot read as one float array, raises error naming `what`.
     """
     try:
         reject_non_numbers([value], what)
-        return np.asarray(value, dtype=float)
     except DomainError as exc:
         raise error(str(exc)) from None
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what} must hold numbers: {exc}") from exc
+    return _array(value, what, error)

@@ -39,6 +39,7 @@ from .errors import (
     DimensionError,
     DomainError,
     OrthochronousError,
+    _array,
     _check_finite,
     _check_int,
     _check_real,
@@ -117,7 +118,7 @@ class HRepresentation:
     _planes: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        gens = np.asarray(self.generators, dtype=float)
+        gens = _array(self.generators, "the generator stack")
         nh = self.algebra.dim_h
         d = _check_square(gens, 1, "the generator stack")
         if gens.shape[:-2] != (nh,):
@@ -156,7 +157,7 @@ class HRepresentation:
         orthogonality; rho that is not a square matrix or a stack of them
         raises DimensionError, and a non-finite entry DomainError.
         """
-        rho = np.asarray(rho, dtype=float)
+        rho = _array(rho, "rho")
         m = _check_square(rho, 0, "rho")
         if m * (m - 1) // 2 != self.algebra.dim_h:
             raise DimensionError(
@@ -213,10 +214,10 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
     rapidity or axis entry, or a |zeta| above _MAX_RAPIDITY, raises
     DomainError.
     """
-    n = np.asarray(axis, dtype=float)
+    n = _array(axis, "axis")
     if n.ndim < 1 or n.shape[-1] != m:
         raise DimensionError(f"axis must have shape (..., {m}), got {n.shape}")
-    zeta = np.asarray(zeta, dtype=float)
+    zeta = _array(zeta, "rapidity")
     _check_finite(zeta, "boost rapidity must be finite", DomainError)
     _check_finite(n, "boost axis must be finite", DomainError)
     # scaling by the power of two at the largest |entry| is exact, so a
@@ -235,7 +236,7 @@ def boost_matrix(m: int, zeta, axis) -> np.ndarray:
 
 def _check_rotation(rho) -> np.ndarray:
     """rho (or a stack) as a float array, validated as SO(m) to 1e-10."""
-    r = np.asarray(rho, dtype=float)
+    r = _array(rho, "rho")
     _check_square(r, 0, "rho")
     # a non-finite or overflowing rho makes the defect NaN or inf, which
     # fails the gate
@@ -298,7 +299,7 @@ def _check_form(g) -> np.ndarray:
     rho's stay O(1), so only rho's determinant keeps its sign at large
     rapidity.
     """
-    g = np.asarray(g, dtype=float)
+    g = _array(g, "g")
     eta = defining_rep_so1m(_check_square(g, 2, "g") - 1).eta
     gt, a = g.swapaxes(-1, -2), np.abs(g)
     # a non-finite or overflowing g makes an excess NaN (inf - inf), which
@@ -330,7 +331,7 @@ class FactoredPair:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", _frozen(self.rho))
+        object.__setattr__(self, "rho", _frozen(self.rho, "rho"))
 
 
 def _split(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +364,7 @@ def factor_boost_rotation(g: np.ndarray) -> FactoredPair:
     where cosh(zeta) = (g e_0)^0; the factor 1/2 matches the doubled boost
     normalization of the generators.
     """
-    g = np.asarray(g, dtype=float)
+    g = _array(g, "g")
     if g.ndim != 2:
         raise DimensionError(f"expected one square matrix, got shape {g.shape}")
     sigma, rho = _split(_check_form(g))
@@ -436,7 +437,7 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
     """
     if hrep is None:
         raise TypeError("induced_action needs a stabilizer representation hrep")
-    g = np.asarray(g, dtype=float)
+    g = _array(g, "g")
     if isinstance(point, CompositeSection):
         if v is not None:
             raise TypeError("a section carries its own vectors: pass v=None")
@@ -464,7 +465,7 @@ def induced_action(g: np.ndarray, point, v=None, hrep: HRepresentation | None = 
 def _check_vector(v, d: int) -> np.ndarray:
     """v as a float vector of shape (d,); a wrong shape or a non-finite entry
     raises DimensionError, as a section's vectors do."""
-    v = np.asarray(v, dtype=float)
+    v = _array(v, "vector")
     if v.shape != (d,):
         raise DimensionError(f"vector must have shape ({d},), got {v.shape}")
     _check_finite(v, "vector has non-finite entries", DimensionError)
@@ -552,7 +553,7 @@ class CompositeSection:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        s, w = _frozen(self.sigma), _frozen(self.v)
+        s, w = _frozen(self.sigma, "sigma"), _frozen(self.v, "v")
         if s.ndim != 2 or w.ndim != 2:
             raise DimensionError(
                 f"sigma and v must be 2-D, got shapes {s.shape} and {w.shape}"
@@ -600,8 +601,8 @@ def section_to_json_dict(section: CompositeSection, xi: np.ndarray | None = None
 def _node_rows(nodes: list, key: str, size: int) -> np.ndarray:
     """The `key` entries of every node as one (N, size) float array.
 
-    Strings and booleans anywhere in them raise DomainError, and so does a
-    node whose entry is missing, not numeric or not `size` long.
+    Strings, booleans and None anywhere in them raise DomainError, and so
+    does a node whose entry is missing, not numeric or not `size` long.
     """
     try:
         raw = [node[key] for node in nodes]
@@ -706,7 +707,7 @@ def _euler(
     non-finite section (DimensionError).  A one-node tail block rides with
     a zero node, so every block is at least two nodes wide.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _array(xi, "xi")
     nh, nf, n = alg.dim_h, alg.dim_f, section.n_nodes
     if xi.shape != (n, nh + nf):
         raise DimensionError(f"xi must have shape ({n}, {nh + nf}), got {xi.shape}")

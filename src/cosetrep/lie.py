@@ -28,6 +28,7 @@ from .errors import (
     ClosureError,
     DimensionError,
     DomainError,
+    _array,
     _check_finite,
     _check_int,
     _check_real,
@@ -69,7 +70,7 @@ class ReductiveAlgebra:
         # made last, so that no table is held twice while the checks run
         names = ("c_hh", "c_ff", "c_fh")
         for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _array(getattr(self, name), name, ClosureError))
         nh = self.c_hh.shape[0]
         nf = self.c_ff.shape[0]
         if self.c_hh.shape != (nh, nh, nh):
@@ -90,7 +91,7 @@ class ReductiveAlgebra:
         if not r <= _JACOBI_TOL:
             raise ClosureError(f"Jacobi identity violated: residual {r:.3e}")
         for name in names:
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
 
     @property
     def dim_h(self) -> int:
@@ -233,7 +234,7 @@ class AlgebraElement:
     f: np.ndarray
 
     def __post_init__(self) -> None:
-        h, f = _frozen(self.h), _frozen(self.f)
+        h, f = _frozen(self.h, "h"), _frozen(self.f, "f")
         if h.shape != (self.algebra.dim_h,) or f.shape != (self.algebra.dim_f,):
             raise DimensionError(
                 f"element needs shapes ({self.algebra.dim_h},), ({self.algebra.dim_f},)"
@@ -288,7 +289,7 @@ class CosetPoint:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        s = _frozen(self.sigma)
+        s = _frozen(self.sigma, "sigma")
         if s.ndim != 1:
             raise DimensionError(f"sigma must be a vector, got shape {s.shape}")
         _check_finite(s, "sigma has non-finite entries", DimensionError)
@@ -419,7 +420,7 @@ def _generator_sum(coords, gens: np.ndarray, what: str) -> np.ndarray:
     coordinate DomainError.  The sum is one (rows, n) x (n, d^2) product,
     also for a single vector.
     """
-    x = np.asarray(coords, dtype=float)
+    x = _array(coords, f"{what} coordinates")
     n, d = gens.shape[:2]
     if x.ndim < 1 or x.shape[-1] != n:
         raise DimensionError(f"expected {n} {what} coordinates, got shape {x.shape}")
@@ -508,10 +509,10 @@ def expm(a) -> np.ndarray:
     Complex or non-finite entries raise DomainError, and so does a result
     that overflows.
     """
-    a = np.asarray(a)
+    a = _array(a, "the exponent", dtype=None)
     if a.dtype.kind == "c":
         raise DomainError("matrix exponential of complex entries")
-    a = a.astype(float, copy=False)
+    a = _array(a, "the exponent")
     _check_square(a, 0, "the exponent")
     flat = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
     norm = np.add.reduce(np.abs(flat), axis=-2).max(axis=-1, initial=0.0)

@@ -27,15 +27,15 @@ batched BLAS for tiny matrices (J. Dongarra et al., "The Design and
 Performance of Batched BLAS on Modern High-Performance Computing Systems",
 ICCS 2017), so every per-node contraction runs across nodes.  The map
 x -> [x, F] sends f to h and h to f; the product of a per-algebra table with
-sigma^T gives its f -> h block to_h, its h -> f block to_f at the structural
-slots (the b whose column c_fh[:, b, d] is not identically zero, m - 1 of
-the m(m-1)/2 for so(1,m)), and the rows of to_h that the product
-S = to_f to_h reads at those slots.  S = ad_F^2 restricted to f drives the
-tower: for an f actor T_2k(X) = S^k X and T_2k+1(X) = [S^k X, F], so the
-core writes u_k = S^k X for k <= order/2 into one stack, contracts that
-stack in one pass with the even weights into dF and with the odd ones into
-a sum in f, and maps that sum to h once (N. J. Higham, Functions of
-Matrices, SIAM 2008, ch. 4, on polynomials in a matrix argument).  The stack holds
+sigma^T gives its f -> h block to_h and its h -> f block to_f at the
+structural slots (the b whose column c_fh[:, b, d] is not identically zero,
+m - 1 of the m(m-1)/2 for so(1,m)).  S = to_f to_h, which gathers the rows
+of to_h at those slots, is ad_F^2 restricted to f and drives the tower: for
+an f actor T_2k(X) = S^k X and T_2k+1(X) = [S^k X, F], so the core writes
+u_k = S^k X for k <= order/2 into one stack, contracts that stack in one
+pass with the even weights into dF and with the odd ones into a sum in f,
+and maps that sum to h once (N. J. Higham, Functions of Matrices, SIAM
+2008, ch. 4, on polynomials in a matrix argument).  The stack holds
 (order/2 + 1) N dim_f floats for N nodes, so the gauge flow runs the core
 on node blocks of fixed size.
 The h actor's field [X_h, F] is summed over the structural slots.
@@ -103,7 +103,7 @@ class InfinitesimalAction:
 
     def __post_init__(self) -> None:
         for name in ("dF", "dI"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
 
 
 def _check_point(alg: ReductiveAlgebra, point: CosetPoint) -> None:
@@ -168,11 +168,10 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """The per-algebra table of :func:`_series`, built once per algebra.
 
     Returns (table, cols).  table @ sigma.T, with sigma of shape
-    (N, dim_f), holds three node-last blocks of x -> [x, F] in its rows:
+    (N, dim_f), holds two node-last blocks of x -> [x, F] in its rows:
 
       (d, a)     to_h[d, a], the f -> h block                 dim_h dim_f rows
       (j, d)     to_f[d, cols[j, d]], the h -> f block        width dim_f rows
-      (j, d, e)  to_h[cols[j, d], e], the rows S reads        width dim_f^2 rows
 
     Slot j of column d of cols (width, dim_f) is the j-th b, in ascending
     order, whose column c_fh[:, b, d] is not identically zero; a d with
@@ -191,9 +190,7 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     to_h = alg.c_ff.transpose(2, 0, 1)
     to_f = -alg.c_fh[:, cols, np.arange(nf)].transpose(1, 2, 0)
     # adding +0.0 turns every -0.0 into +0.0
-    table = 0.0 + np.concatenate(
-        (to_h.reshape(nh * nf, nf), to_f.reshape(width * nf, nf), to_h[cols].reshape(width * nf * nf, nf))
-    )
+    table = 0.0 + np.concatenate((to_h.reshape(nh * nf, nf), to_f.reshape(width * nf, nf)))
     for arr in (table, cols):
         arr.setflags(write=False)
     return table, cols
@@ -212,9 +209,9 @@ def _series_core(
     larger buffer do.  dF and dI are new (dim_f, n) and (dim_h, n) arrays.
     rows are the (2, K) weight rows of :func:`_rows`, which fix the order.
     Every contraction is one einsum that, for each node, sums over its index
-    in ascending order from +0.0; the entries of the table products are
-    single terms for so(1,m).  A node's result therefore depends neither on n nor on the
-    BLAS kernel.
+    in ascending order from +0.0; the entries of the one table product are
+    single terms for so(1,m), and S gathers them.  A node's result therefore
+    depends neither on n nor on the BLAS kernel.
 
     rho is the spectral radius of ad_F at the moving nodes where the
     max-row-sum bound of S reaches pi^2, or 0.0 where no node does: the
@@ -223,22 +220,18 @@ def _series_core(
     """
     nf, nh = alg.dim_f, alg.dim_h
     table, cols = _table(alg)
-    width = len(cols)
-    split = nh * nf, (nh + width) * nf
     # the node count, not -1: a block is empty when dim_h or width is 0
     nodes = sig.shape[1]
-    # a sigma near the float maximum overflows the products; the check on S
-    # below turns that into a DomainError.  The rows only S reads are
-    # multiplied apart, so their product is freed before the tower.
+    # a sigma near the float maximum overflows the product; the check on S
+    # below turns that into a DomainError
     with np.errstate(over="ignore"):
-        blocks = table[: split[1]] @ sig
-        square = (table[split[1] :] @ sig).reshape(width, nf, nf, nodes)
-    to_h = blocks[: split[0]].reshape(nh, nf, nodes)
-    to_f = blocks[split[0] :].reshape(width, nf, nodes)
-    # S = ad_F^2 restricted to f, summed over the structural slots; its
-    # spectral radius is rho(ad_F)^2
-    s = np.einsum("jdn,jden->den", to_f, square)
-    del square
+        blocks = table @ sig
+    to_h = blocks[: nh * nf].reshape(nh, nf, nodes)
+    to_f = blocks[nh * nf :].reshape(len(cols), nf, nodes)
+    # S = ad_F^2 restricted to f, summed over the structural slots, where it
+    # reads to_h[cols] as the h field below reads xh[cols]; its spectral
+    # radius is rho(ad_F)^2
+    s = np.einsum("jdn,jden->den", to_f, to_h[cols])
     rho = _radius(s, sig, xf)
     # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers u_k = S^k X
     # fill one stack, which one pass contracts with the even weights (with 1

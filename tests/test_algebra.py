@@ -418,6 +418,8 @@ def test_constructor_rejects_bad_tensors():
     alg = so1m_algebra(2)
     with pytest.raises(ClosureError):
         ReductiveAlgebra(np.zeros((1, 1)), alg.c_ff, alg.c_fh)
+    with pytest.raises(ClosureError, match="c_hh must hold numbers"):
+        ReductiveAlgebra([[[0.0]], [[0.0, 1.0]]], alg.c_ff, alg.c_fh)
     # breaking antisymmetry of [F,F] must be caught
     c_ff = alg.c_ff.copy()
     c_ff[0, 1, 0] += 1.0
@@ -442,6 +444,8 @@ def test_coset_point_validation():
         CosetPoint(np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         CosetPoint(np.array([np.nan, 0.0]))
+    with pytest.raises(DimensionError, match="sigma must hold numbers"):
+        CosetPoint([[0.1], [0.2, 0.3]])
 
 
 def test_so1m_needs_rotations():
@@ -580,6 +584,7 @@ def test_expm_raises_on_overflow_and_complex_input():
         [np.array(["0.5"])],
         [np.True_],
         "0.5",
+        [0.1, [None]],
     ],
 )
 def test_reject_non_numbers_finds_strings_and_booleans_at_any_depth(field):

@@ -382,6 +382,21 @@ def test_malformed_documents_exit_two(tmp_path, capsys, command, payload):
     assert err.startswith("cosetrep: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("realize", {"sigma": [0.1, None], "xi": {"boost": [1, 0]}}),
+        ("gauge", {"m": 2, "d": 2, "nodes": [{"sigma": [0.1, None], "v": [1, 0], "xi": [0, 0, 0]}]}),
+    ],
+)
+def test_null_is_not_a_number(tmp_path, capsys, command, payload):
+    """numpy reads JSON null as NaN, so a sigma holding it used to exit 2 as
+    a non-finite sigma, which names the wrong fault."""
+    path = _write(tmp_path, "doc.json", payload)
+    assert main([command, "--in", path]) == 2
+    assert "sigma must hold numbers, not strings, booleans or null" in capsys.readouterr().err
+
+
 def test_usage_without_command():
     assert main([]) == 2
 

@@ -78,6 +78,8 @@ def test_boost_axis_validation():
         boost_matrix(2, 0.5, np.zeros(2))
     with pytest.raises(DimensionError):
         boost_matrix(2, 0.5, np.ones(3))
+    with pytest.raises(DimensionError, match="axis must hold numbers"):
+        boost_matrix(2, 0.5, [[1.0], [0.0, 1.0]])
     # a norm past the float range gives no unit axis
     with pytest.raises(DomainError, match="norm inside the float range"):
         boost_matrix(2, 0.5, [1.7e308, 1.7e308])
@@ -1027,7 +1029,9 @@ def test_section_json_round_trip_and_errors():
         section_from_json_dict(bad2)
 
 
-@pytest.mark.parametrize("key, value", [("sigma", ["0.1", 0.2]), ("v", [True, 0.0]), ("xi", [0.1, 0.2, "0.3"])])
+@pytest.mark.parametrize(
+    "key, value", [("sigma", ["0.1", 0.2]), ("v", [True, 0.0]), ("xi", [0.1, 0.2, "0.3"]), ("v", [None, 0.0])]
+)
 def test_section_json_rejects_strings_and_booleans(key, value):
     doc = section_to_json_dict(
         CompositeSection(np.array([[0.1, 0.2], [0.3, 0.4]]), np.eye(2)), np.zeros((2, 3))
@@ -1103,6 +1107,8 @@ def test_gauge_validation():
         gauge_transform_section(
             alg, CompositeSection(np.zeros((2, 2)), np.zeros((2, 3))), np.zeros((2, 3)), 0.1, hrep
         )
+    with pytest.raises(DimensionError, match="xi must hold numbers"):
+        flow_section(alg, section, [[0.0] * 3, [0.0] * 2], 1.0, 2, hrep)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1365,15 +1371,19 @@ def test_series_and_flow_on_a_split_without_f():
         np.testing.assert_allclose(out.v, want, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)])
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3), "ragged"])
 def test_a_malformed_square_stack_raises_dimension_error_at_every_entry(shape):
     """Every public entry that takes square matrices reads them through one
     rule, which raises DimensionError and never numpy's bare ValueError.  A
     single (4, 3) matrix reaches the rule everywhere; a stack or a vector
     meets the one-matrix check of factor_boost_rotation and induced_action
-    first."""
-    bad = np.zeros(shape)
-    rule = r"must be square, of shape \(\.\.\., d, d\) with d >= \d, got \(" if shape == (4, 3) else None
+    first.  A ragged nesting, which numpy cannot read as one array, fails
+    the array conversion that every entry shares."""
+    if shape == "ragged":
+        bad, rule = [[1.0, 0.0], [0.0]], "must hold numbers"
+    else:
+        bad = np.zeros(shape)
+        rule = r"must be square, of shape \(\.\.\., d, d\) with d >= \d, got \(" if shape == (4, 3) else None
     point = CosetPoint(np.zeros(3))
     calls = [
         lie.expm,

@@ -595,15 +595,16 @@ def _signed_zero_nodes(rng, alg, n):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
 def test_core_matches_the_axpy_core_bit_for_bit(m):
     """The node-last core, for both profiles and the plain-l one, gives the
-    bytes of the scalar axpy reference at every node count."""
+    bytes of the scalar axpy reference at every node count, on so(1,m) and
+    on its compact dual, whose S has negative eigenvalues."""
     rng = np.random.default_rng(200 + m)
-    alg = so1m_algebra(m)
-    for n in (1, 3, 1000):
-        sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
-        for order in (1, 2, 11, 61):
-            plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
-            for weights in (_profile(order), plain):
-                _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights)
+    for alg in (so1m_algebra(m), _compact_dual(so1m_algebra(m))):
+        for n in (1, 3, 1000):
+            sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
+            for order in (1, 2, 11, 61):
+                plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
+                for weights in (_profile(order), plain):
+                    _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights)
 
 
 def test_core_pads_rows_with_fewer_structural_nonzeros():
