@@ -80,13 +80,18 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(x, axis=-1, keepdims=True, initial=0.0)
 
 
-def _array(x, what: str, error: type[Exception] = DimensionError, dtype=float) -> np.ndarray:
-    """x as an array of dtype, not copied when it is one.  What numpy cannot
-    read as one such array, such as a ragged nesting, raises error naming `what`."""
+def _array(x, what: str, error: type[Exception] = DimensionError) -> np.ndarray:
+    """x as a float array, not copied when it is one.  Complex input raises
+    DomainError, since a cast to float would drop its imaginary parts; what
+    numpy cannot read as one float array, such as a ragged nesting, raises
+    error naming `what`."""
     try:
-        return np.asarray(x, dtype=dtype)
+        arr = x if isinstance(x, np.ndarray) else np.asarray(x)
+        if arr.dtype.kind != "c":
+            return np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must hold numbers: {exc}") from exc
+    raise DomainError(f"{what} must be real, got complex entries")
 
 
 def _frozen(x, what: str = "the array") -> np.ndarray:

@@ -93,9 +93,10 @@ _MAX_RAPIDITY = 354.0
 _RAPIDITY_REASON = "the largest for which the matrix and its form check stay finite"
 # log of the largest float: a |det rho| past it overflows
 _LOG_MAX = math.log(np.finfo(float).max)
-# nodes per block of the gauge flow: a step's temporaries hold about 60
-# floats per node of a block at m=3 and 800 at m=8 (13 MB), so past its
-# node-last buffer a flow's memory does not grow with the section
+# nodes per block of the gauge flow: a step's temporaries hold about 54
+# floats per node of a block at m=3 and 470 at m=8 (7.7 MB; tracemalloc
+# peaks of a vector-rep flow), so past its node-last buffers a flow's memory
+# does not grow with the section
 _BLOCK = 2048
 
 
@@ -694,17 +695,18 @@ def _euler(
     hrep: HRepresentation,
     order: int,
 ) -> CompositeSection:
-    """`steps` Euler steps of size eps, on one node-last buffer.
+    """`steps` Euler steps of size eps, on node-last buffers.
 
-    The inputs are checked once.  xi, sigma and v are rows of one buffer
-    whose last index is the node; each step runs the series core and the
-    compensator core on fixed blocks of _BLOCK nodes and updates sigma and
-    v in place, so the temporaries are bounded by the block.  Every node
-    takes a step before any node takes the next, and a step raises only
-    once all its blocks are done, with the error the whole section would
-    give: an overflowing ad_F^2 at the first such node, then an f actor past
-    the series radius with the largest rho(ad_F) of the step, then a
-    non-finite section (DimensionError).  A one-node tail block rides with
+    The inputs are checked once.  xi is copied to the rows of one buffer and
+    sigma and v to the rows of another, whose last index is the node; each
+    step runs the series core and the compensator core on fixed blocks of
+    _BLOCK nodes and updates sigma and v in place, so the temporaries are
+    bounded by the block, and the copy of xi is freed before the output is
+    built.  Every node takes a step before any node takes the next, and a
+    step raises only once all its blocks are done, with the error the whole
+    section would give: an overflowing ad_F^2 at the first such node, then
+    an f actor past the series radius with the largest rho(ad_F) of the
+    step, then a non-finite section (DimensionError).  A one-node tail block rides with
     a zero node, so every block is at least two nodes wide.
     """
     xi = _array(xi, "xi")
@@ -721,26 +723,31 @@ def _euler(
         )
     rows = _weights(order)
     _check_compensator(hrep, nh)
-    # rows: xi_h, xi_f, then the state sigma and v, which the steps update
-    x = np.zeros((nh + 2 * nf + hrep.d, n + (n % _BLOCK == 1)))
-    np.concatenate((xi.T, section.sigma.T, section.v.T), out=x[:, :n])
-    state = nh + nf
+    width = n + (n % _BLOCK == 1)
+    # rows xi_h, xi_f; the generator's copy is freed before the output is built
+    gen = np.zeros((nh + nf, width))
+    gen[:, :n] = xi.T
+    # rows sigma, v: the state, which the steps update
+    x = np.zeros((nf + hrep.d, width))
+    np.concatenate((section.sigma.T, section.v.T), out=x[:, :n])
     # an overflowing update reads as a non-finite section below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             rho, finite = 0.0, True
-            for lo in range(0, x.shape[1], _BLOCK):
-                block = x[:, lo : lo + _BLOCK]
-                sig, v = block[state : state + nf], block[state + nf :]
-                dF, dI, r = _series_core(alg, sig, block[:nh], block[nh:state], rows)
+            for lo in range(0, width, _BLOCK):
+                hi = lo + _BLOCK
+                block = x[:, lo:hi]
+                sig, v = block[:nf], block[nf:]
+                dF, dI, r = _series_core(alg, sig, gen[:nh, lo:hi], gen[nh:, lo:hi], rows)
                 dv = _compensator_core(hrep, dI, v)
                 dF *= eps
                 sig += dF
                 dv *= eps
                 v += dv
                 rho = max(rho, r)
-                finite = finite and bool(np.isfinite(block[state:]).all())
+                finite = finite and bool(np.isfinite(block).all())
             _check_radius(rho)
             if not finite:
                 raise DimensionError("section has non-finite entries")
-    return CompositeSection(x[state : state + nf, :n].T, x[state + nf :, :n].T)
+    del gen
+    return CompositeSection(x[:nf, :n].T, x[nf:, :n].T)

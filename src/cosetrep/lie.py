@@ -509,9 +509,6 @@ def expm(a) -> np.ndarray:
     Complex or non-finite entries raise DomainError, and so does a result
     that overflows.
     """
-    a = _array(a, "the exponent", dtype=None)
-    if a.dtype.kind == "c":
-        raise DomainError("matrix exponential of complex entries")
     a = _array(a, "the exponent")
     _check_square(a, 0, "the exponent")
     flat = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])

@@ -29,33 +29,48 @@ ICCS 2017), so every per-node contraction runs across nodes.  The map
 x -> [x, F] sends f to h and h to f; the product of a per-algebra table with
 sigma^T gives its f -> h block to_h and its h -> f block to_f at the
 structural slots (the b whose column c_fh[:, b, d] is not identically zero,
-m - 1 of the m(m-1)/2 for so(1,m)).  S = to_f to_h, which gathers the rows
-of to_h at those slots, is ad_F^2 restricted to f and drives the tower: for
-an f actor T_2k(X) = S^k X and T_2k+1(X) = [S^k X, F], so the core writes
-u_k = S^k X for k <= order/2 into one stack, contracts that stack in one
-pass with the even weights into dF and with the odd ones into a sum in f,
-and maps that sum to h once (N. J. Higham, Functions of Matrices, SIAM
-2008, ch. 4, on polynomials in a matrix argument).  The stack holds
-(order/2 + 1) N dim_f floats for N nodes, so the gauge flow runs the core
-on node blocks of fixed size.
-The h actor's field [X_h, F] is summed over the structural slots.
+m - 1 of the m(m-1)/2 for so(1,m)).  S = to_f to_h, ad_F^2 restricted to f,
+drives the series: for an f actor T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X.
 
-Summation order: S, each power of the tower, the weight contraction, the
-to_h map of the odd sum and the h field are each one einsum whose
-reduction index is never the contiguous axis.  Each of them sums, for every
-node, over its index in ascending order from +0.0, so an exact zero never
-comes out as -0.0.  The node axis is at least 2 wide, so a single node takes
-the same einsum kernel as a batch, and a node's result is the same for every
-N and in every block of a larger buffer.  For so(1,m) every entry of that
-product is a single signed sigma^a, so no sum runs through a BLAS kernel: the
-result is the same under every OpenBLAS kernel.
+On so(1,m) S has only the eigenvalues 0 (once) and lambda = 4|sigma|^2, so
+S^k X = lambda^(k-1) S X (Lagrange-Sylvester interpolation on two points,
+N. J. Higham, Functions of Matrices, SIAM 2008, sec. 1.2), and so on any
+algebra whose S is two-point in this way, which the table is tested for
+once per algebra (its compact dual has lambda = -4|sigma|^2).  There the
+core never forms S: it reads lambda = tr S / (dim_f - 1) from the rows of
+the table product that hold the diagonal of S, makes one S X, and
+evaluates the two weight rows as polynomials in lambda per node, so that
+dF = X + P_e(lambda) S X and the odd sum is w_1 X + P_o(lambda) S X; the
+work per node grows with the order only through the powers of lambda.
+Every other algebra (a direct sum of two such algebras, say) takes the
+power tower: the core gathers S from the rows of to_h, writes
+u_k = S^k X for k <= order/2 into one stack and contracts that stack in
+one pass with the even weights into dF and with the odd ones into a sum in
+f (Higham, ch. 4, on polynomials in a matrix argument).  That stack holds
+(order/2 + 1) N dim_f floats for N nodes, so the gauge flow runs the core
+on node blocks of fixed size.  Either way the odd sum is mapped to h once,
+and the h actor's field [X_h, F] is summed over the structural slots.
+
+Summation order: every contraction (S or tr S and S X, each power of the
+tower, the weight contraction or the polynomials, the to_h map of the odd
+sum and the h field) is one einsum whose reduction index is never the
+contiguous axis, or a sum over the leading axis of a node-last array.
+Each of them sums, for every node, over its index in ascending order from
++0.0 (the leading-axis sum from its first term), so an exact zero never
+comes out as -0.0.  The node axis is at least 2 wide, so a single node
+takes the same einsum kernel as a batch, and a node's result is the same
+for every N and in every block of a larger buffer.  For so(1,m) every entry
+of the table product is a single signed sigma^a, so no sum runs through a
+BLAS kernel: the result is the same under every OpenBLAS kernel.
 
 The series converges while rho(S) = rho(ad_F)^2 stays below pi^2; an f
-actor at or past that radius raises DomainError.  :func:`realize` is the
-single-point entry and :func:`_series` packs (N, dim) rows for the core;
-the gauge flow of :mod:`cosetrep.induced` calls the core on fixed node
-blocks of its own node-last buffer, and the verify suite feeds it the
-report-only plain-l profile.
+actor at or past that radius raises DomainError.  On a two-point algebra
+rho(S) is |lambda|; on any other the max-row-sum bound of S picks the
+nodes whose eigenvalues are computed.  :func:`realize` is the single-point
+entry and :func:`_series` packs (N, dim) rows for the core; the gauge flow
+of :mod:`cosetrep.induced` calls the core on fixed node blocks of its own
+node-last buffer, and the verify suite feeds it the report-only plain-l
+profile.
 
 For so(1,m) the resummed field has the closed form of
 :func:`so1m_closed_field`.
@@ -88,6 +103,12 @@ DEFAULT_ORDER = 11
 _SMALL = 1e-6
 # largest |sigma| of so1m_closed_field, whose square (with room to round) stays finite
 _MAX_SQUARABLE = math.sqrt(np.finfo(float).max / 2.0)
+# the series converges while rho(S) = rho(ad_F)^2 stays below this
+_RADIUS2 = math.pi**2
+# up to this many nodes the core takes the powers of lambda in one
+# accumulate pass, whose cost grows with the node count; past it, in one
+# multiply per power
+_NARROW = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +185,10 @@ def _weights(order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
+def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The per-algebra table of :func:`_series`, built once per algebra.
 
-    Returns (table, cols).  table @ sigma.T, with sigma of shape
+    Returns (table, cols, diag).  table @ sigma.T, with sigma of shape
     (N, dim_f), holds two node-last blocks of x -> [x, F] in its rows:
 
       (d, a)     to_h[d, a], the f -> h block                 dim_h dim_f rows
@@ -178,8 +199,12 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     fewer such b pads with a b whose column is zero, so its extra slots hold
     an exact zero.  No entry is -0.0.  For so(1,m) each row has one nonzero,
     +-1 or +-4, so each entry of the product is a single signed sigma^a
-    times a power of two: exact on every BLAS kernel.  The cache is
-    bounded: it holds its algebras.
+    times a power of two: exact on every BLAS kernel.
+
+    diag (width, dim_f) holds the rows to_h[cols[j, d], d] of the product,
+    whose products with to_f[d, cols[j, d]] sum to the diagonal of S, where
+    the algebra is two-point (see :func:`_two_point`), and is None where it
+    is not.  The cache is bounded: it holds its algebras.
     """
     nf, nh = alg.dim_f, alg.dim_h
     pattern = (alg.c_fh != 0.0).any(axis=0).T
@@ -191,9 +216,37 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray]:
     to_f = -alg.c_fh[:, cols, np.arange(nf)].transpose(1, 2, 0)
     # adding +0.0 turns every -0.0 into +0.0
     table = 0.0 + np.concatenate((to_h.reshape(nh * nf, nf), to_f.reshape(width * nf, nf)))
-    for arr in (table, cols):
-        arr.setflags(write=False)
-    return table, cols
+    diag = cols * nf + np.arange(nf) if _two_point(table, cols, nf, nh) else None
+    for arr in (table, cols, diag):
+        if arr is not None:
+            arr.setflags(write=False)
+    return table, cols, diag
+
+
+def _two_point(table: np.ndarray, cols: np.ndarray, nf: int, nh: int) -> bool:
+    """Whether S = ad_F^2 on f has at most the eigenvalues 0 and
+    lambda = tr S / (dim_f - 1), with S^2 = lambda S, at every sigma.
+
+    Then S^k X = lambda^(k-1) S X for k >= 1 (Lagrange-Sylvester
+    interpolation on the two points; N. J. Higham, Functions of Matrices,
+    SIAM 2008, sec. 1.2), and the core evaluates the series as two
+    polynomials in lambda.  S is quadratic in sigma, so S^2 - lambda S is a
+    polynomial in sigma: it is tested, to rounding, at three fixed points
+    read through the table alone.  so(1,m) (lambda = 4|sigma|^2) and its
+    compact dual (lambda = -4|sigma|^2) are two-point; a direct sum of two
+    such algebras is not.
+    """
+    if nf < 2:
+        return False
+    # three points with distinct, nonzero, incommensurate coordinates
+    probe = np.sin(np.arange(1.0, 3 * nf + 1)).reshape(nf, 3)
+    blocks = table @ probe
+    to_h = blocks[: nh * nf].reshape(nh, nf, 3)
+    to_f = blocks[nh * nf :].reshape(len(cols), nf, 3)
+    s = np.einsum("jdn,jden->nde", to_f, to_h[cols])
+    lam = np.einsum("ndd->n", s) / (nf - 1)
+    defect = np.einsum("nde,nef->ndf", s, s) - lam[:, None, None] * s
+    return bool(np.abs(defect).max() <= 1e-12 * np.abs(s).max() ** 2)
 
 
 def _series_core(
@@ -210,38 +263,28 @@ def _series_core(
     rows are the (2, K) weight rows of :func:`_rows`, which fix the order.
     Every contraction is one einsum that, for each node, sums over its index
     in ascending order from +0.0; the entries of the one table product are
-    single terms for so(1,m), and S gathers them.  A node's result therefore
-    depends neither on n nor on the BLAS kernel.
+    single terms for so(1,m), and S, S X and tr S gather them.  A node's
+    result therefore depends neither on n nor on the BLAS kernel.
 
-    rho is the spectral radius of ad_F at the moving nodes where the
-    max-row-sum bound of S reaches pi^2, or 0.0 where no node does: the
-    caller raises with :func:`_check_radius`, after the blocks of a step.
-    A |sigma| so large that ad_F^2 overflows raises DomainError here.
+    rho is the spectral radius of ad_F at the moving nodes that may lie at
+    or past the series radius, or 0.0 where no node does: the caller raises
+    with :func:`_check_radius`, after the blocks of a step.  A |sigma| so
+    large that ad_F^2 overflows raises DomainError here.
     """
     nf, nh = alg.dim_f, alg.dim_h
-    table, cols = _table(alg)
+    table, cols, diag = _table(alg)
     # the node count, not -1: a block is empty when dim_h or width is 0
     nodes = sig.shape[1]
     # a sigma near the float maximum overflows the product; the check on S
-    # below turns that into a DomainError
+    # or lambda below turns that into a DomainError
     with np.errstate(over="ignore"):
         blocks = table @ sig
     to_h = blocks[: nh * nf].reshape(nh, nf, nodes)
     to_f = blocks[nh * nf :].reshape(len(cols), nf, nodes)
-    # S = ad_F^2 restricted to f, summed over the structural slots, where it
-    # reads to_h[cols] as the h field below reads xh[cols]; its spectral
-    # radius is rho(ad_F)^2
-    s = np.einsum("jdn,jden->den", to_f, to_h[cols])
-    rho = _radius(s, sig, xf)
-    # T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers u_k = S^k X
-    # fill one stack, which one pass contracts with the even weights (with 1
-    # for u_0 = X) and the odd ones; a zero weight closing the odd row adds
-    # an exact zero.  The odd sum is mapped to h once.
-    u = np.empty((rows.shape[1],) + xf.shape)
-    u[0] = xf
-    for k in range(1, len(u)):
-        np.einsum("dan,an->dn", s, u[k - 1], out=u[k])
-    dF, odd = np.einsum("pk,kdn->pdn", rows, u)
+    if diag is None:
+        dF, odd, rho = _tower(to_h, to_f, cols, sig, xf, rows)
+    else:
+        dF, odd, rho = _polynomial(to_h, to_f, cols, blocks[diag], sig, xf, rows)
     dI = np.einsum("dan,an->dn", to_h, odd)
     dI += xh
     # every l_{2k-1} past l_1 vanishes, so the h actor's field is
@@ -251,6 +294,81 @@ def _series_core(
     # zero, which leaves a sum started from +0.0 unchanged.
     dF += np.einsum("jdn,jdn->dn", to_f, xh[cols])
     return dF, dI, rho
+
+
+def _tower(to_h, to_f, cols, sig, xf, rows):
+    """(dF, odd, rho) of the f actor by the power tower of S, on any algebra.
+
+    S = ad_F^2 restricted to f is summed over the structural slots, where it
+    reads to_h[cols] as the h field reads xh[cols]; its spectral radius is
+    rho(ad_F)^2.  T_2k(X) = S^k X and T_2k+1(X) = to_h S^k X: the powers
+    u_k = S^k X fill one stack, which one pass contracts with the even
+    weights (with 1 for u_0 = X) and the odd ones; a zero weight closing the
+    odd row adds an exact zero.  odd is the f sum that dI maps to h.
+    """
+    s = np.einsum("jdn,jden->den", to_f, to_h[cols])
+    rho = _radius(s, sig, xf)
+    u = np.empty((rows.shape[1],) + xf.shape)
+    u[0] = xf
+    for k in range(1, len(u)):
+        np.einsum("dan,an->dn", s, u[k - 1], out=u[k])
+    dF, odd = np.einsum("pk,kdn->pdn", rows, u)
+    return dF, odd, rho
+
+
+def _polynomial(to_h, to_f, cols, to_h_diag, sig, xf, rows):
+    """(dF, odd, rho) of the f actor on a two-point algebra, with S never formed.
+
+    S^k X = lambda^(k-1) S X, so dF = P_e(lambda) S X + X and
+    odd = P_o(lambda) S X + w_1 X, with P_p(lambda) = sum_{k>=1} rows[p, k]
+    lambda^(k-1).  lambda = tr S / (dim_f - 1) sums the diagonal of S, each
+    entry over the slots j as S would (to_h_diag holds the rows it reads),
+    then over d.  S X = to_f (to_h X)[cols] sums over a, then over j.  The
+    powers of lambda are a running product from 1.0, taken at lambda
+    clamped to [-pi^2, pi^2]: a moving node past that raises anyway, and a
+    resting one multiplies the finite polynomial by S X = 0.
+    """
+    nodes = sig.shape[1]
+    lam = np.einsum("jdn,jdn->dn", to_f, to_h_diag).sum(axis=0)
+    lam /= len(xf) - 1
+    rho = _lambda_radius(lam, sig, xf)
+    powers = np.empty((rows.shape[1] - 1, nodes))
+    powers[:1] = 1.0
+    if nodes <= _NARROW:
+        powers[1:] = lam
+        np.multiply.accumulate(powers, axis=0, out=powers)
+    else:
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], lam, out=powers[k])
+    p_e, p_o = np.einsum("pk,kn->pn", rows[:, 1:], powers)
+    sx = np.einsum("jdn,jdn->dn", to_f, np.einsum("dan,an->dn", to_h, xf)[cols])
+    dF = p_e * sx
+    dF += xf
+    odd = p_o * sx
+    odd += rows[1, 0] * xf
+    return dF, odd, rho
+
+
+def _lambda_radius(lam: np.ndarray, sig: np.ndarray, xf: np.ndarray) -> float:
+    """rho(ad_F) = sqrt|lambda| at the moving nodes where |lambda| reaches
+    pi^2, or 0.0 where none does; past pi^2 lambda is clamped in place.  An
+    overflowing lambda raises DomainError, naming the first such node, as
+    :func:`_radius` does for S."""
+    size = np.abs(lam)
+    if size.max(initial=0.0) < _RADIUS2:
+        return 0.0
+    _check_overflow(np.isfinite(size), sig)
+    np.clip(lam, -_RADIUS2, _RADIUS2, out=lam)
+    moving = np.abs(xf).max(axis=0, initial=0.0) > 0.0
+    return math.sqrt(float(size[moving & (size >= _RADIUS2)].max(initial=0.0)))
+
+
+def _check_overflow(finite: np.ndarray, sig: np.ndarray) -> None:
+    """Raise DomainError naming the first node whose ad_F^2 is not finite."""
+    if not finite.all():
+        with np.errstate(over="ignore"):
+            size = _norm(sig[:, np.argmin(finite)])[0]
+        raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
 
 
 def _radius(s: np.ndarray, sig: np.ndarray, xf: np.ndarray) -> float:
@@ -263,15 +381,11 @@ def _radius(s: np.ndarray, sig: np.ndarray, xf: np.ndarray) -> float:
     raises DomainError, naming the first such node.
     """
     row_sums = np.abs(s).sum(axis=1)
-    if row_sums.max(initial=0.0) < math.pi**2:
+    if row_sums.max(initial=0.0) < _RADIUS2:
         return 0.0
-    finite = np.isfinite(row_sums).all(axis=0)
-    if not finite.all():
-        with np.errstate(over="ignore"):
-            size = _norm(sig[:, np.argmin(finite)])[0]
-        raise DomainError(f"|sigma| = {size:.6g} is too large: ad_F^2 overflows")
+    _check_overflow(np.isfinite(row_sums).all(axis=0), sig)
     moving = np.abs(xf).max(axis=0, initial=0.0) > 0.0
-    near = s[:, :, moving & (row_sums.max(axis=0) >= math.pi**2)].transpose(2, 0, 1)
+    near = s[:, :, moving & (row_sums.max(axis=0) >= _RADIUS2)].transpose(2, 0, 1)
     return math.sqrt(float(np.abs(np.linalg.eigvals(near)).max(initial=0.0)))
 
 

@@ -18,7 +18,8 @@ import cosetrep
 # None leaves OPENBLAS_CORETYPE unset, so OpenBLAS picks the CPU's kernel
 _KERNELS = (None, "Haswell", "Nehalem", "Sandybridge")
 
-# prints the sha256 of the outputs of _series on so(1,m), of
+# prints the sha256 of the outputs of _series on so(1,m) (the two-point
+# path) and on so(1,2) (+) so(1,3) (the power tower), of
 # _compensator_action in the vector and spinor reps, of flow_section on a
 # vector m=3 and a spinor m=5 section one block and three nodes long, and of
 # the slot arm's
@@ -51,6 +52,21 @@ for m in (3, 5, 8, 9, 10):
         for order in (11, 61):
             for out in _series(alg, sigma, xh, xf, _weights(order)):
                 digest.update(out.tobytes())
+# so(1,2) (+) so(1,3), whose S is not two-point: the core's power tower
+one, two = so1m_algebra(2), so1m_algebra(3)
+c_hh, c_ff, c_fh = np.zeros((4, 4, 4)), np.zeros((5, 5, 4)), np.zeros((5, 4, 5))
+c_hh[:1, :1, :1], c_hh[1:, 1:, 1:] = one.c_hh, two.c_hh
+c_ff[:2, :2, :1], c_ff[2:, 2:, 1:] = one.c_ff, two.c_ff
+c_fh[:2, :1, :2], c_fh[2:, 1:, 2:] = one.c_fh, two.c_fh
+alg = lie.ReductiveAlgebra(c_hh, c_ff, c_fh)
+rng = np.random.default_rng(5)
+for n in (1, 1000):
+    sigma = rng.uniform(-0.3, 0.3, (n, 5))
+    xh = rng.uniform(-1.0, 1.0, (n, 4))
+    xf = rng.uniform(-1.0, 1.0, (n, 5))
+    for order in (11, 61):
+        for out in _series(alg, sigma, xh, xf, _weights(order)):
+            digest.update(out.tobytes())
 for m in (3, 5):
     for hrep in (vector_hrep(m), spinor_hrep(m)):
         rng = np.random.default_rng(100 + m)

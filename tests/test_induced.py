@@ -19,6 +19,7 @@ from cosetrep.errors import (
     OrthochronousError,
 )
 from cosetrep import induced, lie
+from cosetrep.clifford import CliffordSpace, Multivector, exp_vector
 from cosetrep.induced import (
     CompositeSection,
     FactoredPair,
@@ -1455,3 +1456,66 @@ def test_orientation_check_raises_where_det_rho_overflows():
         assert 0 < raised < len(axes)
         with pytest.raises(DomainError, match=r"log \|det rho\| = .* exceeds .* det rho overflows"):
             induced_action(np.eye(4), CosetPoint([111.1, 81.2, -59.8]), np.ones(3), vector_hrep(3))
+
+
+def _complex_input_calls():
+    """{entry: (real template, call)} for every public entry that reads numbers."""
+    alg = so1m_algebra(3)
+    point = CosetPoint(np.full(3, 0.1))
+    section = CompositeSection(np.full((2, 3), 0.1), np.ones((2, 3)))
+    space = CliffordSpace(3)
+    table = {"dim_h": 3, "dim_f": 3, "c_hh": alg.c_hh.tolist(), "c_fh": alg.c_fh.tolist()}
+    return {
+        "CosetPoint": (np.full(3, 0.1), CosetPoint),
+        "AlgebraElement": (np.zeros(3), lambda x: alg.element(h=x)),
+        "ReductiveAlgebra": (alg.c_ff, lambda x: ReductiveAlgebra(alg.c_hh, x, alg.c_fh)),
+        "algebra_from_json_dict": (alg.c_ff, lambda x: lie.algebra_from_json_dict({**table, "c_ff": x})),
+        "expm": (np.zeros((2, 2)), lie.expm),
+        "DefiningRep.matrix": (np.zeros(6), defining_rep_so1m(3).matrix),
+        "HRepresentation": (vector_hrep(3).generators, lambda x: HRepresentation(alg, x)),
+        "HRepresentation.matrix": (np.zeros(3), vector_hrep(3).matrix),
+        "HRepresentation.exp": (np.zeros(3), spinor_hrep(3).exp),
+        "HRepresentation.lift": (np.eye(3), spinor_hrep(3).lift),
+        "boost_matrix zeta": (np.float64(0.1), lambda x: boost_matrix(3, x, [1.0, 0.0, 0.0])),
+        "boost_matrix axis": (np.array([1.0, 0.0, 0.0]), lambda x: boost_matrix(3, 0.1, x)),
+        "rotation_embed": (np.eye(3), lambda x: rotation_embed(3, x)),
+        "rotation_log_coords": (np.eye(3), rotation_log_coords),
+        "factor_boost_rotation": (np.eye(4), factor_boost_rotation),
+        "FactoredPair": (np.eye(3), lambda x: FactoredPair(CosetPoint(np.zeros(3)), x)),
+        "induced_action g": (np.eye(4), lambda x: induced_action(x, point, np.ones(3), vector_hrep(3))),
+        "induced_action v": (np.ones(3), lambda x: induced_action(np.eye(4), point, x, vector_hrep(3))),
+        "infinitesimal_action": (
+            np.ones(3),
+            lambda x: infinitesimal_action(alg, alg.f_basis(0), point, x, vector_hrep(3)),
+        ),
+        "group_from_spec": (np.array([0.1, 0.0, 0.0]), lambda x: group_from_spec(3, boost=x)),
+        "CompositeSection": (np.full((2, 3), 0.1), lambda x: CompositeSection(x, np.ones((2, 3)))),
+        "section_from_json_dict": (
+            np.full(3, 0.1),
+            lambda x: section_from_json_dict({"m": 3, "d": 3, "nodes": [{"sigma": x, "v": [1.0] * 3}]}),
+        ),
+        "gauge_transform_section": (
+            np.zeros((2, 6)),
+            lambda x: gauge_transform_section(alg, section, x, 0.1, vector_hrep(3)),
+        ),
+        "flow_section xi": (np.zeros((2, 6)), lambda x: flow_section(alg, section, x, 1.0, 1, vector_hrep(3))),
+        "Multivector.vector": (np.full(3, 0.1), lambda x: Multivector.vector(space, x)),
+        "exp_vector": (np.full(3, 0.1), lambda x: exp_vector(space, x)),
+        "InfinitesimalAction": (np.zeros(3), lambda x: InfinitesimalAction(x, np.zeros(3))),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["array", "list"])
+@pytest.mark.parametrize("entry", sorted(_complex_input_calls()))
+def test_complex_input_raises_a_domain_error(entry, form):
+    """A complex array used to lose its imaginary part with only numpy's
+    ComplexWarning (CosetPoint(np.array([0.1 + 1j, 0.2])).sigma was
+    [0.1, 0.2]), and a complex list raised DimensionError.  Both now raise
+    DomainError at every entry, the template itself being accepted."""
+    template, call = _complex_input_calls()[entry]
+    call(template)
+    z = np.array(template, dtype=complex)
+    z.flat[0] += 1j
+    with pytest.raises(DomainError, match="must be real, got complex entries"):
+        call(z if form == "array" else z.tolist())

@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from cosetrep import series
 from cosetrep.coeffs import l_coeffs
 from cosetrep.errors import DimensionError, DomainError
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
     _rows,
     _series,
+    _table,
     _weights,
     even_bracket_weights,
     odd_bracket_weights,
@@ -139,15 +141,19 @@ def test_huge_sigma_raises_a_domain_error():
         _series(alg, sigma, xh, np.zeros((3, 3)), _weights(11))
 
 
+@pytest.mark.filterwarnings("error")
 def test_large_finite_sigma_keeps_the_rotation_field():
-    """Below the overflow the rotation actor's field is still [X, F]."""
+    """Below the overflow the rotation actor's field is still [X, F], at
+    every order: lambda = 4|sigma|^2 is finite, but its powers would
+    overflow, where the tower multiplied S^k by the zero f actor."""
     alg = so1m_algebra(3)
     point = CosetPoint(np.array([1e150, -2e150, 0.5e150]))
     xi = alg.element(h=[0.5, -1.0, 0.25])
-    act = realize(alg, xi, point)
     want = bracket(xi, alg.element(f=point.sigma))
-    np.testing.assert_array_equal(act.dF, want.f)
-    np.testing.assert_array_equal(act.dI, xi.h)
+    for order in (1, 2, 11, 61):
+        act = realize(alg, xi, point, order)
+        np.testing.assert_array_equal(act.dF, want.f)
+        np.testing.assert_array_equal(act.dI, xi.h)
 
 
 def test_origin_is_trivial():
@@ -355,22 +361,27 @@ def _bracket_tower_profile(alg, actor, point, order):
 
 
 def test_printed_profile_matches_the_bracket_tower():
-    """The reported plain-l profile goes through the batched core; it equals
-    the element-by-element bracket tower bit for bit at the points the verify
-    report uses, and to rounding at larger m."""
+    """The reported plain-l profile goes through the batched core; at the
+    points the verify report uses (m = 2, 3) it gives the bytes of the scalar
+    two-point reference, and at every m it equals the element-by-element
+    bracket tower to rounding."""
     sig = np.array([0.31, -0.12, 0.21, -0.05, 0.17])
-    for m, atol in ((2, 0.0), (3, 0.0), (4, 1e-14), (5, 1e-14)):
+    order = 17
+    plain = {n: float(l_coeffs(order).l(n)) for n in range(1, order + 1)}
+    for m in (2, 3, 4, 5):
         alg = so1m_algebra(m)
         point = CosetPoint(sig[:m])
         actor = alg.f_basis(min(1, m - 1))
-        df, di = _printed_profile_action(alg, actor, point, order=17)
-        df_ref, di_ref = _bracket_tower_profile(alg, actor, point, order=17)
-        if atol == 0.0:
-            np.testing.assert_array_equal(df, df_ref)
-            np.testing.assert_array_equal(di, di_ref)
-        else:
-            np.testing.assert_allclose(df, df_ref, rtol=0.0, atol=atol)
-            np.testing.assert_allclose(di, di_ref, rtol=0.0, atol=atol)
+        df, di = _printed_profile_action(alg, actor, point, order=order)
+        if m <= 3:
+            ref_f, ref_h = _scalar_two_point_core(alg, sig[None, :m], actor.h[None], actor.f[None], plain)
+            # the drift is the field of the h actor dI, realized at order 1
+            drift, _ = _scalar_two_point_core(alg, sig[None, :m], ref_h, np.zeros((1, m)), _profile(1))
+            assert df.tobytes() == (ref_f[0] + plain[1] * drift[0]).tobytes()
+            assert di.tobytes() == ref_h[0].tobytes()
+        df_ref, di_ref = _bracket_tower_profile(alg, actor, point, order=order)
+        np.testing.assert_allclose(df, df_ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(di, di_ref, rtol=0.0, atol=1e-14)
 
 
 def test_action_arrays_read_only():
@@ -464,6 +475,29 @@ def test_s_tower_matches_the_alternating_tower(m, dual):
                     assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("dual", [False, True])
+def test_two_point_path_matches_the_power_tower(m, dual, monkeypatch):
+    """The polynomial in lambda against the core's own S tower on a copy of
+    the algebra whose table is built as not two-point: both profiles at
+    orders 1, 2, 11 and 61, 1000 nodes up to |sigma| = 1.5, just inside the
+    radius pi/2, within 16 ulp of the largest entry."""
+    alg = _compact_dual(so1m_algebra(m)) if dual else so1m_algebra(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_two_point", lambda *args: False)
+        tower = ReductiveAlgebra(alg.c_hh, alg.c_ff, alg.c_fh)
+        assert _table(tower)[2] is None
+    assert _table(alg)[2] is not None
+    rng = np.random.default_rng(50 + 10 * m + dual)
+    for radius in (0.6, 1.5):
+        sigma, xh, xf = _nodes(rng, alg, 1000, radius)
+        for order in (1, 2, 11, 61):
+            got = _series(alg, sigma, xh, xf, _weights(order))
+            want = _series(tower, sigma, xh, xf, _weights(order))
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 16 * np.finfo(float).eps * np.abs(w).max()
+
+
 def test_compact_dual_radius():
     """On the compact dual S has eigenvalue -4|sigma|^2, so the radius is
     still |sigma| = pi/2; both cores raise on the same side of it."""
@@ -528,42 +562,81 @@ def test_batched_h_field_is_the_bracket(m):
 # the node-last core against a scalar reference, byte for byte
 # ---------------------------------------------------------------------------
 
-def _scalar_core(alg, sigma, xh, xf, weights):
-    """The core's contract, one node at a time in Python floats: every
-    contraction is an axpy loop over its full index range, in ascending
-    order, from +0.0.  There is no radius check."""
+def _dot(row, vec):
+    """sum_i row[i] vec[i] in Python floats, ascending, from +0.0."""
+    total = 0.0
+    for r, v in zip(row, vec):
+        total += r * v
+    return total
+
+
+def _scalar_nodes(alg, sigma, xh, xf):
+    """Per node: (h, f, to_h, to_f, sq), the actors, the two blocks of
+    x -> [x, F] and S = to_f to_h, each entry an axpy loop over its full
+    index range."""
     nf, nh = alg.dim_f, alg.dim_h
     c_ff, c_fh = alg.c_ff.tolist(), alg.c_fh.tolist()
+    for s, h, f in zip(sigma.tolist(), xh.tolist(), xf.tolist()):
+        # to_h[d][a] = sum_b c_ff[a, b, d] sigma^b, to_f[d][b] = -sum_a c_fh[a, b, d] sigma^a
+        to_h = [[_dot([c_ff[a][b][d] for b in range(nf)], s) for a in range(nf)] for d in range(nh)]
+        to_f = [[_dot([-c_fh[a][b][d] for a in range(nf)], s) for b in range(nh)] for d in range(nf)]
+        sq = [[_dot(to_f[d], [to_h[b][e] for b in range(nh)]) for e in range(nf)] for d in range(nf)]
+        yield h, f, to_h, to_f, sq
+
+
+def _scalar_core(alg, sigma, xh, xf, weights):
+    """The tower's contract, one node at a time in Python floats: every
+    contraction is an axpy loop over its full index range, in ascending
+    order, from +0.0.  There is no radius check."""
     top = max(weights)
     even = [1.0] + [weights[2 * k] for k in range(1, top // 2 + 1)]
     odd = [weights[2 * k + 1] for k in range((top + 1) // 2)]
-
-    def dot(row, vec):
-        total = 0.0
-        for r, v in zip(row, vec):
-            total += r * v
-        return total
-
     dF, dI = np.zeros(xf.shape), np.zeros(xh.shape)
-    for i, (s, h, f) in enumerate(zip(sigma.tolist(), xh.tolist(), xf.tolist())):
-        # to_h[d][a] = sum_b c_ff[a, b, d] sigma^b, to_f[d][b] = -sum_a c_fh[a, b, d] sigma^a
-        to_h = [[dot([c_ff[a][b][d] for b in range(nf)], s) for a in range(nf)] for d in range(nh)]
-        to_f = [[dot([-c_fh[a][b][d] for a in range(nf)], s) for b in range(nh)] for d in range(nf)]
-        sq = [[dot(to_f[d], [to_h[b][e] for b in range(nh)]) for e in range(nf)] for d in range(nf)]
+    for i, (h, f, to_h, to_f, sq) in enumerate(_scalar_nodes(alg, sigma, xh, xf)):
         u = [f]
         for _ in range(1, len(even)):
-            u.append([dot(row, u[-1]) for row in sq])
-        odd_sum = [dot(odd, [uk[d] for uk in u]) for d in range(nf)]
-        dF[i] = [dot(even, [uk[d] for uk in u]) + dot(to_f[d], h) for d in range(nf)]
-        dI[i] = [dot(to_h[d], odd_sum) + h[d] for d in range(nh)]
+            u.append([_dot(row, u[-1]) for row in sq])
+        odd_sum = [_dot(odd, [uk[d] for uk in u]) for d in range(alg.dim_f)]
+        dF[i] = [_dot(even, [uk[d] for uk in u]) + _dot(to_f[d], h) for d in range(alg.dim_f)]
+        dI[i] = [_dot(to_h[d], odd_sum) + h[d] for d in range(alg.dim_h)]
     return dF, dI
 
 
-def _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights):
+def _scalar_two_point_core(alg, sigma, xh, xf, weights):
+    """The two-point contract in the same scalar terms: lambda sums the
+    diagonal of S from +0.0 and divides by dim_f - 1; S X is to_f applied
+    to to_h X; the powers of lambda, clamped to [-pi^2, pi^2], are a
+    running product from 1.0, and each polynomial sums its weights against
+    them from +0.0; dF = P_e S X + X and odd = P_o S X + w_1 X.  There is
+    no radius check."""
+    nf, nh = alg.dim_f, alg.dim_h
+    top = max(weights)
+    even = [1.0] + [weights[2 * k] for k in range(1, top // 2 + 1)]
+    odd = [weights[2 * k + 1] for k in range((top + 1) // 2)]
+    odd += [0.0] * (len(even) - len(odd))
+    dF, dI = np.zeros(xf.shape), np.zeros(xh.shape)
+    for i, (h, f, to_h, to_f, sq) in enumerate(_scalar_nodes(alg, sigma, xh, xf)):
+        lam = _dot([1.0] * nf, [sq[d][d] for d in range(nf)]) / (nf - 1)
+        lam = min(max(lam, -math.pi**2), math.pi**2)
+        p_e = p_o = 0.0
+        power = 1.0
+        for k in range(1, len(even)):
+            p_e += even[k] * power
+            p_o += odd[k] * power
+            power *= lam
+        y = [_dot(to_h[b], f) for b in range(nh)]
+        sx = [_dot(to_f[d], y) for d in range(nf)]
+        odd_sum = [p_o * sx[d] + odd[0] * f[d] for d in range(nf)]
+        dF[i] = [(p_e * sx[d] + f[d]) + _dot(to_f[d], h) for d in range(nf)]
+        dI[i] = [_dot(to_h[d], odd_sum) + h[d] for d in range(nh)]
+    return dF, dI
+
+
+def _assert_rows_match(reference, alg, sigma, xh, xf, weights):
     """Every row for N <= 3, every 97th row for more nodes."""
     got = _series(alg, sigma, xh, xf, _core_rows(weights))
     rows = slice(None) if len(sigma) <= 3 else slice(None, None, 97)
-    want = _scalar_core(alg, sigma[rows], xh[rows], xf[rows], weights)
+    want = reference(alg, sigma[rows], xh[rows], xf[rows], weights)
     for g, w in zip(got, want):
         assert g[rows].tobytes() == w.tobytes()
 
@@ -594,32 +667,36 @@ def _signed_zero_nodes(rng, alg, n):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
 def test_core_matches_the_axpy_core_bit_for_bit(m):
-    """The node-last core, for both profiles and the plain-l one, gives the
-    bytes of the scalar axpy reference at every node count, on so(1,m) and
-    on its compact dual, whose S has negative eigenvalues."""
+    """On so(1,m) and on its compact dual, whose S has the negative
+    eigenvalue -4|sigma|^2, the node-last core takes the two-point path and,
+    for both profiles and the plain-l one, gives the bytes of the scalar
+    two-point reference at every node count."""
     rng = np.random.default_rng(200 + m)
     for alg in (so1m_algebra(m), _compact_dual(so1m_algebra(m))):
+        assert _table(alg)[2] is not None
         for n in (1, 3, 1000):
             sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
             for order in (1, 2, 11, 61):
                 plain = {k: float(l_coeffs(order).l(k)) for k in range(1, order + 1)}
                 for weights in (_profile(order), plain):
-                    _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, weights)
+                    _assert_rows_match(_scalar_two_point_core, alg, sigma, xh, xf, weights)
 
 
 def test_core_pads_rows_with_fewer_structural_nonzeros():
     """In so(1,2) (+) so(1,3) the f rows of the first summand meet one h
     column of c_fh and those of the second two, so the short rows pad with
-    an exact zero; the result is still the scalar reference's, byte for
-    byte."""
+    an exact zero.  S has the two nonzero eigenvalues of its summands, so
+    the core takes the power tower, and its result is still the scalar
+    tower reference's, byte for byte."""
     alg = _direct_sum(so1m_algebra(2), so1m_algebra(3))
     counts = (alg.c_fh != 0.0).any(axis=0).sum(axis=0)
     assert counts.tolist() == [1, 1, 2, 2, 2]
+    assert _table(alg)[2] is None
     rng = np.random.default_rng(7)
     for n in (1, 3, 1000):
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
-            _assert_rows_match_the_scalar_core(alg, sigma, xh, xf, _profile(order))
+            _assert_rows_match(_scalar_core, alg, sigma, xh, xf, _profile(order))
 
 
 def test_realize_raises_where_the_series_overflows():
