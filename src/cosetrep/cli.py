@@ -29,11 +29,11 @@ from .errors import (
     ClosureError,
     DimensionError,
     DomainError,
+    _array,
     _check_finite,
     _check_int,
     _check_real,
     _check_square,
-    _read_numbers,
 )
 from .induced import (
     _check_vector,
@@ -137,7 +137,7 @@ def _numeric(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array; a missing or non-numeric field is a usage error."""
     if key not in doc:
         raise _UsageError(f"document needs a numeric {key}")
-    return _read_numbers(doc[key], key, _UsageError)
+    return _array(doc[key], key, _UsageError)
 
 
 def _integer(doc: dict, key: str, default: int | None) -> int | None:

@@ -119,8 +119,8 @@ class Multivector:
     ----------
     space : CliffordSpace
     coeffs : mapping from index tuple to float, optional
-        Entries with coefficient exactly 0.0 are dropped; a non-finite
-        coefficient raises DomainError.
+        Entries with coefficient exactly 0.0 are dropped; a coefficient
+        that is not a finite real number raises DomainError.
     """
 
     __slots__ = ("space", "_c")
@@ -130,7 +130,7 @@ class Multivector:
         c: dict[int, float] = {}
         for idx, val in (coeffs or {}).items():
             t = space.check_blade(idx)
-            v = float(val)
+            v = float(_array(val, f"coefficient of blade {t}", DomainError))
             if not math.isfinite(v):
                 raise DomainError(f"coefficient of blade {t} is not finite: {v}")
             c[_mask(t)] = c.get(_mask(t), 0.0) + v
@@ -223,7 +223,7 @@ class Multivector:
         return self.scale(-1.0)
 
     def scale(self, a: float) -> "Multivector":
-        a = float(a)
+        a = float(_array(a, "scale factor", DomainError))
         if not math.isfinite(a):
             raise DomainError(f"scale factor is not finite: {a}")
         return Multivector._of(self.space, {t: a * v for t, v in self._c.items()})
@@ -231,10 +231,10 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return blade_product(self, other)
-        return self.scale(float(other))
+        return self.scale(other)
 
     def __rmul__(self, other):
-        return self.scale(float(other))
+        return self.scale(other)
 
 
 def blade_product(a: Multivector, b: Multivector) -> Multivector:

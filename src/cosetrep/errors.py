@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the input rules that raise them.
 
-Each input rule has one owner here.  A caller names its argument and, where
-sites differ, passes the error class, so every site keeps its class.
+Each input rule has one owner here; `_array` decides what counts as a number
+at every entry.  A caller names its argument and, where sites differ, passes
+the error class, so every site keeps its class.
 """
 
 import math
@@ -81,15 +82,21 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _array(x, what: str, error: type[Exception] = DimensionError) -> np.ndarray:
-    """x as a float array, not copied when it is one.  Complex input raises
-    DomainError, since a cast to float would drop its imaginary parts; what
-    numpy cannot read as one float array, such as a ragged nesting, raises
-    error naming `what`."""
+    """x as a float array, not copied when it is one.  Any value but a float
+    or integer ndarray is first walked by reject_non_numbers: a string, a
+    boolean or None in it raises error, as does what numpy cannot read as one
+    float array (a ragged nesting, an int past the float range).  Complex
+    input raises DomainError: a cast to float would drop its imaginary parts."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
+        return np.asarray(x, dtype=float)
     try:
-        arr = x if isinstance(x, np.ndarray) else np.asarray(x)
+        reject_non_numbers([x], what)
+        arr = np.asarray(x)
         if arr.dtype.kind != "c":
             return np.asarray(arr, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except DomainError as exc:
+        raise error(str(exc)) from None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must hold numbers: {exc}") from exc
     raise DomainError(f"{what} must be real, got complex entries")
 
@@ -101,8 +108,8 @@ def _frozen(x, what: str = "the array") -> np.ndarray:
     return out
 
 
-# values np.asarray(..., dtype=float) reads as numbers although a document
-# holding them is malformed: "0.5" becomes 0.5, true becomes 1.0 and null NaN
+# values np.asarray(..., dtype=float) reads as numbers although an input
+# holding them is malformed: "0.5" becomes 0.5, True becomes 1.0 and None NaN
 _NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 
 
@@ -132,15 +139,3 @@ def reject_non_numbers(fields, what: str) -> None:
         else:
             return
 
-
-def _read_numbers(value, what: str, error: type[Exception]) -> np.ndarray:
-    """value, a number or a rectangular nesting of them, as a float array.
-
-    A string, a boolean or None anywhere in value, or a value that numpy
-    cannot read as one float array, raises error naming `what`.
-    """
-    try:
-        reject_non_numbers([value], what)
-    except DomainError as exc:
-        raise error(str(exc)) from None
-    return _array(value, what, error)

@@ -47,7 +47,6 @@ from .errors import (
     _check_square,
     _frozen,
     _norm,
-    _read_numbers,
 )
 from .lie import (
     CosetPoint,
@@ -587,15 +586,18 @@ class CompositeSection:
 def section_to_json_dict(section: CompositeSection, xi: np.ndarray | None = None) -> dict:
     """JSON form {"m", "d", "nodes": [{"sigma", "v"(, "xi")}]}.
 
-    When xi is given it must be an (N, dim_h + dim_f) array of generator
-    coordinates, stabilizer part first, stored per node.
+    When xi is given it must be a finite (N, dim_h + dim_f) array of
+    generator coordinates, stabilizer part first, stored per node.
     """
-    nodes = []
-    for i in range(section.n_nodes):
-        node = {"sigma": section.sigma[i].tolist(), "v": section.v[i].tolist()}
-        if xi is not None:
-            node["xi"] = np.asarray(xi[i], dtype=float).tolist()
-        nodes.append(node)
+    nodes = [{"sigma": s, "v": v} for s, v in zip(section.sigma.tolist(), section.v.tolist())]
+    if xi is not None:
+        xi = _array(xi, "xi")
+        n, size = section.n_nodes, section.m * (section.m + 1) // 2
+        if xi.shape != (n, size):
+            raise DimensionError(f"xi must have shape ({n}, {size}), got {xi.shape}")
+        _check_finite(xi, "generator field xi has non-finite entries", DomainError)
+        for node, row in zip(nodes, xi.tolist()):
+            node["xi"] = row
     return {"m": section.m, "d": section.d, "nodes": nodes}
 
 
@@ -610,12 +612,12 @@ def _node_rows(nodes: list, key: str, size: int) -> np.ndarray:
     except (KeyError, TypeError) as exc:
         raise DomainError(f"every node needs a numeric {key}: {exc}") from exc
     with suppress(DomainError):
-        rows = _read_numbers(raw, f"node {key}", DomainError)
+        rows = _array(raw, f"node {key}", DomainError)
         if rows.shape == (len(nodes), size):
             return rows
     # name the first node whose entry is not `size` numbers
     for idx, entry in enumerate(raw):
-        shape = _read_numbers(entry, f"node {idx}: {key}", DomainError).shape
+        shape = _array(entry, f"node {idx}: {key}", DomainError).shape
         if shape != (size,):
             raise DomainError(f"node {idx}: {key} must have {size} entries, got shape {shape}")
     raise DomainError(f"the nodes' {key} entries do not stack into a ({len(nodes)}, {size}) array")

@@ -35,7 +35,6 @@ from .errors import (
     _check_square,
     _frozen,
     _norm,
-    _read_numbers,
     reject_non_numbers,
 )
 
@@ -251,7 +250,8 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.h - other.h, self.f - other.f)
 
     def __rmul__(self, a: float) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, float(a) * self.h, float(a) * self.f)
+        a = float(_array(a, "scale factor", DomainError))
+        return AlgebraElement(self.algebra, a * self.h, a * self.f)
 
     def __neg__(self) -> "AlgebraElement":
         return (-1.0) * self
@@ -328,7 +328,7 @@ def generator_coords(m: int, boost=None, rotations=()) -> tuple[np.ndarray, np.n
     _check_int(m, 2, "m", DimensionError)
     f = np.zeros(m)
     if boost is not None:
-        f = _read_numbers(boost, "boost", DomainError)
+        f = _array(boost, "boost", DomainError)
         if f.shape != (m,):
             raise DimensionError(f"boost must have {m} entries, got shape {f.shape}")
         _check_finite(f, "boost entries must be finite", DomainError)
@@ -558,7 +558,7 @@ def algebra_from_json_dict(data) -> ReductiveAlgebra:
         tables = [data["c_hh"], data["c_ff"], data["c_fh"]]
     except (KeyError, TypeError) as e:
         raise ClosureError(f"invalid algebra JSON: {e}") from None
-    c_hh, c_ff, c_fh = (_read_numbers(t, "the structure constants", ClosureError) for t in tables)
+    c_hh, c_ff, c_fh = (_array(t, "the structure constants", ClosureError) for t in tables)
     if c_hh.shape != (nh, nh, nh) or c_ff.shape != (nf, nf, nh) or c_fh.shape != (nf, nh, nf):
         shapes = f"{c_hh.shape}, {c_ff.shape}, {c_fh.shape}"
         raise ClosureError(f"algebra JSON shapes do not match dim_h/dim_f: {shapes}")

@@ -494,8 +494,9 @@ def so1m_closed_field(point: CosetPoint) -> tuple[np.ndarray, np.ndarray]:
     m = point.m
     a = _two_s_coth(s)
     U = a * np.eye(m)
-    if s > 0.0:
-        U += np.outer(point.sigma, point.sigma) / (s * s) * (1.0 - a)
+    # near 0, (1 - a) / s^2 as its series: s * s underflows below 1e-154
+    outer = np.outer(point.sigma, point.sigma)
+    U += outer * (16.0 * s * s / 45.0 - 4.0 / 3.0) if s < _SMALL else outer / (s * s) * (1.0 - a)
     W = _compensator_rows(point, 2.0 * _tanh_over(s))
     return U, W
 

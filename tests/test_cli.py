@@ -397,6 +397,14 @@ def test_null_is_not_a_number(tmp_path, capsys, command, payload):
     assert "sigma must hold numbers, not strings, booleans or null" in capsys.readouterr().err
 
 
+def test_an_integer_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    """float() of a JSON integer past 1.8e308 raises OverflowError, which used
+    to end the CLI with a traceback."""
+    path = _write(tmp_path, "doc.json", {"sigma": [10**400, 0], "xi": {"boost": [1, 0]}})
+    assert main(["realize", "--in", path]) == 2
+    assert "sigma must hold numbers: int too large to convert to float" in capsys.readouterr().err
+
+
 def test_usage_without_command():
     assert main([]) == 2
 

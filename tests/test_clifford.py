@@ -451,6 +451,24 @@ def test_non_finite_inputs_raise(bad):
             scaled()
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None, 1j])
+def test_scalars_follow_the_number_rule(bad):
+    """float() read "0.5" as 0.5 and True as 1.0 (Multivector(sp, {(1,): True})
+    was e1), and None and complex raised a bare TypeError; every scalar entry
+    now raises DomainError."""
+    sp = CliffordSpace(3)
+    one = Multivector.scalar(sp, 1.0)
+    calls = (
+        lambda: Multivector.scalar(sp, bad),
+        lambda: Multivector.blade(sp, (1,), bad),
+        lambda: one * bad,
+        lambda: bad * one,
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="must (hold numbers|be real)"):
+            call()
+
+
 def test_exp_vector_past_the_overflow_limit_names_the_size():
     """cosh(|sigma|) overflows just past 710.47: the size is checked first, so
     no RuntimeWarning comes out (pytest makes one an error) and the message

@@ -1028,6 +1028,14 @@ def test_section_json_round_trip_and_errors():
     bad2["nodes"][0]["xi"] = [1.0]
     with pytest.raises(DomainError):
         section_from_json_dict(bad2)
+    # the writer holds xi to the same rule: a 1-row xi for 2 nodes raised a
+    # bare IndexError, and a (2, 2) xi or a NaN was written out
+    for short in (xi[:1], xi[:, :2]):
+        with pytest.raises(DimensionError, match=r"xi must have shape \(2, 3\)"):
+            section_to_json_dict(section, short)
+    for x in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="xi has non-finite entries"):
+            section_to_json_dict(section, np.where(xi > 0.5, x, xi))
 
 
 @pytest.mark.parametrize(
@@ -1499,7 +1507,11 @@ def _complex_input_calls():
             lambda x: gauge_transform_section(alg, section, x, 0.1, vector_hrep(3)),
         ),
         "flow_section xi": (np.zeros((2, 6)), lambda x: flow_section(alg, section, x, 1.0, 1, vector_hrep(3))),
+        "section_to_json_dict xi": (np.zeros((2, 6)), lambda x: section_to_json_dict(section, x)),
         "Multivector.vector": (np.full(3, 0.1), lambda x: Multivector.vector(space, x)),
+        "Multivector coefficient": (np.float64(0.1), lambda x: Multivector(space, {(1,): x})),
+        "Multivector.scale": (np.float64(0.1), Multivector.scalar(space, 1.0).scale),
+        "AlgebraElement scalar": (np.float64(0.1), alg.f_basis(0).__rmul__),
         "exp_vector": (np.full(3, 0.1), lambda x: exp_vector(space, x)),
         "InfinitesimalAction": (np.zeros(3), lambda x: InfinitesimalAction(x, np.zeros(3))),
     }
@@ -1519,3 +1531,21 @@ def test_complex_input_raises_a_domain_error(entry, form):
     z.flat[0] += 1j
     with pytest.raises(DomainError, match="must be real, got complex entries"):
         call(z if form == "array" else z.tolist())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["string", "true", "none", "bool_array"])
+@pytest.mark.parametrize("entry", sorted(_complex_input_calls()))
+def test_non_numbers_raise_a_typed_error(entry, form):
+    """Library entries used to read "0.5" as 0.5 and True as 1.0, and None
+    as NaN or a bare TypeError; only the document readers rejected them.
+    Every entry now raises its typed error, naming the argument."""
+    template, call = _complex_input_calls()[entry]
+    if form == "bool_array":
+        bad = np.array(template, dtype=bool)
+    else:
+        z = np.array(template, dtype=object)
+        z.flat[0] = {"string": "0.5", "true": True, "none": None}[form]
+        bad = z.tolist()
+    with pytest.raises((DimensionError, DomainError, ClosureError), match="must hold numbers"):
+        call(bad)

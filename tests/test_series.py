@@ -310,11 +310,17 @@ def test_closed_field_matches_series():
                 np.testing.assert_allclose(act.dI, w[:, j], atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_closed_field_regular_at_origin():
     for m in (2, 3):
         u, w = so1m_closed_field(CosetPoint(np.zeros(m)))
         np.testing.assert_array_equal(u, np.eye(m))
         np.testing.assert_array_equal(w, np.zeros_like(w))
+        # s * s underflows to 0 below |sigma| ~ 1e-154: U used to be all NaN
+        for tiny in (1e-200, 1e-310, 5e-324):
+            u, w = so1m_closed_field(CosetPoint(np.r_[tiny, np.zeros(m - 1)]))
+            np.testing.assert_array_equal(u, np.eye(m))
+            assert np.isfinite(w).all() and abs(w).max() <= 4 * tiny
         # just off the origin the small-norm branch must agree with the series
         alg = so1m_algebra(m)
         point = CosetPoint(np.full(m, 1e-8))
