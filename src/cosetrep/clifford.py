@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _array, _check_finite, _check_int, _check_size, _norm
+from .errors import DimensionError, DomainError, _array, _check_finite, _check_int, _check_size, _norm, _scalar
 
 __all__ = [
     "CliffordSpace",
@@ -130,9 +130,7 @@ class Multivector:
         c: dict[int, float] = {}
         for idx, val in (coeffs or {}).items():
             t = space.check_blade(idx)
-            v = float(_array(val, f"coefficient of blade {t}", DomainError))
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient of blade {t} is not finite: {v}")
+            v = _scalar(val, f"coefficient of blade {t}", DomainError)
             c[_mask(t)] = c.get(_mask(t), 0.0) + v
         self._c = {t: v for t, v in c.items() if v != 0.0}
 
@@ -223,9 +221,7 @@ class Multivector:
         return self.scale(-1.0)
 
     def scale(self, a: float) -> "Multivector":
-        a = float(_array(a, "scale factor", DomainError))
-        if not math.isfinite(a):
-            raise DomainError(f"scale factor is not finite: {a}")
+        a = _scalar(a, "scale factor", DomainError)
         return Multivector._of(self.space, {t: a * v for t, v in self._c.items()})
 
     def __mul__(self, other):
@@ -261,7 +257,9 @@ def commutator(a: Multivector, b: Multivector) -> Multivector:
 @lru_cache(maxsize=None)
 def _signed_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each blade image as a signed permutation, one row per blade mask b:
-    the image of b maps e_c to signs[b, c] e_(c ^ x[b]).
+    the image of b maps e_c to signs[b, c] e_(c ^ x[b]), so it holds
+    signs[b, c] at the flat index at[b, c] = (c ^ x[b]) d + c of a (d, d)
+    matrix.  Returns (at, signs).
 
     gamma_k is the Pauli string X^gx[k] Z^gz[k] of the doubling
     gamma_k -> X (x) gamma_k, gamma_m = Z (x) 1 from (Z) at m = 1 and (X, Z)
@@ -279,9 +277,10 @@ def _signed_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = slice(0, 1 << k), slice(1 << k, 2 << k)
         x[hi] = x[lo] ^ gx[k]
         signs[hi] = signs[lo][:, cols ^ gx[k]] * np.where(cols & gz[k], -1.0, 1.0)
-    x.setflags(write=False)
+    at = (x[:, None] ^ cols) * cols.size + cols
+    at.setflags(write=False)
     signs.setflags(write=False)
-    return x, signs
+    return at, signs
 
 
 def matrix_rep(space: CliffordSpace) -> tuple[np.ndarray, ...]:
@@ -306,12 +305,11 @@ def multivector_matrix(a) -> np.ndarray:
     """Image of a multivector under the matrix representation, or the stack
     of images (n, d, d) of a non-empty sequence of multivectors of one space.
 
-    Each term v * blade adds v times the blade's d signed entries at their
-    positions (c ^ x, c), c < d, of an image that starts from +0.0.  Blades
-    that share an X mask share positions, and at most two blades share a
-    mask, so each entry is a sum of at most two nonzero terms and does not
-    depend on term order.  An empty sequence or one mixing spaces raises
-    DimensionError; an entry that overflows raises DomainError.
+    Each term v * blade adds v times the blade's d signed entries to an
+    image that starts from +0.0 (:func:`_scatter`), so each entry is a sum
+    of at most two nonzero terms and does not depend on term order.  An
+    empty sequence or one mixing spaces raises DimensionError; an entry that
+    overflows raises DomainError.
     """
     mvs = [a] if isinstance(a, Multivector) else list(a)
     if not mvs:
@@ -319,20 +317,92 @@ def multivector_matrix(a) -> np.ndarray:
     # spaces are equal when their m are; reading m avoids dataclass __eq__
     if len({mv.space.m for mv in mvs}) > 1:
         raise DimensionError("multivectors live in different spaces")
-    x, signs = _signed_permutations(mvs[0].space.m)
-    d = signs.shape[1]
     at = np.array([t for mv in mvs for t in mv._c], dtype=np.intp)
     coeffs = np.array([v for mv in mvs for v in mv._c.values()])
-    image = np.repeat(np.arange(len(mvs)) * (d * d), [len(mv._c) for mv in mvs])
-    cols = np.arange(d)
-    flat = image[:, None] + (x[at][:, None] ^ cols) * d + cols
-    out = np.bincount(flat.ravel(), (coeffs[:, None] * signs[at]).ravel(), len(mvs) * d * d)
-    # with no terms at all, bincount counts in integers
-    out = out.astype(float, copy=False).reshape(len(mvs), d, d)
+    image = np.repeat(np.arange(len(mvs)), [len(mv._c) for mv in mvs])
+    out = _scatter(mvs[0].space.m, at, coeffs, image, len(mvs))
     if not np.isfinite(out).all():
         raise DomainError(f"matrix image entry is not finite: {out[~np.isfinite(out)][0]}")
     return out[0] if isinstance(a, Multivector) else out
 
+
+def _scatter(m: int, at: np.ndarray, coeffs: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
+    """n images (n, d, d) of blade sums.  The term arrays at (blade masks),
+    coeffs and image (which image a term adds to) broadcast together; each
+    term adds coeffs times the d signed entries of its blade at their
+    positions (c ^ x, c), c < d, of an image that starts from +0.0.
+
+    Blades that share an X mask share positions, and at most two blades
+    share a mask, so each entry is a sum of at most two nonzero terms and
+    does not depend on term order; the even blades have distinct X masks,
+    so on them each entry is a single term.  No BLAS routine runs.
+    """
+    entries, signs = _signed_permutations(m)
+    d = signs.shape[1]
+    flat = (image * (d * d))[..., None] + entries[at]
+    out = np.bincount(flat.ravel(), (coeffs[..., None] * signs[at]).ravel(), n * d * d)
+    # with no terms at all, bincount counts in integers
+    return out.astype(float, copy=False).reshape(n, d, d)
+
+
+# ---------------------------------------------------------------------------
+# frame sums over the even subalgebra
+# ---------------------------------------------------------------------------
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """1 where an entry of the mask array x has an odd number of set bits,
+    else 0, folded by shifts (numpy before 2.0 has no bitwise_count)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+@lru_cache(maxsize=None)
+def _frame_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(even, index, sign): the steps of :func:`_frame_sum` on Cl(m).
+
+    even holds the 2^(m-1) even blade masks in ascending order, so slot 0 is
+    the scalar.  For a 0-based axis i, slot c and j >= 1, B = even[index[i,
+    j, c]] is the even blade with gamma_(j-1) e_B gamma_i = sign[i, j, c]
+    e_even[c]: gamma_(j-1) moves right past the gammas of B below it, then
+    gamma_i moves left past those of B gamma_(j-1) above i.  Row j = 0 is
+    the identity term, index c and sign +1.  The tables hold m (m+1) 2^(m-1)
+    entries each, built once per process for each m.
+    """
+    masks = np.arange(1 << m, dtype=np.intp)
+    even = masks[_parity(masks) == 0]
+    slot = np.zeros(1 << m, dtype=np.intp)
+    slot[even] = np.arange(even.size)
+    axis = 1 << np.arange(m, dtype=np.intp)
+    bi, bj = axis[:, None, None], np.concatenate([[0], axis])[None, :, None]
+    b = even ^ bi ^ bj
+    b[:, 0] = even
+    swaps = _parity(b & (bj - 1)) ^ _parity((b ^ bj) & ~(2 * bi - 1))
+    swaps[:, 0] = 0
+    index = slot[b]
+    sign = 1.0 - 2.0 * swaps
+    for t in (even, index, sign):
+        t.setflags(write=False)
+    return even, index, sign
+
+
+def _frame_sum(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Even blade coefficients of sum_A rho(e_A) s e_A^-1 over all blades e_A
+    of Cl(m), node-last: r (m, m+1, n) holds 1 at r[i, 0] and rho[j, i] at
+    r[i, j+1], u (2^(m-1), n) the even seeds s in the slots of
+    :func:`_frame_tables`, n >= 2.
+
+    rho(e_A) = (rho e_a1) ... (rho e_ak) for A = {a1 < ... < ak}, so the sum
+    is m steps u <- u + (rho e_i) u e_i, i = m, ..., 1.  Each step is one
+    gather of u and one einsum over the identity term and the terms
+    rho[j, i] gamma_j u gamma_i, ascending in j from +0.0 for every node, so
+    a node's result depends neither on n nor on its neighbours; no BLAS
+    routine runs.
+    """
+    _, index, sign = _frame_tables(r.shape[0])
+    for i in range(r.shape[0] - 1, -1, -1):
+        u = np.einsum("jcn,jc,jn->cn", u[index[i]], sign[i], r[i])
+    return u
 
 # ---------------------------------------------------------------------------
 # closed-form exponential of a grade-1 element

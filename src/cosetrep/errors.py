@@ -101,6 +101,19 @@ def _array(x, what: str, error: type[Exception] = DimensionError) -> np.ndarray:
     raise DomainError(f"{what} must be real, got complex entries")
 
 
+def _scalar(x, what: str, error: type[Exception] = DimensionError) -> float:
+    """x as a finite float: read by `_array`, whose errors it raises as
+    error; an array of ndim >= 1 raises DimensionError naming its shape, and
+    a non-finite value DomainError."""
+    arr = _array(x, what, error)
+    if arr.ndim:
+        raise DimensionError(f"{what} must be a single number, got shape {arr.shape}")
+    v = float(arr)
+    if not math.isfinite(v):
+        raise DomainError(f"{what} is not finite: {v}")
+    return v
+
+
 def _frozen(x, what: str = "the array") -> np.ndarray:
     """A read-only C-ordered float copy of x, which no caller can write through."""
     out = np.array(_array(x, what), order="C")

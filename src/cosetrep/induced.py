@@ -8,14 +8,18 @@ spatial rotation:
 
 :func:`factor_boost_rotation` computes the pair (sigma', rho).  A vector v in
 any representation of the stabilizer is carried along by the representation's
-image of rho (:meth:`HRepresentation.lift`); :func:`induced_action` packages
-the whole move.  Differentiating that map at the identity reproduces the
+image of rho (:meth:`HRepresentation.lift`): rho itself in the vector
+representation; in the spinor representation the rotor U/|U| of the frame sum
+U = sum_A rho(e_A) s e_A^-1 over the blades of Cl(m), signed so that its scalar
+part is positive, with no angle computed; in any other, the exponential of
+the principal-branch plane angles.  :func:`induced_action` packages the
+whole move.  Differentiating that map at the identity reproduces the
 bracket series of :mod:`cosetrep.series`, which the verify suite checks by
 finite differences.
 
-The finite matrices, the form check, the split and the rotation log all work
-on stacks (..., m+1, m+1) or (..., m, m), so a section moves in one call and
-a single point is the one-node case of the same code.
+The finite matrices, the form check, the split, the rotation log and the
+lift all work on stacks (..., m+1, m+1) or (..., m, m), so a section moves
+in one call and a single point is the one-node case of the same code.
 
 Sections (arrays of coset points with one attached vector each) and their
 gauge flow under a node-wise generator field live at the bottom of the module;
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import CliffordSpace, Multivector, multivector_matrix
+from .clifford import CliffordSpace, Multivector, _frame_sum, _frame_tables, _scatter, multivector_matrix
 from .errors import (
     BranchError,
     ClosureError,
@@ -86,6 +90,9 @@ __all__ = [
 _TOL = 1e-10
 # the rotation log raises BranchError for angles past this
 _BRANCH = np.pi - 1e-12
+# the spin lift raises BranchError where the scalar part prod cos(theta_k / 2)
+# of the principal lift is at most this: a plane within about 1e-12 of pi
+_SPIN_BRANCH = 5e-13
 # largest rapidity of a boost built or split here: the form check's entries
 # grow like cosh^2(zeta) ~ e^(2 zeta)/4 and overflow just past 355
 _MAX_RAPIDITY = 354.0
@@ -116,6 +123,8 @@ class HRepresentation:
     generators: np.ndarray
     # the generators are the plane rotations E_ki - E_ik of R^d themselves
     _planes: bool = field(init=False, repr=False)
+    # the generators are the Clifford images that spinor_hrep builds
+    _spin: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gens = _array(self.generators, "the generator stack")
@@ -134,6 +143,9 @@ class HRepresentation:
             gens, defining_rep_so1m(d).h_gens[:, 1:, 1:]
         )
         object.__setattr__(self, "_planes", planes)
+        m = (1 + math.isqrt(1 + 8 * nh)) // 2
+        spin = not planes and m >= 2 and m * (m - 1) // 2 == nh and d == 1 << (m - 1)
+        object.__setattr__(self, "_spin", spin and np.array_equal(gens, _spin_generators(m)))
 
     @property
     def d(self) -> int:
@@ -150,12 +162,19 @@ class HRepresentation:
     def lift(self, rho) -> np.ndarray:
         """The matrix of the rotation rho in SO(m), or of a stack (..., m, m).
 
-        The defining representation on R^m returns rho itself.  Any other
-        exponentiates the principal-branch plane angles of each rho on its
-        own (BranchError for a plane turned by pi), so in the spinor rep
-        lift(r1 r2) may be -lift(r1) lift(r2).  rho is not checked for
-        orthogonality; rho that is not a square matrix or a stack of them
-        raises DimensionError, and a non-finite entry DomainError.
+        The defining representation on R^m returns rho itself.  The spinor
+        representation returns the image of the rotor U/|U|, where U is the
+        frame sum sum_A rho(e_A) s e_A^-1 over the blades of Cl(m) (see
+        :func:`_spin_lift`), with the sign that makes its scalar part
+        positive: the principal lift, whose scalar part is
+        c = prod cos(theta_k / 2) over the plane angles.  It raises
+        BranchError where c <= 5e-13, a plane within about 1e-12 of pi.  Any
+        other representation exponentiates the principal-branch plane angles
+        of each rho on its own (BranchError for a plane turned by pi).  Each
+        rho is lifted on its own, so in the spinor rep lift(r1 r2) may be
+        -lift(r1) lift(r2).  rho is not checked for orthogonality; rho that
+        is not a square matrix or a stack of them raises DimensionError, and
+        a non-finite entry DomainError.
         """
         rho = _array(rho, "rho")
         m = _check_square(rho, 0, "rho")
@@ -166,7 +185,64 @@ class HRepresentation:
         _check_finite(rho, "rho has non-finite entries", DomainError)
         if self._planes:
             return rho
+        if self._spin:
+            return _spin_lift(rho)
         return self.exp(_log_coords(rho))
+
+
+@lru_cache(maxsize=None)
+def _spin_generators(m: int) -> np.ndarray:
+    """The images (m(m-1)/2, d, d) of the rotation generators
+    (1/4)[gamma_k, gamma_i] that so1m_algebra is built from, read-only."""
+    sp = CliffordSpace(m)
+    gens = multivector_matrix([Multivector._of(sp, {t: v}) for t, v in _so1m_blades(m)[0]])
+    gens.setflags(write=False)
+    return gens
+
+
+def _spin_lift(rho: np.ndarray) -> np.ndarray:
+    """Images (..., d, d) of the principal spin lifts of finite rho (..., m, m).
+
+    For the principal lift psi of rho, with scalar part c > 0, the identity
+    sum_A e_A M e_A^-1 = 2^m <M>_0 makes the frame sum with seed s
+    U = 2^m <rev(psi) s>_0 psi (:func:`cosetrep.clifford._frame_sum`).
+    Pass 1 seeds s = 1, so U = 2^m c psi: |U| = 2^m c decides the branch
+    rule, and where c >= 1/2, U/|U| is psi to about 2m eps.  Elsewhere pass 2
+    seeds the even blade e_B with the largest |U_B|, which gives
+    U = 2^m psi_B psi with |psi_B| >= 2^(-(m-1)/2).  Either way psi is U/|U|
+    with the sign that makes its scalar part positive, and its image is the
+    signed scatter of :func:`cosetrep.clifford._scatter`.  No eigh, expm,
+    LU or BLAS routine runs; each node's bytes do not depend on the stack.
+    A rho so far from orthogonal that its frame sum overflows raises
+    DomainError.
+    """
+    m = rho.shape[-1]
+    lead = rho.shape[:-2]
+    n = math.prod(lead)
+    even = _frame_tables(m)[0]
+    # node-last buffers at least 2 wide, as in _compensator_action
+    r = np.zeros((m, m + 1, max(n, 2)))
+    r[:, 0] = 1.0
+    r[:, 1:, :n] = rho.reshape(n, m, m).T
+    u = np.zeros((even.size, r.shape[-1]))
+    u[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _frame_sum(r, u)[:, :n]
+        size = _norm(u.T)[:, 0]
+        redo = np.flatnonzero(size < 2.0 ** (m - 1))
+        if redo.size:
+            if (size[redo] <= 2.0**m * _SPIN_BRANCH).any():
+                raise BranchError("rotation within 1e-12 of pi has no principal-branch spin lift")
+            # a lone node is repeated to fill the second column, seeded 0
+            seed = np.zeros((even.size, max(redo.size, 2)))
+            seed[np.abs(u[:, redo]).argmax(axis=0), np.arange(redo.size)] = 1.0
+            r = r[..., np.resize(redo, seed.shape[1])]
+            u[:, redo] = _frame_sum(r, seed)[:, : redo.size]
+            size[redo] = _norm(u[:, redo].T)[:, 0]
+    _check_finite(size, "rho is too far from orthogonal: its spin frame sum overflows", DomainError)
+    psi = u / np.copysign(size, u[0])
+    image = _scatter(m, even, psi.T, np.arange(n)[:, None], n)
+    return image.reshape(lead + image.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +255,7 @@ def vector_hrep(m: int) -> HRepresentation:
 def spinor_hrep(m: int) -> HRepresentation:
     """SO(m) on the spinor space of Cl(m): the matrix images of the rotation
     generators (1/4)[gamma_k, gamma_i] that so1m_algebra is built from."""
-    sp = CliffordSpace(m)
-    rotations = [Multivector._of(sp, {t: v}) for t, v in _so1m_blades(m)[0]]
-    return HRepresentation(so1m_algebra(m), multivector_matrix(rotations))
+    return HRepresentation(so1m_algebra(m), _spin_generators(m))
 
 
 # ---------------------------------------------------------------------------

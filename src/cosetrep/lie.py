@@ -35,6 +35,7 @@ from .errors import (
     _check_square,
     _frozen,
     _norm,
+    _scalar,
     reject_non_numbers,
 )
 
@@ -250,7 +251,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.h - other.h, self.f - other.f)
 
     def __rmul__(self, a: float) -> "AlgebraElement":
-        a = float(_array(a, "scale factor", DomainError))
+        a = _scalar(a, "scale factor", DomainError)
         return AlgebraElement(self.algebra, a * self.h, a * self.f)
 
     def __neg__(self) -> "AlgebraElement":

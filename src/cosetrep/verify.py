@@ -725,6 +725,29 @@ def suite_induced(seed: int = 0) -> list[PropertyResult]:
             "series derivative equals the finite-difference derivative of the induced action",
         )
     )
+
+    # the spin lift against its defining property, with neither the frame sum
+    # nor a rotation log: S gamma_k S^-1 = sum_j rho_jk gamma_j with S^-1 =
+    # S^T, and the principal branch's positive scalar part tr S / d
+    worst = 0.0
+    for m_s in (3, 5):
+        rho = _haar_rotations(rng.normal(size=(50, m_s, m_s)))
+        s = spinor_hrep(m_s).lift(rho)
+        st = np.swapaxes(s, -1, -2)
+        gam = matrix_rep(CliffordSpace(m_s))
+        for k in range(m_s):
+            want = np.tensordot(rho[:, :, k], gam, axes=1)
+            worst = max(worst, float(abs(s @ gam[k] @ st - want).max()))
+        scalar = np.trace(s, axis1=-2, axis2=-1)
+        worst = max(worst, float(abs(st @ s - np.eye(s.shape[-1])).max()), float(not (scalar > 0.0).all()))
+    out.append(
+        _row(
+            "spinor_lift_intertwines",
+            worst,
+            1e-12,
+            "S gamma_k S^T = sum_j rho_jk gamma_j, S^T S = 1 and tr S > 0, 50 Haar rotations each at m = 3, 5",
+        )
+    )
     return out
 
 

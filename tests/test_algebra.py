@@ -398,6 +398,18 @@ def test_element_arithmetic_and_projections():
     assert x.max_abs() == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_element_scale_rejects_a_non_finite_factor(bad):
+    """inf * x raised numpy's "invalid value encountered in multiply" on the
+    zero entries, or gave h = f = NaN with warnings off; a non-finite factor
+    now raises DomainError, as Multivector.scale does."""
+    x = so1m_algebra(3).f_basis(0)
+    with pytest.raises(DomainError, match=f"scale factor is not finite: {float(bad)}"):
+        bad * x
+    with pytest.raises(DomainError, match="scale factor is not finite"):
+        x.__rmul__(np.float64(bad))
+
+
 def test_bracket_antisymmetric_on_random_elements():
     rng = np.random.default_rng(11)
     alg = so1m_algebra(3)

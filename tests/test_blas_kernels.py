@@ -1,9 +1,10 @@
 """The series core, the compensator action, the gauge flow's loop over node
-blocks, the closure check's slot arm, the closed field, exp_vector and the
-norm of a coset point give the same bytes under the default OpenBLAS kernel
-and every pinned kernel family: their GEMMs have single-term entries, every
-sum runs in a fixed order, and the slot arm and the hypot norm make no BLAS
-call, so no BLAS rounding reaches the output."""
+blocks, the closure check's slot arm, the spin lift, the closed field,
+exp_vector and the norm of a coset point give the same bytes under the
+default OpenBLAS kernel and every pinned kernel family: their GEMMs have
+single-term entries, every sum runs in a fixed order, and the slot arm, the
+spin lift's frame sum and the hypot norm make no BLAS call, so no BLAS
+rounding reaches the output."""
 
 import os
 import platform
@@ -28,7 +29,9 @@ _KERNELS = (None, "Haswell", "Nehalem", "Sandybridge")
 # perturbed, on the vector and spinor reps at m = 3 and 5 with one c_hh
 # entry perturbed, and on the defining reps at m = 2, 3, 4; then of the
 # norm, the closed field and exp_vector at 200 seeded points for each of
-# m = 2, 3, 5, 8
+# m = 2, 3, 5, 8; then of the spin lift at m = 3, 5, 8 of 200 rotations by
+# up to pi in every plane (both passes) and 200 by up to 0.2 (the first
+# only), as stacks and one by one, built by Givens steps with no BLAS call
 _PROBE = """
 import hashlib
 from types import SimpleNamespace
@@ -122,6 +125,19 @@ for m in (2, 3, 5, 8):
         e = exp_vector(space, sigma)
         digest.update(np.float64(e.coeff(())).tobytes())
         digest.update(e.vector_part().tobytes())
+for m in (3, 5, 8):
+    rng = np.random.default_rng(400 + m)
+    hrep = spinor_hrep(m)
+    for size in (np.pi, 0.2):
+        rho = np.broadcast_to(np.eye(m), (200, m, m)).copy()
+        for i in range(m):
+            for k in range(i + 1, m):
+                t = rng.uniform(-size, size, (200, 1))
+                c, s = np.cos(t), np.sin(t)
+                rho[:, i], rho[:, k] = c * rho[:, i] - s * rho[:, k], s * rho[:, i] + c * rho[:, k]
+        digest.update(hrep.lift(rho).tobytes())
+        for one in rho[:3]:
+            digest.update(hrep.lift(one).tobytes())
 print(digest.hexdigest())
 """
 

@@ -1,6 +1,7 @@
 """Blade arithmetic of Cl(m) against the independent matrix representation."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from cosetrep.clifford import (
     multivector_matrix,
 )
 from cosetrep.errors import DimensionError, DomainError
+from cosetrep.lie import so1m_algebra
 from cosetrep.verify import _random_pairs, suite_clifford
 
 
@@ -451,21 +453,29 @@ def test_non_finite_inputs_raise(bad):
             scaled()
 
 
-@pytest.mark.parametrize("bad", ["0.5", True, None, 1j])
+@pytest.mark.parametrize("bad", ["0.5", True, None, 1j, np.array([0.5]), np.array([2.0, 3.0])])
 def test_scalars_follow_the_number_rule(bad):
     """float() read "0.5" as 0.5 and True as 1.0 (Multivector(sp, {(1,): True})
     was e1), and None and complex raised a bare TypeError; every scalar entry
-    now raises DomainError."""
+    now raises DomainError.  An array of shape (1,) or (2,) raised numpy's
+    bare TypeError; it now raises DimensionError naming its shape."""
     sp = CliffordSpace(3)
     one = Multivector.scalar(sp, 1.0)
-    calls = (
+    calls = [
         lambda: Multivector.scalar(sp, bad),
         lambda: Multivector.blade(sp, (1,), bad),
+        lambda: Multivector.blade(sp, (1, 2)).scale(bad),
         lambda: one * bad,
-        lambda: bad * one,
-    )
+        lambda: so1m_algebra(3).f_basis(0).__rmul__(bad),
+    ]
+    if isinstance(bad, np.ndarray):
+        # bad * one is numpy's elementwise product, one Multivector per entry
+        error, match = DimensionError, re.escape(f"must be a single number, got shape {bad.shape}")
+    else:
+        calls.append(lambda: bad * one)
+        error, match = DomainError, "must (hold numbers|be real)"
     for call in calls:
-        with pytest.raises(DomainError, match="must (hold numbers|be real)"):
+        with pytest.raises(error, match=match):
             call()
 
 

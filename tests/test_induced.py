@@ -19,7 +19,7 @@ from cosetrep.errors import (
     OrthochronousError,
 )
 from cosetrep import induced, lie
-from cosetrep.clifford import CliffordSpace, Multivector, exp_vector
+from cosetrep.clifford import CliffordSpace, Multivector, exp_vector, multivector_matrix
 from cosetrep.induced import (
     CompositeSection,
     FactoredPair,
@@ -1549,3 +1549,190 @@ def test_non_numbers_raise_a_typed_error(entry, form):
         bad = z.tolist()
     with pytest.raises((DimensionError, DomainError, ClosureError), match="must hold numbers"):
         call(bad)
+
+
+# ---------------------------------------------------------------------------
+# the spin lift: a frame sum over blades
+# ---------------------------------------------------------------------------
+
+def _mp_planes(q, thetas, mp):
+    """(rho, psi, c, total) in mp arithmetic for the rotation by thetas[k] in the
+    planes (q_2k, q_2k+1) of the columns of q, orthonormalized in mp.
+
+    psi is the exponential of the principal generator sum sum_k theta_k P_k
+    in the spinor rep, P_k the image of the unit generator of plane k: as
+    P_k^2 = -1/4 and the P_k commute, it is the product of the factors
+    cos(theta_k / 2) + 2 sin(theta_k / 2) P_k.  c = prod cos(theta_k / 2) is
+    the scalar part of the lift, and total the generator sum."""
+    m = q.shape[0]
+    frame = []
+    for k in range(m):
+        v = [mp.mpf(float(x)) for x in q[:, k]]
+        for w in frame:
+            dot = mp.fsum(a * b for a, b in zip(v, w))
+            v = [a - dot * b for a, b in zip(v, w)]
+        size = mp.sqrt(mp.fsum(a * a for a in v))
+        frame.append([a / size for a in v])
+    gens = spinor_hrep(m).generators
+    d = gens.shape[-1]
+    i, k = induced._plane_index(m)
+    rho = np.array([[mp.mpf(int(a == b)) for b in range(m)] for a in range(m)], dtype=object)
+    one = np.eye(d, dtype=int).astype(object)
+    # each generator has d nonzero entries: sum them alone
+    entries = [(np.nonzero(g), g[np.nonzero(g)]) for g in gens]
+    psi, total, c = None, 0 * one, mp.mpf(1)
+    for p, theta in enumerate(thetas):
+        a = np.array(frame[2 * p], dtype=object)
+        b = np.array(frame[2 * p + 1], dtype=object)
+        w = np.outer(b, a) - np.outer(a, b)
+        cos, sin = mp.cos(theta), mp.sin(theta)
+        rho = rho + (cos - 1) * (np.outer(a, a) + np.outer(b, b)) + sin * w
+        half = 0 * one
+        for weight, (at, values) in zip(w[k, i], entries):
+            half[at] += weight * values
+        factor = mp.cos(theta / 2) * one + 2 * mp.sin(theta / 2) * half
+        psi = factor if psi is None else psi @ factor
+        total = total + theta * half
+        c *= mp.cos(theta / 2)
+    return rho, psi, c, total
+
+
+def _lift_cases(m, rng):
+    """Angle sets: small and generic rotations, and one or two planes at
+    +-(pi - delta), the other planes turned by at most 2."""
+    planes = m // 2
+    cases = [rng.uniform(-1e-3, 1e-3, planes), rng.uniform(-3.0, 3.0, planes)]
+    for delta in (1e-2, 1e-6, 1e-10):
+        for near in range(1, min(planes, 2) + 1):
+            thetas = rng.uniform(-2.0, 2.0, planes)
+            thetas[:near] = rng.choice([-1.0, 1.0], near) * (math.pi - delta)
+            cases.append(thetas)
+    return cases
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_spin_lift_matches_a_40_digit_exponential(m):
+    """On Haar frames, the lift is within 1e-14 of the 40-digit exponential
+    of the principal generator sum wherever it returns, also with planes
+    within 1e-10 of pi, and it raises BranchError exactly where the lift's
+    scalar part c is at most 5e-13 (two planes within 1e-6 of pi).  The
+    log-and-expm lift was off by 2.2e-11 at delta = 1e-6 and by 0.33 with
+    two planes near pi, with no error."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng([35, m])
+    hrep = spinor_hrep(m)
+    returned = raised = 0
+    for q in _haar_rotations(rng.normal(size=(2 if m <= 5 else 1, m, m))):
+        for thetas in _lift_cases(m, rng):
+            rho, psi, c, _ = _mp_planes(q, thetas, mp)
+            rho = rho.astype(float)
+            if c <= 5e-13:
+                with pytest.raises(BranchError):
+                    hrep.lift(rho)
+                raised += 1
+            else:
+                assert abs(hrep.lift(rho) - psi.astype(float)).max() <= 1e-14
+                returned += 1
+    assert returned and (raised or m < 4)
+    if m == 3:
+        # the product of plane factors is mpmath's own expm of the sum
+        _, psi, _, total = _mp_planes(q, [2.5], mp)
+        assert mp.mnorm(mp.expm(mp.matrix(total.tolist())) - mp.matrix(psi.tolist()), 1) <= 1e-30
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_spin_lift_raises_at_and_within_1e_13_of_a_half_turn(m):
+    """A plane turned by pi, or two, has c = 0, and one within 1e-13 of pi
+    has c <= 5e-14: BranchError.  Within 1e-11 of pi, c = 5e-12 and the lift
+    returns its principal branch."""
+    rng = np.random.default_rng([35, 1, m])
+    hrep = spinor_hrep(m)
+    turns = [[math.pi], [math.pi - 1e-13], [-(math.pi - 1e-13)]]
+    if m >= 4:
+        turns += [[math.pi, math.pi], [math.pi, 0.5], [math.pi - 1e-13, 1.0]]
+    for thetas in turns:
+        for _ in range(2):
+            with pytest.raises(BranchError, match="pi"):
+                hrep.lift(_plane_rotation(m, thetas, rng))
+    for flips in range(1, m // 2 + 1):
+        with pytest.raises(BranchError, match="pi"):
+            hrep.lift(np.diag([-1.0] * 2 * flips + [1.0] * (m - 2 * flips)))
+    near = hrep.lift(_plane_rotation(m, [math.pi - 1e-11], rng))
+    assert np.trace(near) / hrep.d == pytest.approx(math.sin(0.5e-11), rel=1e-3)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_spin_lift_blade_squares_are_determinants(m):
+    """psi_B^2 = det(1 + rho D_B) / 2^m for every even blade B of the lift
+    psi, where D_B flips the axes in B: the frame-sum identity with the seed
+    e_B, checked against a determinant that neither lift route computes."""
+    rng = np.random.default_rng([35, 2, m])
+    sp = CliffordSpace(m)
+    hrep = spinor_hrep(m)
+    rho = _haar_rotations(rng.normal(size=(20, m, m)))
+    psi = hrep.lift(rho)
+    for b in range(1 << m):
+        axes = [k for k in range(m) if b >> k & 1]
+        if len(axes) % 2:
+            continue
+        blade = multivector_matrix(Multivector.blade(sp, tuple(k + 1 for k in axes)))
+        coeff = np.einsum("ab,nab->n", blade, psi) / hrep.d
+        flip = np.ones(m)
+        flip[axes] = -1.0
+        want = np.linalg.det(np.eye(m) + rho * flip) / 2.0**m
+        assert abs(coeff**2 - want).max() <= 1e-13
+
+
+def test_spin_lift_of_a_stack_is_the_per_matrix_bytes():
+    """A node's lift depends neither on the stack's size nor on its
+    neighbours, whichever pass it takes (tr S / d = c below 1/2 takes the
+    second), and the stack's leading shape is kept."""
+    rng = np.random.default_rng([35, 3])
+    for m in (3, 5, 8):
+        hrep = spinor_hrep(m)
+        rho = _haar_rotations(rng.normal(size=(12, m, m)))
+        rho[:4] = vector_hrep(m).exp(rng.uniform(-0.2, 0.2, (4, m * (m - 1) // 2)))
+        c = np.trace(hrep.lift(rho), axis1=-2, axis2=-1) / hrep.d
+        assert (c >= 0.5).any() and (c < 0.5).any()
+        stack = hrep.lift(rho.reshape(3, 4, m, m))
+        assert stack.shape == (3, 4, hrep.d, hrep.d)
+        for one, many in zip(rho, stack.reshape(12, hrep.d, hrep.d)):
+            assert hrep.lift(one).tobytes() == many.tobytes()
+
+
+def test_spin_lift_runs_no_log_expm_or_dense_solver(monkeypatch):
+    """The spinor rep's lift is the frame sum alone: with the rotation log,
+    both expm names and numpy's eigh, solve and inv replaced by a trap, it
+    still matches the log-and-expm route, which stays for other reps."""
+    rng = np.random.default_rng([35, 4])
+    rho = _haar_rotations(rng.normal(size=(10, 4, 4)))
+    hrep = spinor_hrep(4)
+    # the same generators, built anew: HRepresentation finds them
+    again = HRepresentation(so1m_algebra(4), np.array(hrep.generators))
+    assert again._spin and not vector_hrep(4)._spin
+    want = hrep.exp(rotation_log_coords(rho))
+
+    def trap(*args, **kwargs):
+        raise AssertionError("the spin lift called a log, expm or dense solver")
+
+    for owner, name in ((induced, "_log_coords"), (induced, "expm"), (lie, "expm")):
+        monkeypatch.setattr(owner, name, trap)
+    for name in ("eigh", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, trap)
+    for h in (hrep, again):
+        np.testing.assert_allclose(h.lift(rho), want, rtol=0.0, atol=1e-13)
+    with pytest.raises(AssertionError, match="dense solver"):
+        vector_hrep(4).exp(np.zeros(6))
+
+
+def test_spin_lift_of_an_overflowing_rho_raises_domain_error():
+    """rho is not checked for orthogonality; one so large that its frame sum
+    overflows raises DomainError, not a RuntimeWarning, also beside a
+    rotation in a stack."""
+    for m in (3, 5):
+        big = np.stack([np.eye(m), np.full((m, m), 1e200)])
+        with pytest.raises(DomainError, match="overflows"):
+            spinor_hrep(m).lift(big)
