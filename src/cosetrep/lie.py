@@ -227,7 +227,7 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Element x = h^a H_a + f^al F_al of a reductive algebra."""
+    """Element x = h^a H_a + f^al F_al of a reductive algebra; h and f are finite."""
 
     algebra: ReductiveAlgebra
     h: np.ndarray
@@ -239,20 +239,25 @@ class AlgebraElement:
             raise DimensionError(
                 f"element needs shapes ({self.algebra.dim_h},), ({self.algebra.dim_f},)"
             )
+        _check_finite(h, "element h has non-finite entries", DomainError)
+        _check_finite(f, "element f has non-finite entries", DomainError)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.h + other.h, self.f + other.f)
+        with np.errstate(over="ignore"):
+            return AlgebraElement(self.algebra, self.h + other.h, self.f + other.f)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.h - other.h, self.f - other.f)
+        with np.errstate(over="ignore"):
+            return AlgebraElement(self.algebra, self.h - other.h, self.f - other.f)
 
     def __rmul__(self, a: float) -> "AlgebraElement":
         a = _scalar(a, "scale factor", DomainError)
-        return AlgebraElement(self.algebra, a * self.h, a * self.f)
+        with np.errstate(over="ignore"):
+            return AlgebraElement(self.algebra, a * self.h, a * self.f)
 
     def __neg__(self) -> "AlgebraElement":
         return (-1.0) * self
@@ -273,10 +278,12 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _same_algebra(x, y)
     a = x.algebra
     h = np.einsum("abd,a,b->d", a.c_hh, x.h, y.h)
-    h += np.einsum("abd,a,b->d", a.c_ff, x.f, y.f)
     f = np.einsum("abd,a,b->d", a.c_fh, x.f, y.h)
-    f -= np.einsum("abd,a,b->d", a.c_fh, y.f, x.h)
-    return AlgebraElement(a, h, f)
+    # an overflowing sum (inf, or inf - inf) meets the element's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        h += np.einsum("abd,a,b->d", a.c_ff, x.f, y.f)
+        f -= np.einsum("abd,a,b->d", a.c_fh, y.f, x.h)
+        return AlgebraElement(a, h, f)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,13 @@ S^k X = lambda^(k-1) S X (Lagrange-Sylvester interpolation on two points,
 N. J. Higham, Functions of Matrices, SIAM 2008, sec. 1.2), and so on any
 algebra whose S is two-point in this way, which the table is tested for
 once per algebra (its compact dual has lambda = -4|sigma|^2).  There the
-core never forms S: it reads lambda = tr S / (dim_f - 1) from the rows of
-the table product that hold the diagonal of S, makes one S X, and
-evaluates the two weight rows as polynomials in lambda per node, so that
-dF = X + P_e(lambda) S X and the odd sum is w_1 X + P_o(lambda) S X; the
-work per node grows with the order only through the powers of lambda.
+core never forms S: one gather and one einsum over the slots give S X,
+the h field [X_h, F] and the diagonal of S, whose trace over dim_f - 1 is
+lambda, and it evaluates the two weight rows as polynomials in lambda per
+node, so that dF = X + P_e(lambda) S X and the odd sum is
+w_1 X + P_o(lambda) S X; the work per node grows with the order only
+through the powers of lambda, and past order 623 the top power overflows
+at |lambda| = pi^2, so such an order raises DomainError.
 Every other algebra (a direct sum of two such algebras, say) takes the
 power tower: the core gathers S from the rows of to_h, writes
 u_k = S^k X for k <= order/2 into one stack and contracts that stack in
@@ -51,11 +53,13 @@ f (Higham, ch. 4, on polynomials in a matrix argument).  That stack holds
 on node blocks of fixed size.  Either way the odd sum is mapped to h once,
 and the h actor's field [X_h, F] is summed over the structural slots.
 
-Summation order: every contraction (S or tr S and S X, each power of the
-tower, the weight contraction or the polynomials, the to_h map of the odd
-sum and the h field) is one einsum whose reduction index is never the
-contiguous axis, or a sum over the leading axis of a node-last array.
-Each of them sums, for every node, over its index in ascending order from
+Summation order: every contraction (to_h X, the one gathered contraction
+over the slots that gives S X, the h field and the diagonal of S, or S
+and each power of the tower and its h field, the weight contraction or
+the polynomials, and the to_h map of the odd sum) is one einsum whose
+reduction index is never the contiguous axis, or a sum over the leading
+axis of a node-last array (tr S over the diagonal).  Each of them sums,
+for every node and every output, over its index in ascending order from
 +0.0 (the leading-axis sum from its first term), so an exact zero never
 comes out as -0.0.  The node axis is at least 2 wide, so a single node
 takes the same einsum kernel as a batch, and a node's result is the same
@@ -67,7 +71,8 @@ The series converges while rho(S) = rho(ad_F)^2 stays below pi^2; an f
 actor at or past that radius raises DomainError.  On a two-point algebra
 rho(S) is |lambda|; on any other the max-row-sum bound of S picks the
 nodes whose eigenvalues are computed.  :func:`realize` is the single-point
-entry and :func:`_series` packs (N, dim) rows for the core; the gauge flow
+entry and :func:`_series` the (N, dim) one; both pack node-last columns
+through :func:`_run`, realize with no (N, dim) copy; the gauge flow
 of :mod:`cosetrep.induced` calls the core on fixed node blocks of its own
 node-last buffer, and the verify suite feeds it the report-only plain-l
 profile.
@@ -109,6 +114,9 @@ _RADIUS2 = math.pi**2
 # accumulate pass, whose cost grows with the node count; past it, in one
 # multiply per power
 _NARROW = 64
+# the largest order whose top power lambda^(order//2 - 1) of the two-point
+# core stays finite at |lambda| = pi^2: pi^620 < 1.8e308 < pi^622
+_MAX_ORDER = 623
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +185,11 @@ def _weights(order: int) -> np.ndarray:
 
     Built once per order and shared, so the rows are read-only.  The cache
     is typed, so True or 2.0 never hits the entry of 1 or 2 and meets the
-    integer check instead.
+    integer check instead.  An order past _MAX_ORDER raises DomainError
+    before any weight is built.
     """
+    if _check_int(order, 1, "truncation order", DomainError) > _MAX_ORDER:
+        raise DomainError(f"truncation order {order} exceeds {_MAX_ORDER}: its powers of lambda overflow")
     return _rows(
         [w for _, w in even_bracket_weights(order)], [w for _, w in odd_bracket_weights(order)]
     )
@@ -188,7 +199,7 @@ def _weights(order: int) -> np.ndarray:
 def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The per-algebra table of :func:`_series`, built once per algebra.
 
-    Returns (table, cols, diag).  table @ sigma.T, with sigma of shape
+    Returns (table, cols, index).  table @ sigma.T, with sigma of shape
     (N, dim_f), holds two node-last blocks of x -> [x, F] in its rows:
 
       (d, a)     to_h[d, a], the f -> h block                 dim_h dim_f rows
@@ -201,10 +212,12 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     +-1 or +-4, so each entry of the product is a single signed sigma^a
     times a power of two: exact on every BLAS kernel.
 
-    diag (width, dim_f) holds the rows to_h[cols[j, d], d] of the product,
-    whose products with to_f[d, cols[j, d]] sum to the diagonal of S, where
-    the algebra is two-point (see :func:`_two_point`), and is None where it
-    is not.  The cache is bounded: it holds its algebras.
+    Where the algebra is two-point (see :func:`_two_point`), index
+    (3, width, dim_f) gathers, from the core's node-last buffer whose rows
+    are [table product | to_h X | X_h], the three operands that to_f[d, b]
+    meets at b = cols[j, d]: (to_h X)[b] for S X, X_h[b] for the h field,
+    and the product row to_h[b, d], whose sum over j and d is tr S.
+    Elsewhere index is None.  The cache is bounded: it holds its algebras.
     """
     nf, nh = alg.dim_f, alg.dim_h
     pattern = (alg.c_fh != 0.0).any(axis=0).T
@@ -216,11 +229,13 @@ def _table(alg: ReductiveAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     to_f = -alg.c_fh[:, cols, np.arange(nf)].transpose(1, 2, 0)
     # adding +0.0 turns every -0.0 into +0.0
     table = 0.0 + np.concatenate((to_h.reshape(nh * nf, nf), to_f.reshape(width * nf, nf)))
-    diag = cols * nf + np.arange(nf) if _two_point(table, cols, nf, nh) else None
-    for arr in (table, cols, diag):
+    index = np.stack((len(table) + cols, len(table) + nh + cols, cols * nf + np.arange(nf)))
+    if not _two_point(table, cols, nf, nh):
+        index = None
+    for arr in (table, cols, index):
         if arr is not None:
             arr.setflags(write=False)
-    return table, cols, diag
+    return table, cols, index
 
 
 def _two_point(table: np.ndarray, cols: np.ndarray, nf: int, nh: int) -> bool:
@@ -263,7 +278,7 @@ def _series_core(
     rows are the (2, K) weight rows of :func:`_rows`, which fix the order.
     Every contraction is one einsum that, for each node, sums over its index
     in ascending order from +0.0; the entries of the one table product are
-    single terms for so(1,m), and S, S X and tr S gather them.  A node's
+    single terms for so(1,m), and every contraction gathers them.  A node's
     result therefore depends neither on n nor on the BLAS kernel.
 
     rho is the spectral radius of ad_F at the moving nodes that may lie at
@@ -272,27 +287,28 @@ def _series_core(
     large that ad_F^2 overflows raises DomainError here.
     """
     nf, nh = alg.dim_f, alg.dim_h
-    table, cols, diag = _table(alg)
+    table, cols, index = _table(alg)
     # the node count, not -1: a block is empty when dim_h or width is 0
     nodes = sig.shape[1]
+    # rows: the table product, then to_h X and X_h for the two-point gather
+    buf = np.empty((len(table) + (0 if index is None else 2 * nh), nodes))
+    blocks = buf[: len(table)]
     # a sigma near the float maximum overflows the product; the check on S
     # or lambda below turns that into a DomainError
     with np.errstate(over="ignore"):
-        blocks = table @ sig
+        np.matmul(table, sig, out=blocks)
     to_h = blocks[: nh * nf].reshape(nh, nf, nodes)
     to_f = blocks[nh * nf :].reshape(len(cols), nf, nodes)
-    if diag is None:
+    if index is None:
         dF, odd, rho = _tower(to_h, to_f, cols, sig, xf, rows)
+        # every l_{2k-1} past l_1 vanishes, so the h actor's field is
+        # [X, F] = to_f X, summed over the structural slots; a padded slot
+        # adds an exact zero, which leaves a sum started from +0.0 unchanged
+        dF += np.einsum("jdn,jdn->dn", to_f, xh[cols])
     else:
-        dF, odd, rho = _polynomial(to_h, to_f, cols, blocks[diag], sig, xf, rows)
+        dF, odd, rho = _polynomial(to_h, to_f, buf, index, sig, xh, xf, rows)
     dI = np.einsum("dan,an->dn", to_h, odd)
     dI += xh
-    # every l_{2k-1} past l_1 vanishes, so the h actor's field is
-    # [X, F] = to_f X, summed over the structural slots.  For so(1,m) every
-    # entry of to_f is one signed sigma^a and b runs in the order of a, so
-    # the sum is lie.bracket's term for term; a padded slot adds an exact
-    # zero, which leaves a sum started from +0.0 unchanged.
-    dF += np.einsum("jdn,jdn->dn", to_f, xh[cols])
     return dF, dI, rho
 
 
@@ -316,20 +332,27 @@ def _tower(to_h, to_f, cols, sig, xf, rows):
     return dF, odd, rho
 
 
-def _polynomial(to_h, to_f, cols, to_h_diag, sig, xf, rows):
-    """(dF, odd, rho) of the f actor on a two-point algebra, with S never formed.
+def _polynomial(to_h, to_f, buf, index, sig, xh, xf, rows):
+    """(dF, odd, rho) of the actor on a two-point algebra, with S never formed.
 
-    S^k X = lambda^(k-1) S X, so dF = P_e(lambda) S X + X and
+    S^k X = lambda^(k-1) S X, so dF = P_e(lambda) S X + X + [X_h, F] and
     odd = P_o(lambda) S X + w_1 X, with P_p(lambda) = sum_{k>=1} rows[p, k]
-    lambda^(k-1).  lambda = tr S / (dim_f - 1) sums the diagonal of S, each
-    entry over the slots j as S would (to_h_diag holds the rows it reads),
-    then over d.  S X = to_f (to_h X)[cols] sums over a, then over j.  The
-    powers of lambda are a running product from 1.0, taken at lambda
-    clamped to [-pi^2, pi^2]: a moving node past that raises anyway, and a
-    resting one multiplies the finite polynomial by S X = 0.
+    lambda^(k-1).  buf holds the table product, then dim_h rows each for
+    to_h X (a sum over a) and X_h; one gather through index and one einsum
+    over the slots j give S X, the h field and the diagonal of S, which
+    lambda = tr S / (dim_f - 1) sums over d.  For so(1,m) every entry of
+    to_f is one signed sigma^a and b runs in the order of a, so the h field
+    is lie.bracket's term for term.  The powers of lambda are a running
+    product from 1.0, taken at lambda clamped to [-pi^2, pi^2]: a moving
+    node past that raises anyway, and a resting one multiplies the finite
+    polynomial by S X = 0.
     """
-    nodes = sig.shape[1]
-    lam = np.einsum("jdn,jdn->dn", to_f, to_h_diag).sum(axis=0)
+    nodes, nh = sig.shape[1], len(xh)
+    np.einsum("dan,an->dn", to_h, xf, out=buf[len(buf) - 2 * nh : len(buf) - nh])
+    buf[len(buf) - nh :] = xh
+    # rows: S X, the h field and the diagonal of S
+    terms = np.einsum("jdn,pjdn->pdn", to_f, buf[index])
+    lam = terms[2].sum(axis=0)
     lam /= len(xf) - 1
     rho = _lambda_radius(lam, sig, xf)
     powers = np.empty((rows.shape[1] - 1, nodes))
@@ -340,13 +363,11 @@ def _polynomial(to_h, to_f, cols, to_h_diag, sig, xf, rows):
     else:
         for k in range(1, len(powers)):
             np.multiply(powers[k - 1], lam, out=powers[k])
-    p_e, p_o = np.einsum("pk,kn->pn", rows[:, 1:], powers)
-    sx = np.einsum("jdn,jdn->dn", to_f, np.einsum("dan,an->dn", to_h, xf)[cols])
-    dF = p_e * sx
-    dF += xf
-    odd = p_o * sx
-    odd += rows[1, 0] * xf
-    return dF, odd, rho
+    # P_p S X + rows[p, 0] X for p = 0, 1, where rows[0, 0] = 1.0 adds X exactly
+    both = np.einsum("pk,kn->pn", rows[:, 1:], powers)[:, None] * terms[0]
+    both += rows[:, :1, None] * xf
+    both[0] += terms[1]
+    return both[0], both[1], rho
 
 
 def _lambda_radius(lam: np.ndarray, sig: np.ndarray, xf: np.ndarray) -> float:
@@ -397,6 +418,21 @@ def _check_radius(rho: float) -> None:
         )
 
 
+def _run(alg: ReductiveAlgebra, xh, xf, sigma, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(dF, dI) of :func:`_series_core` for the n node-last columns of xh, xf
+    and sigma, packed into one buffer max(n, 2) wide (a single node rides with
+    a zero node); an f actor past the series radius, or an overflowing dF or
+    dI, raises DomainError."""
+    n, nh, nf = sigma.shape[1], alg.dim_h, alg.dim_f
+    x = np.zeros((nh + 2 * nf, max(n, 2)))
+    np.concatenate((xh, xf, sigma), out=x[:, :n])
+    dF, dI, rho = _series_core(alg, x[nh + nf :], x[:nh], x[nh : nh + nf], rows)
+    _check_radius(rho)
+    _check_finite(dF, "the series overflows: dF has non-finite entries", DomainError)
+    _check_finite(dI, "the series overflows: dI has non-finite entries", DomainError)
+    return dF, dI
+
+
 def _series(
     alg: ReductiveAlgebra,
     sigma: np.ndarray,
@@ -407,18 +443,10 @@ def _series(
     """(dF, dI) of the actors xh + xf at the points sigma, N nodes at once.
 
     sigma and xf have shape (N, dim_f), xh has shape (N, dim_h); the results
-    have the shapes of xf and xh.  The rows are packed node-last into one
-    buffer max(N, 2) wide, so a single node rides with a zero node, and run
-    through :func:`_series_core`; an f actor past the series radius raises
-    DomainError, and so does a dF or dI that overflows.
+    have the shapes of xf and xh.  The rows run node-last through :func:`_run`.
     """
-    n, nf, nh = sigma.shape[0], alg.dim_f, alg.dim_h
-    x = np.zeros((nh + 2 * nf, max(n, 2)))
-    np.concatenate((xh.T, xf.T, sigma.T), out=x[:, :n])
-    dF, dI, rho = _series_core(alg, x[nh + nf :], x[:nh], x[nh : nh + nf], rows)
-    _check_radius(rho)
-    _check_finite(dF, "the series overflows: dF has non-finite entries", DomainError)
-    _check_finite(dI, "the series overflows: dI has non-finite entries", DomainError)
+    n = sigma.shape[0]
+    dF, dI = _run(alg, xh.T, xf.T, sigma.T, rows)
     return np.ascontiguousarray(dF[:, :n].T), np.ascontiguousarray(dI[:, :n].T)
 
 
@@ -430,19 +458,17 @@ def realize(
 ) -> InfinitesimalAction:
     """Infinitesimal action of a general generator xi = xi_h + xi_f at a point.
 
-    Raises DomainError when order is not an integer >= 1, when xi has
-    non-finite entries, when |sigma| is so large that ad_F^2 overflows, or
-    when xi has an f part and the point lies at or past the series radius
-    rho(ad_F) = pi, and DimensionError when xi or the point belongs to
+    Raises DomainError when order is not an integer from 1 to 623,
+    when |sigma| is so large that ad_F^2 overflows, when xi has an f part
+    and the point lies at or past the series radius rho(ad_F) = pi, or when
+    dF or dI overflows, and DimensionError when xi or the point belongs to
     another algebra.
     """
     if xi.algebra is not alg:
         raise DimensionError("generator belongs to a different algebra")
     _check_point(alg, point)
-    for x in (xi.h, xi.f):
-        _check_finite(x, "generator xi has non-finite entries", DomainError)
-    dF, dI = _series(alg, point.sigma[None], xi.h[None], xi.f[None], _weights(order))
-    return InfinitesimalAction(dF=dF[0], dI=dI[0])
+    dF, dI = _run(alg, xi.h[:, None], xi.f[:, None], point.sigma[:, None], _weights(order))
+    return InfinitesimalAction(dF=dF[:, 0], dI=dI[:, 0])
 
 
 # ---------------------------------------------------------------------------

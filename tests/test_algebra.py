@@ -410,6 +410,40 @@ def test_element_scale_rejects_a_non_finite_factor(bad):
         x.__rmul__(np.float64(bad))
 
 
+@pytest.mark.parametrize("part", ["h", "f"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_element_rejects_non_finite_entries(part, bad):
+    """element(h=[nan, 0, 0]) used to keep the NaN, and only realize's own
+    check caught it later; the element now raises, naming the part."""
+    alg = so1m_algebra(3)
+    with pytest.raises(DomainError, match=f"element {part} has non-finite entries"):
+        alg.element(**{part: [0.0, bad, 0.0]})
+    with pytest.raises(DomainError, match=f"element {part} has non-finite entries"):
+        AlgebraElement(alg, *([0.0, 0.0, bad] if p == part else np.zeros(3) for p in "hf"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_element_arithmetic_that_overflows_raises():
+    """A sum, difference, multiple or bracket of finite elements whose
+    entries overflow meets the element's finite check, with no numpy
+    warning, for h and for f."""
+    alg = so1m_algebra(3)
+    big = alg.element(h=[1.5e308, 0.0, 0.0], f=[0.0, 1.5e308, 0.0])
+    neg = alg.element(h=[-1.5e308, 0.0, 0.0], f=[0.0, -1.5e308, 0.0])
+    for make in (lambda: big + big, lambda: big - neg, lambda: 2.0 * big):
+        with pytest.raises(DomainError, match="element h has non-finite entries"):
+            make()
+    rotation = alg.element(h=[0.0, 0.0, 1e300])
+    with pytest.raises(DomainError, match="element f has non-finite entries"):
+        bracket(rotation, alg.element(f=[1e300, 1e300, 0.0]))
+    with pytest.raises(DomainError, match="element h has non-finite entries"):
+        bracket(alg.element(f=[1e300, 0.0, 0.0]), alg.element(f=[0.0, 1e300, 0.0]))
+    # both f terms of [x, x] overflow to the same inf, whose difference is NaN
+    x = alg.element(h=[1e300, 0.0, 0.0], f=[0.0, 1e300, 0.0])
+    with pytest.raises(DomainError, match="element f has non-finite entries"):
+        bracket(x, x)
+
+
 def test_bracket_antisymmetric_on_random_elements():
     rng = np.random.default_rng(11)
     alg = so1m_algebra(3)

@@ -1,6 +1,6 @@
-"""The series core, the compensator action, the gauge flow's loop over node
-blocks, the closure check's slot arm, the spin lift, the closed field,
-exp_vector and the norm of a coset point give the same bytes under the
+"""The series core, realize, the compensator action, the gauge flow's loop
+over node blocks, the closure check's slot arm, the spin lift, the closed
+field, exp_vector and the norm of a coset point give the same bytes under the
 default OpenBLAS kernel and every pinned kernel family: their GEMMs have
 single-term entries, every sum runs in a fixed order, and the slot arm, the
 spin lift's frame sum and the hypot norm make no BLAS call, so no BLAS
@@ -20,7 +20,9 @@ import cosetrep
 _KERNELS = (None, "Haswell", "Nehalem", "Sandybridge")
 
 # prints the sha256 of the outputs of _series on so(1,m) (the two-point
-# path) and on so(1,2) (+) so(1,3) (the power tower), of
+# path) and on so(1,2) (+) so(1,3) (the power tower), of realize at 50
+# single points for each of m = 3, 5, 8 at orders 11 and 61 (the core fed
+# without _series), of
 # _compensator_action in the vector and spinor reps, of flow_section on a
 # vector m=3 and a spinor m=5 section one block and three nodes long, and of
 # the slot arm's
@@ -41,7 +43,7 @@ from cosetrep import lie
 from cosetrep.clifford import CliffordSpace, exp_vector
 from cosetrep.induced import _BLOCK, CompositeSection, _compensator_action, flow_section, spinor_hrep, vector_hrep
 from cosetrep.lie import CosetPoint, so1m_algebra
-from cosetrep.series import _series, _weights, so1m_closed_field
+from cosetrep.series import _series, _weights, realize, so1m_closed_field
 
 digest = hashlib.sha256()
 for m in (3, 5, 8, 9, 10):
@@ -70,6 +72,16 @@ for n in (1, 1000):
     for order in (11, 61):
         for out in _series(alg, sigma, xh, xf, _weights(order)):
             digest.update(out.tobytes())
+for m in (3, 5, 8):
+    alg = so1m_algebra(m)
+    rng = np.random.default_rng(500 + m)
+    for _ in range(50):
+        xi = alg.element(h=rng.uniform(-1.0, 1.0, alg.dim_h), f=rng.uniform(-1.0, 1.0, m))
+        point = CosetPoint(rng.uniform(-0.4, 0.4, m))
+        for order in (11, 61):
+            act = realize(alg, xi, point, order)
+            digest.update(act.dF.tobytes())
+            digest.update(act.dI.tobytes())
 for m in (3, 5):
     for hrep in (vector_hrep(m), spinor_hrep(m)):
         rng = np.random.default_rng(100 + m)

@@ -91,6 +91,15 @@ def test_realize_csv(tmp_path, capsys):
     assert parts == {"sigma", "compensator"}
 
 
+def test_realize_past_the_largest_order_exits_1(tmp_path, capsys):
+    """Past order 623 the top power of lambda overflows at the radius: a
+    domain error, raised before the weights are built."""
+    doc = {"m": 3, "sigma": [0.1, 0.2, 0.3], "xi": {"boost": [1.0, 0.0, 0.0]}}
+    path = _write(tmp_path, "gen.json", doc)
+    assert main(["realize", "--in", path, "--order", "625"]) == 1
+    assert "truncation order 625 exceeds 623" in capsys.readouterr().err
+
+
 def test_realize_input_validation(tmp_path):
     assert main(["realize", "--in", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

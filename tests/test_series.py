@@ -10,10 +10,12 @@ import pytest
 from cosetrep import series
 from cosetrep.coeffs import l_coeffs
 from cosetrep.errors import DimensionError, DomainError
+from cosetrep.induced import CompositeSection, flow_section, vector_hrep
 from cosetrep.lie import CosetPoint, ReductiveAlgebra, bracket, h_pairs, so1m_algebra
 from cosetrep.series import (
     _rows,
     _series,
+    _series_core,
     _table,
     _weights,
     even_bracket_weights,
@@ -82,12 +84,12 @@ def test_numpy_integer_orders_are_orders():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_generator_raises(bad):
     """A NaN in the f part used to skip the radius check and come back as
-    a NaN field; any non-finite entry now names xi."""
+    a NaN field; a generator with any non-finite entry can no longer be
+    built, and the error names its part."""
     alg = so1m_algebra(3)
-    point = CosetPoint(np.array([0.1, 0.0, 0.0]))
-    for xi in (alg.element(f=[bad, 0.0, 0.0]), alg.element(h=[0.0, bad, 0.0])):
-        with pytest.raises(DomainError, match="xi has non-finite entries"):
-            realize(alg, xi, point)
+    for part, kwargs in (("f", {"f": [bad, 0.0, 0.0]}), ("h", {"h": [0.0, bad, 0.0]})):
+        with pytest.raises(DomainError, match=f"element {part} has non-finite"):
+            alg.element(**kwargs)
 
 
 def test_generator_and_point_must_match_the_algebra():
@@ -703,6 +705,112 @@ def test_core_pads_rows_with_fewer_structural_nonzeros():
         sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
         for order in (1, 2, 11, 61):
             _assert_rows_match(_scalar_core, alg, sigma, xh, xf, _profile(order))
+
+
+# ---------------------------------------------------------------------------
+# the one-gather core against the three-gather contraction it replaced
+# ---------------------------------------------------------------------------
+
+def _three_gather_core(alg, sig, xh, xf, rows):
+    """The two-point core before S X, the h field and the diagonal of S
+    shared one gather: each read its own rows of the table product through
+    its own gather and einsum.  The powers of lambda take only the loop;
+    the accumulate pass of narrow blocks makes the same products."""
+    nf, nh = alg.dim_f, alg.dim_h
+    table, cols, _ = _table(alg)
+    nodes = sig.shape[1]
+    with np.errstate(over="ignore"):
+        blocks = table @ sig
+    to_h = blocks[: nh * nf].reshape(nh, nf, nodes)
+    to_f = blocks[nh * nf :].reshape(len(cols), nf, nodes)
+    lam = np.einsum("jdn,jdn->dn", to_f, blocks[cols * nf + np.arange(nf)]).sum(axis=0)
+    lam /= nf - 1
+    rho = series._lambda_radius(lam, sig, xf)
+    powers = np.empty((rows.shape[1] - 1, nodes))
+    powers[:1] = 1.0
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], lam, out=powers[k])
+    p_e, p_o = np.einsum("pk,kn->pn", rows[:, 1:], powers)
+    sx = np.einsum("jdn,jdn->dn", to_f, np.einsum("dan,an->dn", to_h, xf)[cols])
+    dF = p_e * sx
+    dF += xf
+    odd = p_o * sx
+    odd += rows[1, 0] * xf
+    dI = np.einsum("dan,an->dn", to_h, odd)
+    dI += xh
+    dF += np.einsum("jdn,jdn->dn", to_f, xh[cols])
+    return dF, dI, rho
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("dual", [False, True])
+def test_one_gather_core_matches_the_three_gather_core(m, dual):
+    """dF, dI and rho of the core, as views of one node-last buffer, equal
+    the three-gather reference's bit for bit, signs of zeros included: at
+    2, 64, 65 and 2048 nodes (either side of the accumulate pass), orders
+    1, 2, 11 and 61, with +0.0 and -0.0 in sigma, X_f and X_h, resting
+    nodes past the radius, where lambda is clamped, and moving ones past
+    it, which set rho."""
+    alg = _compact_dual(so1m_algebra(m)) if dual else so1m_algebra(m)
+    nh, nf = alg.dim_h, alg.dim_f
+    rng = np.random.default_rng(300 + 10 * m + dual)
+    for n in (2, 64, 65, 2048):
+        sigma, xh, xf = _signed_zero_nodes(rng, alg, n)
+        sigma[1::5, 0] = -0.0
+        for rows, radius in ((slice(3, None, 11), 2.0), (slice(7, None, 13), 1.7)):
+            u = rng.uniform(-1.0, 1.0, sigma[rows].shape)
+            sigma[rows] = radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+        xf[3::11] = 0.0
+        x = np.concatenate((xh.T, xf.T, sigma.T))
+        args = x[nh + nf :], x[:nh], x[nh : nh + nf]
+        for order in (1, 2, 11, 61):
+            got = _series_core(alg, *args, _weights(order))
+            want = _three_gather_core(alg, *args, _weights(order))
+            assert got[2] == want[2]
+            assert (got[2] > math.pi) == (n > 7)
+            for g, w in zip(got[:2], want[:2]):
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+# ---------------------------------------------------------------------------
+# the largest order
+# ---------------------------------------------------------------------------
+
+def test_largest_order_is_the_last_finite_power_of_lambda():
+    """The two-point core's top power is lambda^(order//2 - 1), at most
+    pi^2 in size: finite at order 623 and past the float range at 624."""
+    assert series._MAX_ORDER == 623
+    with np.errstate(over="ignore"):
+        top = np.float64(series._RADIUS2) ** np.array([623 // 2 - 1, 624 // 2 - 1])
+    assert np.isfinite(top[0]) and np.isinf(top[1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_order_converges_and_the_next_raises():
+    """At order 1001 the powers of lambda at |sigma| = 1.4 overflowed with a
+    numpy warning and a wrong "the series overflows" error, although the
+    series converges there.  Order 623 is the closed field at |sigma| = 1.4,
+    finite at 1.56, just inside the radius pi/2, and exact for a rotation
+    at a huge sigma, whose lambda is clamped to pi^2; 624 raises before any
+    weight is built, in realize and in the gauge flow."""
+    alg = so1m_algebra(3)
+    xi = alg.element(h=[0.3, -0.2, 0.1], f=[0.5, -1.0, 0.25])
+    point = CosetPoint([1.4, 0.0, 0.0])
+    boost = realize(alg, alg.element(f=xi.f), point, order=623)
+    np.testing.assert_allclose(boost.dF, so1m_closed_field(point)[0] @ xi.f, rtol=0, atol=1e-14)
+    edge = realize(alg, xi, CosetPoint([1.56, 0.0, 0.0]), order=623)
+    assert np.isfinite(edge.dF).all() and np.isfinite(edge.dI).all()
+    far = CosetPoint([1e100, 0.0, 0.0])
+    rotation = alg.element(h=xi.h)
+    want = bracket(rotation, alg.element(f=far.sigma)).f
+    assert realize(alg, rotation, far, order=623).dF.tobytes() == want.tobytes()
+    for order in (624, 625, 1001):
+        with pytest.raises(DomainError, match=f"truncation order {order} exceeds 623"):
+            realize(alg, xi, point, order=order)
+    section = CompositeSection(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="truncation order 624 exceeds 623"):
+        flow_section(alg, section, np.zeros((2, 6)), 1.0, 1, vector_hrep(3), 624)
 
 
 def test_realize_raises_where_the_series_overflows():
